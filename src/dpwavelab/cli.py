@@ -110,11 +110,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_check_invariants(args) -> int:
-    from .soliton import sample_on_grid as sample
-
     speeds = [float(c) for c in args.speeds.split(",")]
     kappa = args.kappa
-    rows = []
     worst = 0.0
     print(f"{'c':>8} {'kappa':>8} {'dS/dc closed':>14} {'dS/dc FD':>14} {'rel err':>10}")
     for c in speeds:
@@ -125,7 +122,7 @@ def _cmd_check_invariants(args) -> int:
         grid = make_grid(args.n, period)
 
         def s_of(cc: float) -> float:
-            return momentum_S(sample(build_profile(SolitonParams(cc, kappa)), grid))
+            return momentum_S(sample_on_grid(build_profile(SolitonParams(cc, kappa)), grid))
 
         d1 = (s_of(c + dc) - s_of(c - dc)) / (2 * dc)
         d2 = (s_of(c + dc / 2) - s_of(c - dc / 2)) / dc
@@ -133,7 +130,6 @@ def _cmd_check_invariants(args) -> int:
         rel = abs(fd / closed - 1.0)
         worst = max(worst, rel)
         print(f"{c:8.3f} {kappa:8.3f} {closed:14.8f} {fd:14.8f} {rel:10.2e}")
-        rows.append({"c": c, "closed": closed, "fd": fd, "rel_err": rel})
     return 0 if worst <= 1e-4 else 1
 
 

@@ -115,23 +115,6 @@ def midpoints(positions: np.ndarray, period: float) -> np.ndarray:
     return positions[:-1] + 0.5 * gaps
 
 
-def monotonicity_check(states, times, trajectory, B: float) -> dict:
-    """Per-j series I_j(t) - I_j(0) using tracked midpoints; N = 1 gives empty series."""
-    n_waves = len(states[0].speeds)
-    if n_waves < 2:
-        return {"series": {}, "times": list(times)}
-    series: dict[int, list[float]] = {j: [] for j in range(2, n_waves + 1)}
-    base: dict[int, float] = {}
-    for st, frame in zip(states, trajectory.states):
-        ms = midpoints(st.positions, frame.grid.period)
-        for j in range(2, n_waves + 1):
-            val = localized_momentum(frame, float(ms[j - 2]), B)
-            if j not in base:
-                base[j] = val
-            series[j].append(val - base[j])
-    return {"series": series, "times": list(times)}
-
-
 def apriori_checks(u_t: Field, u0: Field, f: Field, kappa: float) -> dict:
     """The three runtime bounds for admissible data, with measured slack.
 

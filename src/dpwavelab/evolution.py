@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, PeriodicGrid
+from .grid import Field, PeriodicGrid, derivative
 
 
 class BlowUpError(RuntimeError):
@@ -49,21 +49,12 @@ class Trajectory:
     config: EvolutionConfig | None = None
 
 
-def _dealias_mask(grid: PeriodicGrid) -> np.ndarray:
-    k = np.abs(np.fft.fftfreq(grid.n, d=1.0 / grid.n))
-    return k <= grid.n / 3.0
-
-
 def _rhs_samples(u: np.ndarray, grid: PeriodicGrid, kappa: float, dealias: bool) -> np.ndarray:
-    xi = grid.wavenumbers
-    u2_hat = np.fft.fft(u * u)
+    u2_hat = np.fft.rfft(u * u)
     if dealias:
-        u2_hat = u2_hat * _dealias_mask(grid)
-    u_hat = np.fft.fft(u)
-    flux_hat = 0.5 * u2_hat + (1.5 * u2_hat + 2.0 * kappa * u_hat) / (1.0 + xi**2)
-    ikx = 1j * xi
-    ikx[grid.n // 2] = 0.0
-    return np.fft.ifft(ikx * flux_hat).real * -1.0
+        u2_hat *= grid.dealias_mask
+    flux_hat = 0.5 * u2_hat + (1.5 * u2_hat + 2.0 * kappa * np.fft.rfft(u)) * grid.helmholtz_symbol(1.0)
+    return -np.fft.irfft(grid.derivative_symbol(1) * flux_hat, n=grid.n)
 
 
 def dp_rhs(u: Field, kappa: float, dealias: bool = True) -> Field:
@@ -72,12 +63,19 @@ def dp_rhs(u: Field, kappa: float, dealias: bool = True) -> Field:
     return Field(u.grid, _rhs_samples(u.samples, u.grid, kappa, dealias))
 
 
-def _rk4(u: np.ndarray, dt: float, grid: PeriodicGrid, kappa: float, dealias: bool) -> np.ndarray:
+def _guarded_rk4(u: np.ndarray, dt: float, grid: PeriodicGrid, kappa: float, dealias: bool, guard: float) -> np.ndarray:
+    """One classical RK4 step; raises BlowUpError on non-finite samples or a sup norm above guard."""
     k1 = _rhs_samples(u, grid, kappa, dealias)
     k2 = _rhs_samples(u + 0.5 * dt * k1, grid, kappa, dealias)
     k3 = _rhs_samples(u + 0.5 * dt * k2, grid, kappa, dealias)
     k4 = _rhs_samples(u + dt * k3, grid, kappa, dealias)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    sup = float(np.max(np.abs(out)))
+    if not np.isfinite(sup):
+        raise BlowUpError("non-finite samples after RK4 step")
+    if sup > guard:
+        raise BlowUpError(f"sup norm {sup:.3e} exceeds blow-up guard {guard:.3e}")
+    return out
 
 
 def sup_bound(u0_l2: float, kappa: float) -> float:
@@ -89,14 +87,9 @@ def step_rk4(u: Field, dt: float, kappa: float, dealias: bool = True, guard: flo
     """One classical RK4 step; rejects states exceeding 10x the a priori sup bound."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    out = _rk4(u.samples, dt, u.grid, kappa, dealias)
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError("non-finite samples after RK4 step")
     if guard is None:
         guard = 10.0 * sup_bound(u.l2_norm(), kappa)
-    if np.max(np.abs(out)) > guard:
-        raise BlowUpError(f"sup norm {np.max(np.abs(out)):.3e} exceeds blow-up guard {guard:.3e}")
-    return Field(u.grid, out)
+    return Field(u.grid, _guarded_rk4(u.samples, dt, u.grid, kappa, dealias, guard))
 
 
 def evolve(u0: Field, config: EvolutionConfig, observers: list | None = None) -> Trajectory:
@@ -129,11 +122,10 @@ def evolve(u0: Field, config: EvolutionConfig, observers: list | None = None) ->
     u = u0.samples.copy()
     record(0.0, u)
     for step in range(1, n_steps + 1):
-        u = _rk4(u, dt, grid, kappa, config.dealias)
-        if not np.all(np.isfinite(u)):
-            raise BlowUpError(f"non-finite samples at step {step}")
-        if np.max(np.abs(u)) > guard:
-            raise BlowUpError(f"sup norm exceeds blow-up guard {guard:.3e} at step {step}")
+        try:
+            u = _guarded_rk4(u, dt, grid, kappa, config.dealias, guard)
+        except BlowUpError as exc:
+            raise BlowUpError(f"{exc} at step {step}") from exc
         if step % config.observer_stride == 0 or step == n_steps:
             record(step * dt, u)
     return traj
@@ -141,7 +133,6 @@ def evolve(u0: Field, config: EvolutionConfig, observers: list | None = None) ->
 
 def check_w_positivity(u0: Field, kappa: float) -> dict:
     """w0 = u0 - u0_xx + 2 kappa/3 on the grid; ok iff min >= 0."""
-    xi = u0.grid.wavenumbers
-    w = np.fft.ifft((1.0 + xi**2) * np.fft.fft(u0.samples)).real + 2.0 * kappa / 3.0
+    w = u0.samples - derivative(u0, 2).samples + 2.0 * kappa / 3.0
     m = float(np.min(w))
     return {"min_value": m, "ok": m >= 0.0}

@@ -4,11 +4,16 @@ Everything downstream (soliton sampling, time stepping, operator assembly)
 works on a uniform periodic grid.  Nonlocal operators such as (a - d^2/dx^2)^-1
 are applied through their exact Fourier symbols, so they are spectrally exact
 for band-limited data.
+
+This module is the only one that knows Fourier space: every multiplier is
+written here once, on the real-FFT half spectrum, built at most once per grid,
+and applied on one path (rfft, multiply, irfft).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,10 +43,48 @@ class PeriodicGrid:
     def nodes(self) -> np.ndarray:
         return -0.5 * self.period + self.h * np.arange(self.n)
 
-    @property
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
-        """Signed wavenumbers xi_k = 2*pi*k/period in FFT ordering."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
+        """Real-FFT half spectrum xi_k = 2*pi*k/period, k = 0..n/2."""
+        xi = (2.0 * np.pi / self.period) * np.arange(self.n // 2 + 1)
+        xi.flags.writeable = False
+        return xi
+
+    @cached_property
+    def _symbols(self) -> dict:
+        return {}
+
+    def _symbol(self, key, build) -> np.ndarray:
+        """The multiplier build(wavenumbers), built once per grid and shared read-only."""
+        symbol = self._symbols.get(key)
+        if symbol is None:
+            symbol = build(self.wavenumbers)
+            symbol.flags.writeable = False
+            self._symbols[key] = symbol
+        return symbol
+
+    def derivative_symbol(self, order: int) -> np.ndarray:
+        """(i xi)^order; the Nyquist mode (the last one) is zeroed for odd orders."""
+        return self._symbol(("derivative", order), lambda xi: (1j * xi) ** order * (xi < xi[-1] if order % 2 else 1))
+
+    def helmholtz_symbol(self, a: float) -> np.ndarray:
+        """1 / (a + xi^2), the symbol of (a - d^2/dx^2)^-1."""
+        return self._symbol(("helmholtz", a), lambda xi: 1.0 / (a + xi**2))
+
+    @property
+    def sqrt_helmholtz4_symbol(self) -> np.ndarray:
+        """1 / sqrt(4 + xi^2), the symbol of (4 - d^2/dx^2)^(-1/2)."""
+        return self._symbol("sqrt_helmholtz4", lambda xi: 1.0 / np.sqrt(4.0 + xi**2))
+
+    @property
+    def smoothing_symbol(self) -> np.ndarray:
+        """S = (1 + xi^2) / (4 + xi^2), the symbol of (1 - d^2)(4 - d^2)^-1."""
+        return self._symbol("smoothing", lambda xi: (1.0 + xi**2) / (4.0 + xi**2))
+
+    @property
+    def dealias_mask(self) -> np.ndarray:
+        """2/3 rule: keep the modes |k| <= n/3."""
+        return self._symbol("dealias", lambda xi: np.arange(len(xi)) <= self.n / 3.0)
 
 
 def make_grid(n: int, period: float) -> PeriodicGrid:
@@ -91,34 +134,26 @@ class Field:
 
 
 def _apply_symbol(f: Field, symbol: np.ndarray) -> Field:
-    out = np.fft.ifft(symbol * np.fft.fft(f.samples))
-    return Field(f.grid, out.real)
+    return Field(f.grid, np.fft.irfft(symbol * np.fft.rfft(f.samples), n=f.grid.n))
 
 
 def helmholtz_inverse(f: Field, a: float) -> Field:
     """Solve (a - d^2/dx^2) g = f by dividing Fourier coefficients by a + xi^2."""
     if not a > 0:
         raise ValueError(f"helmholtz parameter must be positive, got {a}")
-    xi = f.grid.wavenumbers
-    return _apply_symbol(f, 1.0 / (a + xi**2))
+    return _apply_symbol(f, f.grid.helmholtz_symbol(a))
 
 
 def sqrt_helmholtz_inverse4(f: Field) -> Field:
     """Apply (4 - d^2/dx^2)^(-1/2): divide Fourier coefficients by sqrt(4 + xi^2)."""
-    xi = f.grid.wavenumbers
-    return _apply_symbol(f, 1.0 / np.sqrt(4.0 + xi**2))
+    return _apply_symbol(f, f.grid.sqrt_helmholtz4_symbol)
 
 
 def derivative(f: Field, order: int) -> Field:
     """Spectral derivative of order 1, 2 or 3; Nyquist mode zeroed for odd orders."""
     if order not in (1, 2, 3):
         raise ValueError(f"unsupported derivative order {order}")
-    xi = f.grid.wavenumbers
-    symbol = (1j * xi) ** order
-    if order % 2 == 1:
-        symbol = symbol.copy()
-        symbol[f.grid.n // 2] = 0.0
-    return _apply_symbol(f, symbol)
+    return _apply_symbol(f, f.grid.derivative_symbol(order))
 
 
 def integrate(f: Field) -> float:
@@ -126,22 +161,16 @@ def integrate(f: Field) -> float:
     return float(f.grid.h * np.sum(f.samples))
 
 
+def smoothing_operator(f: Field) -> Field:
+    """Apply (1 - d^2)(4 - d^2)^-1, the operator inducing the S-pairing."""
+    return _apply_symbol(f, f.grid.smoothing_symbol)
+
+
 def s_inner(u: Field, v: Field) -> float:
-    """Energy pairing (u, (1 - d^2)(4 - d^2)^-1 v), via the symbol (1+xi^2)/(4+xi^2).
+    """Energy pairing (u, (1 - d^2)(4 - d^2)^-1 v) = integrate(u * smoothing_operator(v)).
 
     Symmetric and positive definite; the symbol lies in [1/4, 1), so
     (1/4)||u||^2 <= s_inner(u, u) < ||u||^2.
     """
     u._check_same_grid(v)
-    xi = u.grid.wavenumbers
-    symbol = (1.0 + xi**2) / (4.0 + xi**2)
-    uh = np.fft.fft(u.samples)
-    vh = np.fft.fft(v.samples)
-    # Parseval: h * sum(u * Kv) = h/n * sum(conj(uh) * symbol * vh)
-    return float(np.real(np.sum(np.conj(uh) * symbol * vh)) * u.grid.h / u.grid.n)
-
-
-def smoothing_operator(f: Field) -> Field:
-    """Apply (1 - d^2)(4 - d^2)^-1, the operator inducing the S-pairing."""
-    xi = f.grid.wavenumbers
-    return _apply_symbol(f, (1.0 + xi**2) / (4.0 + xi**2))
+    return integrate(Field(u.grid, u.samples * smoothing_operator(v).samples))

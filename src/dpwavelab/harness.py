@@ -15,6 +15,7 @@ from .evolution import EvolutionConfig, check_w_positivity, evolve
 from .grid import Field, PeriodicGrid, make_grid
 from .invariants import hamiltonian_H, momentum_S
 from .modulation import ProfileCache, track, train_field
+from .soliton import SolitonParams, min_period
 
 
 class ScenarioError(ValueError):
@@ -88,7 +89,8 @@ class Scenario:
         nu_min = np.sqrt(1.0 - 2.0 * self.kappa / self.speeds[0])
         span = (self.n_waves - 1) * self.separation
         drift = (self.speeds[-1] - self.speeds[0]) * self.t_end
-        p = 2.0 * span + 20.0 / nu_min + drift
+        # The slowest wave has the widest tail, so its wrapped-tail period bounds the others.
+        p = max(2.0 * span + 20.0 / nu_min + drift, min_period(SolitonParams(self.speeds[0], self.kappa)))
         return float(np.ceil(p / 10.0) * 10.0)
 
     def grid(self) -> PeriodicGrid:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, derivative, helmholtz_inverse, integrate, s_inner, sqrt_helmholtz_inverse4
+from .grid import Field, derivative, helmholtz_inverse, integrate, sqrt_helmholtz_inverse4
 
 
 def momentum_S(u: Field) -> float:
@@ -16,11 +16,6 @@ def momentum_S(u: Field) -> float:
     uhx = derivative(uh, 1)
     uhxx = derivative(uh, 2)
     return 0.5 * integrate(Field(u.grid, 4.0 * uh.samples**2 + 5.0 * uhx.samples**2 + uhxx.samples**2))
-
-
-def momentum_S_quadratic(u: Field) -> float:
-    """The equivalent quadratic-form expression (1/2)(u, u)_S."""
-    return 0.5 * s_inner(u, u)
 
 
 def hamiltonian_H(u: Field, kappa: float) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh, qr
 
-from .grid import PeriodicGrid
+from .grid import PeriodicGrid, smoothing_operator
 from .soliton import SolitonProfile, sample_dx_on_grid, sample_on_grid
 
 
@@ -37,17 +37,16 @@ class SpectralReport:
 
 
 def _symbol_matrix(grid: PeriodicGrid, symbol: np.ndarray) -> np.ndarray:
-    """Real matrix of the Fourier-multiplier with the given (real, even) symbol."""
-    eye_hat = np.fft.fft(np.eye(grid.n), axis=0)
-    return np.fft.ifft(symbol[:, None] * eye_hat, axis=0).real
+    """Dense matrix of the Fourier multiplier with the given real half-spectrum symbol (small-n oracle)."""
+    eye_hat = np.fft.rfft(np.eye(grid.n), axis=0)
+    return np.fft.irfft(symbol[:, None] * eye_hat, n=grid.n, axis=0)
 
 
 def assemble_L(profile: SolitonProfile, grid: PeriodicGrid) -> OperatorMatrix:
     c = profile.params.c
     kappa = profile.params.kappa
     phi = sample_on_grid(profile, grid).samples  # raises if tail wrap too large
-    xi = grid.wavenumbers
-    symbol = (c * (1.0 + xi**2) - 2.0 * kappa) / (4.0 + xi**2)
+    symbol = c * grid.smoothing_symbol - 2.0 * kappa * grid.helmholtz_symbol(4.0)
     m = _symbol_matrix(grid, symbol)
     m = m - np.diag(phi)
     m = 0.5 * (m + m.T)
@@ -87,13 +86,9 @@ def constraint_vectors(profile: SolitonProfile, grid: PeriodicGrid) -> np.ndarra
     L2-orthogonality of y to these is equivalent to the S-orthogonality of y
     to phi and phi_x.
     """
-    xi = grid.wavenumbers
-    symbol = (1.0 + xi**2) / (4.0 + xi**2)
-    phi = sample_on_grid(profile, grid).samples
-    dphi = sample_dx_on_grid(profile, grid).samples
-    v1 = np.fft.ifft(symbol * np.fft.fft(phi)).real
-    v2 = np.fft.ifft(symbol * np.fft.fft(dphi)).real
-    return np.column_stack([v1, v2])
+    v1 = smoothing_operator(sample_on_grid(profile, grid))
+    v2 = smoothing_operator(sample_dx_on_grid(profile, grid))
+    return np.column_stack([v1.samples, v2.samples])
 
 
 def constrained_theta(op: OperatorMatrix, profile: SolitonProfile) -> float:

@@ -223,12 +223,3 @@ def track(trajectory, n_waves: int, kappa: float, tol: float = 1e-10, cache: Pro
         t_prev = t
     return states
 
-
-def parameter_rates(states: list[ModulationState], times: list[float], period: float) -> tuple[np.ndarray, np.ndarray]:
-    """Finite-difference (dc_j/dt, dx_j/dt) between consecutive frames; positions unwrapped."""
-    cs = np.array([s.speeds for s in states])
-    xs = np.array([s.positions for s in states])
-    xs_unwrapped = np.concatenate([xs[:1], xs[:1] + np.cumsum(np.mod(np.diff(xs, axis=0) + period / 2, period) - period / 2, axis=0)])
-    ts = np.asarray(times)
-    dts = np.diff(ts)[:, None]
-    return np.diff(cs, axis=0) / dts, np.diff(xs_unwrapped, axis=0) / dts

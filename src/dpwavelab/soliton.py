@@ -32,6 +32,9 @@ from scipy.optimize import brentq
 
 from .grid import Field, PeriodicGrid
 
+# Largest wrapped tail, relative to the amplitude, that grid sampling accepts at half a period.
+TAIL_BUDGET = 1e-8
+
 
 @dataclass(frozen=True)
 class SolitonParams:
@@ -55,6 +58,19 @@ def peak_amplitude(params: SolitonParams) -> float:
     """Peak value phi(0): the smaller positive root of F."""
     r1, _ = _quadratic_roots(params.c, params.kappa)
     return float(r1)
+
+
+def min_period(params: SolitonParams) -> float:
+    """Smallest period whose wrapped tail at half a period is TAIL_BUDGET of the amplitude.
+
+    Integrating the inverse map exactly as phi -> 0 gives the far field
+    phi ~ A exp(-nu |x|) with A / phi(0) = 4 r2/(r2 - r1) ((r2 - r1)/(sqrt r1 + sqrt r2)^2)^nu,
+    which lies in (1, 4]; so the result is at least 2 ln(1/TAIL_BUDGET) / nu.
+    """
+    r1, r2 = _quadratic_roots(params.c, params.kappa)
+    nu = np.sqrt(1.0 - 2.0 * params.kappa / params.c)
+    ratio = 4.0 * r2 / (r2 - r1) * ((r2 - r1) / (np.sqrt(r1) + np.sqrt(r2)) ** 2) ** nu
+    return float(2.0 * np.log(ratio / TAIL_BUDGET) / nu)
 
 
 def speed_from_amplitude(a: float, kappa: float) -> float:
@@ -267,13 +283,13 @@ def build_profile(params: SolitonParams, tol: float = 1e-10) -> SolitonProfile:
 def sample_on_grid(profile: SolitonProfile, grid: PeriodicGrid, center: float = 0.0) -> Field:
     """Sample phi(x - center) on the periodic grid, summing the two nearest images.
 
-    Fails when the wrapped tail at half a period exceeds 1e-8 of the amplitude.
+    Fails when the wrapped tail at half a period exceeds TAIL_BUDGET of the amplitude.
     """
     half = 0.5 * grid.period
     wrap = profile.evaluate(half) / profile.amplitude
-    if wrap > 1e-8:
+    if wrap > TAIL_BUDGET:
         raise ValueError(
-            f"grid period {grid.period} too small: wrapped tail {wrap:.3e} of amplitude exceeds 1e-8"
+            f"grid period {grid.period} too small: wrapped tail {wrap:.3e} of amplitude exceeds {TAIL_BUDGET:g}"
         )
     dx = np.mod(grid.nodes - center + half, grid.period) - half
     samples = profile.evaluate(dx) + profile.evaluate(dx - grid.period) + profile.evaluate(dx + grid.period)

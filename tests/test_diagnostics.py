@@ -7,7 +7,6 @@ from dpwavelab.diagnostics import (
     localized_momentum,
     midpoints,
     momentum_density,
-    monotonicity_check,
     psi_derivative_bounds_check,
     weight_psi,
 )
@@ -134,15 +133,6 @@ class TestMidpoints:
         ms = midpoints(np.array([80.0, -80.0]), 200.0)
         # forward gap from 80 to -80 is 40, so the midpoint sits at 100 = -100
         assert np.allclose(np.mod(ms, 200.0), [100.0])
-
-
-class TestMonotonicityCheck:
-    def test_single_wave_empty(self):
-        class FakeState:
-            speeds = np.array([3.0])
-
-        out = monotonicity_check([FakeState()], [0.0], None, 4.0)
-        assert out["series"] == {}
 
 
 class TestAprioriChecks:

@@ -40,11 +40,9 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(64, 0.0)
 
-    def test_wavenumbers_conjugate_symmetric(self):
+    def test_wavenumbers_half_spectrum(self):
         g = make_grid(64, 20.0)
-        xi = g.wavenumbers
-        # xi[k] = -xi[-k] for all non-Nyquist modes
-        assert np.allclose(xi[1 : g.n // 2], -xi[-1 : g.n // 2 : -1])
+        assert np.allclose(g.wavenumbers, 2.0 * np.pi * np.arange(33) / 20.0, rtol=1e-15, atol=0.0)
 
 
 class TestField:
@@ -177,11 +175,19 @@ class TestSInner:
         assert s_inner(u + w, v) == pytest.approx(s_inner(u, v) + s_inner(w, v), rel=1e-10, abs=1e-12)
 
     def test_matches_smoothing_operator(self, rng):
+        # S cos(kx) = (1 + k^2)/(4 + k^2) cos(kx) on single modes, and the
+        # full-FFT Parseval sum h/n * sum(conj(uh) * S * vh) on random fields
+        g = make_grid(128, 2.0 * np.pi)
+        for k in (0, 1, 5, 42):
+            f = Field(g, np.cos(k * g.nodes))
+            expected = (1.0 + k**2) / (4.0 + k**2) * f.samples
+            assert np.allclose(smoothing_operator(f).samples, expected, atol=1e-13)
         g = make_grid(128, 25.0)
         u = random_field(g, rng)
         v = random_field(g, rng)
-        direct = integrate(Field(g, u.samples * smoothing_operator(v).samples))
-        assert s_inner(u, v) == pytest.approx(direct, rel=1e-12, abs=1e-14)
+        xi2 = (2.0 * np.pi * np.fft.fftfreq(g.n, d=g.h)) ** 2
+        parseval = np.real(np.sum(np.conj(np.fft.fft(u.samples)) * (1.0 + xi2) / (4.0 + xi2) * np.fft.fft(v.samples)))
+        assert s_inner(u, v) == pytest.approx(parseval * g.h / g.n, rel=1e-12, abs=1e-14)
 
     def test_bounds_over_many_random_fields(self, rng):
         # (1/4)||u||^2 <= (u,u)_S <= ||u||^2 since the symbol lies in [1/4, 1)

@@ -156,6 +156,13 @@ class TestRunStability:
         for name in ("scenario.json", "records.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("c", [2.2, 2.5, 3.0, 5.0])
+    def test_single_wave_auto_period(self, c):
+        # the automatic period leaves room for the wrapped-tail budget of sampling
+        result = run_stability(quick_scenario(speeds=(c,)))
+        assert result.monotonicity["series"] == {}
+        assert not any(key.startswith("I_") for key in result.summary())
+
 
 class TestRunSweep:
     def test_empty_lists_rejected(self):

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from dpwavelab.grid import Field, make_grid
+from dpwavelab.grid import Field, make_grid, s_inner
 from dpwavelab.invariants import (
     dH_dc_closed,
     dS_dc_closed,
     hamiltonian_H,
     momentum_S,
-    momentum_S_quadratic,
 )
 from dpwavelab.soliton import SolitonParams, build_profile, sample_on_grid
 
@@ -36,7 +35,7 @@ class TestMomentumS:
         for _ in range(50):
             u = random_field(g, rng, scale=float(rng.uniform(0.1, 5.0)))
             a = momentum_S(u)
-            b = momentum_S_quadratic(u)
+            b = 0.5 * s_inner(u, u)
             assert b == pytest.approx(a, rel=1e-12)
 
     def test_norm_equivalence(self, rng):

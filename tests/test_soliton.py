@@ -8,6 +8,7 @@ from dpwavelab.soliton import (
     SolitonParams,
     SolitonProfile,
     build_profile,
+    min_period,
     peak_amplitude,
     sample_dx_on_grid,
     sample_on_grid,
@@ -187,6 +188,15 @@ class TestSampleOnGrid:
         prof = profiles[(2.5, 1.0)]  # slowest decay of the test set
         with pytest.raises(ValueError):
             sample_on_grid(prof, make_grid(64, 30.0))
+
+    @pytest.mark.parametrize("pair", PARAM_PAIRS)
+    def test_min_period_is_the_sampling_threshold(self, profiles, pair):
+        # the closed-form far-field coefficient agrees with the profile's fitted tail
+        prof = profiles[pair]
+        p = min_period(prof.params)
+        sample_on_grid(prof, make_grid(64, 1.001 * p))
+        with pytest.raises(ValueError):
+            sample_on_grid(prof, make_grid(64, 0.999 * p))
 
     def test_dx_sampling_consistent(self, profiles):
         prof = profiles[(3.0, 1.0)]
