@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 check failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 check failure or failed eigensolve, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .grid import make_grid
 from .harness import Scenario, ScenarioError, build_initial_state, run_stability, run_sweep
 from .invariants import dS_dc_closed, momentum_S, hamiltonian_H, dH_dc_closed
 from .io import load_state, save_state, save_trajectory_binary, save_trajectory_csv
-from .linearized import assemble_L, constrained_theta, eigen_report
+from .linearized import SpectralError, assemble_L, constrained_theta, eigen_report, lowest_eigenpairs
 from .modulation import DecompositionError, ProfileCache, decompose, initial_guess
 from .soliton import SolitonParams, build_profile, sample_on_grid
 
@@ -56,6 +56,7 @@ def _cmd_spectrum(args) -> int:
     prof = build_profile(SolitonParams(args.c, args.kappa))
     grid = make_grid(args.n, args.period)
     op = assemble_L(prof, grid)
+    pairs = lowest_eigenpairs(op, args.k) if args.eigpairs else None
     rep = eigen_report(op, prof)
     theta = constrained_theta(op, prof)
     doc = {
@@ -72,15 +73,12 @@ def _cmd_spectrum(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(text)
     print(text)
-    if args.eigpairs:
-        from scipy.linalg import eigh
-
-        vals, vecs = eigh(op.matrix)
-        k = min(args.k, grid.n)
+    if pairs is not None:
+        vals, vecs = pairs
         with open(args.eigpairs, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["eigenvalue"] + [f"v_{i}" for i in range(grid.n)])
-            for i in range(k):
+            for i in range(args.k):
                 writer.writerow([vals[i]] + vecs[:, i].tolist())
     ok = rep.neg_count == 1 and rep.kernel_overlap > 0.999 and theta > 0
     return 0 if ok else 1
@@ -189,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", type=float, default=100.0)
     p.add_argument("--out")
     p.add_argument("--eigpairs", help="CSV path for the lowest k eigenpairs")
-    p.add_argument("--k", type=int, default=8)
+    p.add_argument("--k", type=int, default=8, help="number of eigenpairs, 1 <= k <= n - 2")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("decompose", help="modulation decomposition of a saved state")
@@ -239,6 +237,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SpectralError as exc:
+        print(f"spectral error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

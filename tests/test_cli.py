@@ -1,8 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import dpwavelab.linearized as linearized
 from dpwavelab.cli import main
 from dpwavelab.grid import make_grid
 from dpwavelab.harness import Scenario
@@ -60,6 +63,46 @@ def test_spectrum(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["neg_count"] == 1
     assert doc["theta"] > 0
+
+
+def test_spectrum_eigpairs(tmp_path, capsys):
+    out = tmp_path / "spectrum.json"
+    pairs = tmp_path / "pairs.csv"
+    code = main([
+        "spectrum", "--c", "3", "--kappa", "1", "--n", "512", "--period", "100",
+        "--out", str(out), "--eigpairs", str(pairs), "--k", "5",
+    ])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    with open(pairs, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["eigenvalue"] + [f"v_{i}" for i in range(512)]
+    assert len(rows) == 1 + 5
+    values = [float(row[0]) for row in rows[1:]]
+    assert values == sorted(values)
+    assert values[0] == pytest.approx(doc["neg_eigenvalue"], abs=1e-12)
+    for row in rows[1:]:
+        assert np.linalg.norm(np.array(row[1:], dtype=float)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", ["0", "63"])
+def test_spectrum_eigpairs_unreachable_k(tmp_path, capsys, k):
+    pairs = tmp_path / "pairs.csv"
+    code = main(["spectrum", "--c", "3", "--kappa", "1", "--n", "64", "--eigpairs", str(pairs), "--k", k])
+    assert code == 2
+    assert "number of eigenpairs" in capsys.readouterr().err
+    assert not pairs.exists()
+
+
+def test_spectrum_solver_failure(monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(linearized, "eigsh", no_convergence)
+    assert main(["spectrum", "--c", "3", "--kappa", "1", "--n", "512"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spectral error: eigen_report: ")
+    assert "No convergence" in err
 
 
 def test_decompose(tmp_path, capsys):

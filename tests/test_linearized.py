@@ -1,10 +1,62 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import eigh, qr
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
+import dpwavelab.linearized as linearized
 from dpwavelab.grid import Field, make_grid, s_inner
 from dpwavelab.invariants import dS_dc_closed
-from dpwavelab.linearized import assemble_L, constrained_theta, constraint_vectors, eigen_report
+from dpwavelab.linearized import (
+    SpectralError,
+    SpectralReport,
+    assemble_L,
+    constrained_theta,
+    constraint_vectors,
+    eigen_report,
+    lowest_eigenpairs,
+)
 from dpwavelab.soliton import SolitonParams, build_profile, sample_dx_on_grid, sample_on_grid
+
+
+def _symbol_matrix(grid, symbol):
+    """Dense matrix of the Fourier multiplier with the given real half-spectrum symbol, by transforming the identity."""
+    eye_hat = np.fft.rfft(np.eye(grid.n), axis=0)
+    return np.fft.irfft(symbol[:, None] * eye_hat, n=grid.n, axis=0)
+
+
+def _dense_report(op, prof):
+    """eigen_report from the full dense eigendecomposition, and all the eigenvalues."""
+    vals, vecs = eigh(op.matrix)
+    norm = float(np.max(np.abs(vals)))
+    dphi = sample_dx_on_grid(prof, op.grid).samples
+    overlaps = np.abs(vecs.T @ dphi) / np.linalg.norm(dphi)
+    k = int(np.argmax(overlaps))
+    others = np.delete(vals, k)
+    neg = others[others < -1e-10 * norm]
+    pos = others[others > 1e-10 * norm]
+    report = SpectralReport(
+        neg_eigenvalue=float(neg[0]) if len(neg) else 0.0,
+        neg_count=len(neg),
+        kernel_eigenvalue=float(vals[k]),
+        kernel_overlap=float(overlaps[k]),
+        ess_gap_proxy=float(pos[0]),
+        operator_norm=norm,
+    )
+    return report, vals
+
+
+def _dense_theta(op, prof):
+    """constrained_theta from a full QR of the constraints and the reduced matrix Z^T L Z."""
+    q_full, _ = qr(constraint_vectors(prof, op.grid), mode="full")
+    z = q_full[:, 2:]
+    return float(eigh(z.T @ op.matrix @ z, eigvals_only=True, subset_by_index=(0, 0))[0])
+
+
+def _family_grid(c, kappa):
+    nu = np.sqrt(1.0 - 2.0 * kappa / c)
+    return make_grid(512, np.ceil(50.0 / nu / 10.0) * 10.0)
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +113,7 @@ class TestSpectrum:
 
     def test_one_negative_eigenvalue_across_params(self, profiles):
         for (c, kappa), prof in profiles.items():
-            nu = np.sqrt(1.0 - 2.0 * kappa / c)
-            grid = make_grid(512, np.ceil(50.0 / nu / 10.0) * 10.0)
-            rep = eigen_report(assemble_L(prof, grid), prof)
+            rep = eigen_report(assemble_L(prof, _family_grid(c, kappa)), prof)
             assert rep.neg_count == 1
             assert rep.kernel_overlap >= 0.999
 
@@ -120,3 +170,106 @@ class TestConstrainedTheta:
         rep = eigen_report(op, prof)
         vals = np.linalg.eigvalsh(op.matrix)
         assert vals[0] == pytest.approx(rep.neg_eigenvalue, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def dense_family(profiles):
+    """Per (c, kappa) at n = 512: profile, operator, dense report, dense eigenvalues and dense theta."""
+    out = {}
+    for (c, kappa), prof in profiles.items():
+        op = assemble_L(prof, _family_grid(c, kappa))
+        report, vals = _dense_report(op, prof)
+        out[(c, kappa)] = (prof, op, report, vals, _dense_theta(op, prof))
+    return out
+
+
+class TestDenseOracles:
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_circulant_assembly_matches_transformed_identity(self, profiles, n):
+        prof = profiles[(3.0, 1.0)]
+        grid = make_grid(n, 100.0)
+        symbol = 3.0 * grid.smoothing_symbol - 2.0 * grid.helmholtz_symbol(4.0)
+        oracle = _symbol_matrix(grid, symbol) - np.diag(sample_on_grid(prof, grid).samples)
+        norm = np.max(np.abs(np.linalg.eigvalsh(oracle)))
+        assert np.max(np.abs(assemble_L(prof, grid).matrix - oracle)) <= 1e-14 * norm
+
+    def test_reflection_invariance_is_exact(self, dense_family):
+        for _, op, _, _, _ in dense_family.values():
+            r = -np.arange(op.grid.n) % op.grid.n
+            assert np.array_equal(op.matrix[np.ix_(r, r)], op.matrix)
+
+    def test_lowest_eigenvalues(self, dense_family):
+        for _, op, dense, vals, _ in dense_family.values():
+            low, vecs = lowest_eigenpairs(op, 6)
+            assert np.max(np.abs(low - vals[:6])) <= 1e-12 * dense.operator_norm
+            residual = op.matrix @ vecs - vecs * low
+            assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-12 * dense.operator_norm
+
+    def test_report(self, dense_family):
+        for prof, op, dense, _, _ in dense_family.values():
+            rep = eigen_report(op, prof)
+            assert rep.neg_count == dense.neg_count
+            assert rep.neg_eigenvalue == pytest.approx(dense.neg_eigenvalue, rel=1e-12)
+            assert rep.ess_gap_proxy == pytest.approx(dense.ess_gap_proxy, rel=1e-12)
+            assert rep.operator_norm == pytest.approx(dense.operator_norm, rel=1e-12)
+            assert rep.kernel_overlap == pytest.approx(dense.kernel_overlap, rel=1e-12)
+            assert abs(rep.kernel_eigenvalue - dense.kernel_eigenvalue) <= 1e-12 * dense.operator_norm
+
+    def test_theta(self, dense_family):
+        for prof, op, _, _, theta in dense_family.values():
+            assert constrained_theta(op, prof) == pytest.approx(theta, rel=1e-12)
+
+    def test_repeated_solves_are_bitwise_identical(self, dense_family):
+        prof, op, _, _, _ = dense_family[(3.0, 1.0)]
+        assert eigen_report(op, prof) == eigen_report(op, prof)
+        assert constrained_theta(op, prof) == constrained_theta(op, prof)
+
+    def test_start_vector_has_both_parities(self, dense_family, monkeypatch):
+        prof, op, _, _, _ = dense_family[(3.0, 1.0)]
+        starts = []
+
+        def spy(*args, **kwargs):
+            starts.append(kwargs["v0"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(linearized, "eigsh", spy)
+        eigen_report(op, prof)
+        constrained_theta(op, prof)
+        r = -np.arange(op.grid.n) % op.grid.n
+        for v0 in starts:
+            assert np.linalg.norm(v0 + v0[r]) >= 0.5 * np.linalg.norm(v0)
+            assert np.linalg.norm(v0 - v0[r]) >= 0.5 * np.linalg.norm(v0)
+
+    @pytest.mark.parametrize("scale", [3.0, 4.0])
+    def test_window_widens_to_every_negative_eigenvalue(self, dense_family, scale):
+        # phi scaled up binds more states below zero than the first window of 4 holds
+        prof, op, _, _, _ = dense_family[(3.0, 1.0)]
+        scaled = replace(op, matrix=op.matrix - (scale - 1.0) * np.diag(op.phi), phi=scale * op.phi)
+        dense, _ = _dense_report(scaled, prof)
+        assert dense.neg_count >= 3
+        rep = eigen_report(scaled, prof)
+        assert rep.neg_count == dense.neg_count
+        assert rep.neg_eigenvalue == pytest.approx(dense.neg_eigenvalue, rel=1e-12)
+        assert abs(rep.ess_gap_proxy - dense.ess_gap_proxy) <= 1e-12 * dense.operator_norm
+
+
+class TestSpectralErrors:
+    def test_lanczos_failure_names_phase(self, setup_c3, monkeypatch):
+        prof, _, op = setup_c3
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(linearized, "eigsh", no_convergence)
+        for solve, phase in ((eigen_report, "eigen_report"), (constrained_theta, "constrained_theta")):
+            with pytest.raises(SpectralError, match=f"^{phase}: .*No convergence") as info:
+                solve(op, prof)
+            assert info.value.phase == phase
+
+    def test_collinear_constraints(self, setup_c3, monkeypatch):
+        prof, grid, op = setup_c3
+        v = constraint_vectors(prof, grid)[:, 0]
+        monkeypatch.setattr(linearized, "constraint_vectors", lambda *_: np.column_stack([v, 2.0 * v]))
+        with pytest.raises(SpectralError, match="collinear") as info:
+            constrained_theta(op, prof)
+        assert info.value.phase == "constrained_theta"
