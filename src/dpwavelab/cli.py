@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 check failure or failed eigensolve, 2 usage or configuration error.
+Exit codes: 0 success, 1 check failure or failed run or eigensolve, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ import sys
 import numpy as np
 
 from .diagnostics import psi_derivative_bounds_check
-from .evolution import evolve
+from .evolution import BlowUpError, evolve
 from .grid import make_grid
-from .harness import Scenario, ScenarioError, build_initial_state, run_stability, run_sweep
+from .harness import Scenario, ScenarioError, SweepError, build_initial_state, run_stability, run_sweep
 from .invariants import dS_dc_closed, momentum_S, hamiltonian_H, dH_dc_closed
 from .io import load_state, save_state, save_trajectory_binary, save_trajectory_csv
 from .linearized import SpectralError, assemble_L, constrained_theta, eigen_report, lowest_eigenpairs
@@ -239,6 +239,9 @@ def main(argv=None) -> int:
         return 2
     except SpectralError as exc:
         print(f"spectral error: {exc}", file=sys.stderr)
+        return 1
+    except (BlowUpError, DecompositionError, SweepError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

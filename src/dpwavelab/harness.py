@@ -11,15 +11,19 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .diagnostics import WeightConfig, apriori_checks, localized_momentum, midpoints
-from .evolution import EvolutionConfig, check_w_positivity, evolve
+from .evolution import BlowUpError, EvolutionConfig, check_w_positivity, evolve
 from .grid import Field, PeriodicGrid, make_grid
 from .invariants import hamiltonian_H, momentum_S
-from .modulation import ProfileCache, track, train_field
+from .modulation import DecompositionError, ProfileCache, track, train_field
 from .soliton import SolitonParams, min_period
 
 
 class ScenarioError(ValueError):
     """Invalid or hypothesis-violating scenario configuration."""
+
+
+class SweepError(RuntimeError):
+    """Too few successful runs for the sweep's least-squares fit."""
 
 
 @dataclass(frozen=True)
@@ -274,8 +278,9 @@ def _sweep_one(args: tuple) -> dict:
             "alpha_used": res.init_info["alpha_used"],
             "failed": False,
         }
-    except Exception as exc:  # individual failures recorded, sweep continues
-        return {"alpha": alpha, "L": separation, "sup_error": float("nan"), "w0_ok": False, "failed": True, "error": str(exc)}
+    except (ScenarioError, BlowUpError, DecompositionError) as exc:  # run failures recorded, sweep continues
+        return {"alpha": alpha, "L": separation, "sup_error": float("nan"), "w0_ok": False, "failed": True,
+                "error": str(exc), "error_type": type(exc).__name__}
 
 
 @dataclass
@@ -303,7 +308,7 @@ def run_sweep(base: Scenario, alphas, separations, parallelism: int = 1) -> Swee
     gamma0 = base.gamma0
     good = [r for r in rows if not r["failed"]]
     if len(good) < 4:
-        raise RuntimeError(f"sweep fit needs >= 4 successful runs, got {len(good)}")
+        raise SweepError(f"sweep fit needs >= 4 successful runs, got {len(good)}")
     m = np.array([r["alpha"] + np.exp(-gamma0 * r["L"] / 2.0) for r in good])
     e = np.array([r["sup_error"] for r in good])
     a_fit = float(np.sum(e * m) / np.sum(m * m))

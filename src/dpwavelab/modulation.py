@@ -4,8 +4,10 @@ The parameters (c_j, x_j) solve the 2N orthogonality conditions
 
     (eps, R_j)_S = (eps, R_j,x)_S = 0,   eps = u - sum_j R_j,
 
-by Newton iteration with a finite-difference Jacobian.  Positions live on the
-periodic circle; profiles are cached by speed.
+by Newton iteration with a finite-difference Jacobian.  Each iterate samples
+every wave (R_j, R_j,x) once; a Jacobian column bumps one parameter and
+resamples only its wave.  Positions live on the periodic circle; profiles are
+cached by speed.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .soliton import (
     speed_from_amplitude,
 )
 
+# Newton stops when every orthogonality condition is below this fraction of ||u||_2.
+NEWTON_TOL = 1e-10
+
 
 class DecompositionError(RuntimeError):
     """Newton failure; carries the last iterate for post-mortem."""
@@ -37,16 +42,15 @@ class DecompositionError(RuntimeError):
 class ProfileCache:
     """Profiles keyed by speed rounded to 1e-10 (kappa fixed per cache)."""
 
-    def __init__(self, kappa: float, tol: float = 1e-10):
+    def __init__(self, kappa: float):
         self.kappa = kappa
-        self.tol = tol
         self._store: dict[int, SolitonProfile] = {}
 
     def get(self, c: float) -> SolitonProfile:
         key = int(round(c / 1e-10))
         prof = self._store.get(key)
         if prof is None:
-            prof = build_profile(SolitonParams(c, self.kappa), self.tol)
+            prof = build_profile(SolitonParams(c, self.kappa))
             self._store[key] = prof
         return prof
 
@@ -61,11 +65,6 @@ class ModulationState:
     iterations: int
 
 
-def periodic_gap(a: float, b: float, period: float) -> float:
-    """Forward distance from a to b along the circle, in [0, period)."""
-    return float(np.mod(b - a, period))
-
-
 def train_field(grid: PeriodicGrid, speeds, positions, cache: ProfileCache) -> Field:
     total = np.zeros(grid.n)
     for c, x in zip(speeds, positions):
@@ -73,16 +72,13 @@ def train_field(grid: PeriodicGrid, speeds, positions, cache: ProfileCache) -> F
     return Field(grid, total)
 
 
-def orthogonality_residual(u: Field, speeds, positions, kappa: float, cache: ProfileCache | None = None) -> np.ndarray:
-    """2N-vector [ (eps,R_1)_S, (eps,R_1x)_S, ..., (eps,R_Nx)_S ]."""
-    cache = cache or ProfileCache(kappa)
-    eps = u - train_field(u.grid, speeds, positions, cache)
-    out = np.empty(2 * len(speeds))
-    for j, (c, x) in enumerate(zip(speeds, positions)):
-        prof = cache.get(c)
-        out[2 * j] = s_inner(eps, sample_on_grid(prof, u.grid, x))
-        out[2 * j + 1] = s_inner(eps, sample_dx_on_grid(prof, u.grid, x))
-    return out
+def orthogonality_residual(u: Field, waves) -> np.ndarray:
+    """2N-vector [ (eps,R_1)_S, ..., (eps,R_Nx)_S ] from waves = [(R_j, R_j,x)], eps summed as in train_field."""
+    total = np.zeros(u.grid.n)
+    for r, _ in waves:
+        total += r.samples
+    eps = u - Field(u.grid, total)
+    return np.array([s_inner(eps, f) for wave in waves for f in wave])
 
 
 def initial_guess(u: Field, n_waves: int, kappa: float, min_separation: float | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -122,15 +118,7 @@ def initial_guess(u: Field, n_waves: int, kappa: float, min_separation: float | 
     return np.asarray(speeds)[order], np.asarray(positions)[order]
 
 
-def decompose(
-    u: Field,
-    speeds0,
-    positions0,
-    kappa: float,
-    tol: float = 1e-10,
-    cache: ProfileCache | None = None,
-    max_iter: int = 30,
-) -> ModulationState:
+def decompose(u: Field, speeds0, positions0, kappa: float, cache: ProfileCache | None = None, max_iter: int = 30) -> ModulationState:
     """Newton-solve the orthogonality system from the given guess."""
     cache = cache or ProfileCache(kappa)
     grid = u.grid
@@ -139,49 +127,49 @@ def decompose(
     theta = np.empty(2 * n_waves)
     theta[0::2] = np.asarray(speeds0, dtype=float)
     theta[1::2] = np.asarray(positions0, dtype=float)
-    u_norm = u.l2_norm()
-    target = tol * u_norm
+    target = NEWTON_TOL * u.l2_norm()
 
     def split(th):
         return th[0::2], th[1::2]
 
-    def residual(th):
+    def resample(th, waves, js):
+        """waves, with wave j resampled at th for each j in js; the whole iterate is guarded first."""
         s, p = split(th)
         if np.any(s <= 2.0 * kappa):
-            raise DecompositionError(
-                f"speed left the admissible family (min {np.min(s):.6g} <= 2*kappa)", s, p
-            )
+            raise DecompositionError(f"speed left the admissible family (min {np.min(s):.6g} <= 2*kappa)", s, p)
+        waves = list(waves)
         try:
-            return orthogonality_residual(u, s, p, kappa, cache)
+            for j in js:
+                prof = cache.get(s[j])
+                waves[j] = (sample_on_grid(prof, grid, p[j]), sample_dx_on_grid(prof, grid, p[j]))
         except ValueError as exc:
             raise DecompositionError(f"iterate left the resolvable family: {exc}", s, p) from exc
+        return waves
 
-    r = residual(theta)
-    iterations = 0
+    waves = resample(theta, [None] * n_waves, range(n_waves))
+    r = orthogonality_residual(u, waves)
     for iterations in range(1, max_iter + 1):
         if np.max(np.abs(r)) <= target:
             break
         speeds, positions = split(theta)
-        gaps = [periodic_gap(positions[j], positions[(j + 1) % n_waves], period) for j in range(n_waves)]
-        gap_scale = min(g for g in gaps if g > 0) if n_waves > 1 else period / 4.0
+        gaps = np.mod(np.roll(positions, -1) - positions, period)
+        gap_scale = np.min(gaps[gaps > 0]) if n_waves > 1 else period / 4.0
         jac = np.empty((2 * n_waves, 2 * n_waves))
         for k in range(2 * n_waves):
             step = 1e-6 * speeds[k // 2] if k % 2 == 0 else 1e-6 * gap_scale
             bumped = theta.copy()
             bumped[k] += step
-            jac[:, k] = (residual(bumped) - r) / step
+            jac[:, k] = (orthogonality_residual(u, resample(bumped, waves, [k // 2])) - r) / step
         try:
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
-            s, p = split(theta)
-            raise DecompositionError(f"singular modulation Jacobian: {exc}", s, p) from exc
+            raise DecompositionError(f"singular modulation Jacobian: {exc}", *split(theta)) from exc
         theta = theta + delta
-        r = residual(theta)
+        waves = resample(theta, waves, range(n_waves))
+        r = orthogonality_residual(u, waves)
     else:
-        s, p = split(theta)
-        raise DecompositionError(
-            f"Newton did not converge in {max_iter} iterations (|r|_inf={np.max(np.abs(r)):.3e})", s, p
-        )
+        r_max = np.max(np.abs(r))
+        raise DecompositionError(f"Newton did not converge in {max_iter} iterations (|r|_inf={r_max:.3e})", *split(theta))
 
     speeds, positions = split(theta)
     positions = np.mod(positions + 0.5 * period, period) - 0.5 * period
@@ -196,7 +184,7 @@ def decompose(
     )
 
 
-def track(trajectory, n_waves: int, kappa: float, tol: float = 1e-10, cache: ProfileCache | None = None) -> list[ModulationState]:
+def track(trajectory, n_waves: int, kappa: float, cache: ProfileCache | None = None) -> list[ModulationState]:
     """Warm-started decomposition of every stored frame; aborts on first failure.
 
     Between frames the position guess is advected by the previously tracked
@@ -213,11 +201,9 @@ def track(trajectory, n_waves: int, kappa: float, tol: float = 1e-10, cache: Pro
         else:
             guess = (guess[0], guess[1] + guess[0] * (t - t_prev))
         try:
-            st = decompose(frame, guess[0], guess[1], kappa, tol, cache)
+            st = decompose(frame, guess[0], guess[1], kappa, cache)
         except DecompositionError as exc:
-            raise DecompositionError(
-                f"tracking failed at t={t}: {exc}", exc.speeds, exc.positions
-            ) from exc
+            raise DecompositionError(f"tracking failed at t={t}: {exc}", exc.speeds, exc.positions) from exc
         states.append(st)
         guess = (st.speeds, st.positions)
         t_prev = t

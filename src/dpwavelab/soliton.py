@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -113,9 +114,13 @@ def _stencil_derivative(x: np.ndarray, y: np.ndarray, width: int = 7) -> np.ndar
     return np.sum(weights * y[idx], axis=1) / scale
 
 
+# Gauss-Legendre nodes and weights per order, computed on first use: at import the LAPACK call costs ~1 MB of RSS.
+_leggauss = cache(np.polynomial.legendre.leggauss)
+
+
 def _gauss_legendre_panels(fun, edges: np.ndarray, order: int) -> np.ndarray:
     """Panel-wise Gauss-Legendre integrals of fun over consecutive edge pairs."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _leggauss(order)
     a = edges[:-1]
     b = edges[1:]
     half = 0.5 * (b - a)

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import dpwavelab.harness as harness
 import dpwavelab.linearized as linearized
 from dpwavelab.cli import main
 from dpwavelab.grid import make_grid
 from dpwavelab.harness import Scenario
 from dpwavelab.io import save_state
-from dpwavelab.modulation import ProfileCache, train_field
+from dpwavelab.modulation import DecompositionError, ProfileCache, train_field
 
 
 def write_scenario(path, **overrides):
@@ -140,6 +141,31 @@ def test_stability_decreasing_speeds_rejected(tmp_path, capsys):
     doc["speeds"] = [5.0, 3.0]
     cfg.write_text(json.dumps(doc))
     assert main(["stability", "--config", str(cfg)]) == 2
+
+
+def test_stability_blow_up(tmp_path, capsys):
+    cfg = write_scenario(tmp_path / "scenario.json", dt=2.0)
+    assert main(["stability", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("BlowUpError: ") and err.count("\n") == 1
+
+
+def test_stability_decomposition_failure(tmp_path, capsys, monkeypatch):
+    def lost(*args, **kwargs):
+        raise DecompositionError("tracking failed at t=0.0: speed left the admissible family")
+
+    monkeypatch.setattr(harness, "track", lost)
+    cfg = write_scenario(tmp_path / "scenario.json", t_end=0.1)
+    assert main(["stability", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == "DecompositionError: tracking failed at t=0.0: speed left the admissible family\n"
+
+
+def test_sweep_too_few_runs(tmp_path, capsys):
+    cfg = write_scenario(tmp_path / "scenario.json", t_end=1.0)
+    assert main(["sweep", "--config", cfg, "--alphas", "1e-3", "--separations", "30"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("SweepError: sweep fit needs >= 4 successful runs") and err.count("\n") == 1
 
 
 def test_missing_config_file():

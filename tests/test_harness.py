@@ -4,14 +4,18 @@ import os
 import numpy as np
 import pytest
 
+from types import SimpleNamespace
+
+import dpwavelab.harness as harness
 from dpwavelab.harness import (
     Scenario,
     ScenarioError,
+    SweepError,
     build_initial_state,
     run_stability,
     run_sweep,
 )
-from dpwavelab.modulation import ProfileCache
+from dpwavelab.modulation import DecompositionError, ProfileCache
 
 
 def quick_scenario(**overrides):
@@ -188,3 +192,28 @@ class TestRunSweep:
     def test_too_few_runs_for_fit(self):
         with pytest.raises(RuntimeError):
             run_sweep(quick_scenario(), [1e-3], [25.0, 30.0])
+        with pytest.raises(SweepError):
+            run_sweep(quick_scenario(), [1e-3], [25.0, 30.0])
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(scenario):
+            raise TypeError("not a run failure")
+
+        monkeypatch.setattr(harness, "run_stability", broken)
+        with pytest.raises(TypeError, match="not a run failure"):
+            run_sweep(quick_scenario(), [1e-4, 1e-3], [25.0, 30.0], parallelism=1)
+
+    def test_run_failure_recorded(self, monkeypatch):
+        def one_fails(scenario):
+            if scenario.alpha == 1e-3 and scenario.separation == 30.0:
+                raise DecompositionError("tracking failed at t=1.0: Newton did not converge")
+            info = {"w0_ok": True, "alpha_used": scenario.alpha}
+            return SimpleNamespace(sup_error=scenario.alpha, init_info=info)
+
+        monkeypatch.setattr(harness, "run_stability", one_fails)
+        sw = run_sweep(quick_scenario(), [1e-4, 1e-3, 1e-2], [25.0, 30.0], parallelism=1)
+        failed = [r for r in sw.rows if r["failed"]]
+        assert [(r["alpha"], r["L"]) for r in failed] == [(1e-3, 30.0)]
+        assert failed[0]["error_type"] == "DecompositionError"
+        assert failed[0]["error"] == "tracking failed at t=1.0: Newton did not converge"
+        assert not any("error_type" in r for r in sw.rows if not r["failed"])
