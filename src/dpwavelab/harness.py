@@ -5,8 +5,9 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -24,6 +25,20 @@ class ScenarioError(ValueError):
 
 class SweepError(RuntimeError):
     """Too few successful runs for the sweep's least-squares fit."""
+
+
+def _json_fits(value, annotation: str) -> bool:
+    """Whether a decoded JSON value has the type of a Scenario field annotated, e.g., 'float | None'."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None:
+        return optional == "None"
+    if kind == "tuple[float, ...]":
+        return isinstance(value, list) and all(_json_fits(v, "float") for v in value)
+    if isinstance(value, bool):
+        return kind == "bool"
+    if kind == "float":
+        return isinstance(value, float) or isinstance(value, int) and abs(value) <= sys.float_info.max
+    return isinstance(value, {"int": int, "str": str, "bool": bool}[kind])
 
 
 @dataclass(frozen=True)
@@ -116,6 +131,15 @@ class Scenario:
     @staticmethod
     def from_json(text: str) -> "Scenario":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ScenarioError(f"scenario must be a JSON object, got {type(doc).__name__}")
+        annotations = {f.name: f.type for f in fields(Scenario)}
+        unknown = sorted(set(doc) - set(annotations))
+        if unknown:
+            raise ScenarioError(f"unknown scenario fields {unknown}")
+        for name, value in doc.items():
+            if not _json_fits(value, annotations[name]):
+                raise ScenarioError(f"scenario field {name!r} must be {annotations[name]}, got {type(value).__name__}")
         try:
             return Scenario(**{k: (tuple(v) if k == "speeds" else v) for k, v in doc.items()})
         except TypeError as exc:
@@ -180,6 +204,7 @@ class StabilityResult:
     sup_error: float
     init_info: dict = field(default_factory=dict)
     monotonicity: dict = field(default_factory=dict)
+    counters: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
         mono_max = {
@@ -192,6 +217,7 @@ class StabilityResult:
             "apriori_all_ok": all(r["linfty_ok"] and r["slope_ok"] and r["sup_ok"] for r in self.records),
             **self.init_info,
             **mono_max,
+            "counters": self.counters,
         }
 
 
@@ -201,6 +227,7 @@ def run_stability(scenario: Scenario, outputs: str | None = None, cache: Profile
     The train error uses the frozen initial speeds and the modulated positions.
     """
     cache = cache or ProfileCache(scenario.kappa)
+    builds0 = cache.builds
     u0, info = build_initial_state(scenario, cache)
     if not info["w0_ok"]:
         raise ScenarioError(f"initial data inadmissible: w0 min {info['w0_min']:.3e} < 0")
@@ -215,7 +242,7 @@ def run_stability(scenario: Scenario, outputs: str | None = None, cache: Profile
     for t, frame, st in zip(traj.times, traj.states, states):
         frozen_train = train_field(grid, scenario.speeds, st.positions, cache)
         err = (frame - frozen_train).l2_norm()
-        modulated_train = train_field(grid, st.speeds, st.positions, cache)
+        modulated_train = frame - st.residual
         flags = apriori_checks(frame, u0, modulated_train, scenario.kappa)
         row = {
             "t": t,
@@ -247,6 +274,12 @@ def run_stability(scenario: Scenario, outputs: str | None = None, cache: Profile
         sup_error=max(r["train_error"] for r in records),
         init_info=info,
         monotonicity=mono,
+        counters={
+            "newton_steps": sum(st.iterations - 1 for st in states),
+            "jacobian_refreshes": sum(st.refreshes for st in states),
+            "profile_builds": cache.builds - builds0,
+            "profiles_cached": cache.cached,
+        },
     )
     if outputs or scenario.outputs:
         _persist(result, outputs or scenario.outputs)

@@ -4,14 +4,22 @@ The parameters (c_j, x_j) solve the 2N orthogonality conditions
 
     (eps, R_j)_S = (eps, R_j,x)_S = 0,   eps = u - sum_j R_j,
 
-by Newton iteration with a finite-difference Jacobian.  Each iterate samples
-every wave (R_j, R_j,x) once; a Jacobian column bumps one parameter and
-resamples only its wave.  Positions live on the periodic circle; profiles are
-cached by speed.
+by a chord iteration: Newton's method that keeps its Jacobian J while every
+step shrinks the Newton correction J^{-1} r by CHORD_CONTRACTION, and
+otherwise rebuilds it by finite differences.  The parameters drift slowly
+from frame to frame, so `track` hands each frame's Jacobian to the next and a
+whole run needs few rebuilds.  Progress and accuracy are measured by the
+correction, in the parameters' own units, and not by max|r|: the position of
+a wave near c = 2*kappa moves r so little that a residual just below
+NEWTON_TOL can leave it 1e-6 off.
+Each iterate samples every wave (R_j, R_j,x) once; a Jacobian column bumps one
+parameter and resamples only its wave.  Positions live on the periodic circle;
+profiles are cached by speed, least recently used evicted first.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +34,15 @@ from .soliton import (
     speed_from_amplitude,
 )
 
-# Newton stops when every orthogonality condition is below this fraction of ||u||_2.
+# The iteration stops when every orthogonality condition is below this fraction of ||u||_2 ...
 NEWTON_TOL = 1e-10
+# ... and the Newton correction moves no parameter further than this, or has stopped contracting
+# (the floor that rounding and the cache's 1e-10 speed granularity set).
+STEP_TOL = 1e-9
+# A Jacobian is kept while each step shrinks the Newton correction to at most this fraction of the last one.
+CHORD_CONTRACTION = 0.1
+# Profiles a ProfileCache keeps (about 117 KB each).
+PROFILE_CACHE_SIZE = 64
 
 
 class DecompositionError(RuntimeError):
@@ -40,18 +55,29 @@ class DecompositionError(RuntimeError):
 
 
 class ProfileCache:
-    """Profiles keyed by speed rounded to 1e-10 (kappa fixed per cache)."""
+    """The PROFILE_CACHE_SIZE most recently used profiles, keyed by speed rounded to 1e-10 (kappa fixed per cache)."""
 
     def __init__(self, kappa: float):
         self.kappa = kappa
-        self._store: dict[int, SolitonProfile] = {}
+        self.builds = 0
+        self._store: OrderedDict[int, SolitonProfile] = OrderedDict()
+
+    @property
+    def cached(self) -> int:
+        """Profiles held now; a truth test on the cache stays true when it is empty."""
+        return len(self._store)
 
     def get(self, c: float) -> SolitonProfile:
         key = int(round(c / 1e-10))
         prof = self._store.get(key)
-        if prof is None:
-            prof = build_profile(SolitonParams(c, self.kappa))
-            self._store[key] = prof
+        if prof is not None:
+            self._store.move_to_end(key)
+            return prof
+        prof = build_profile(SolitonParams(c, self.kappa))
+        self.builds += 1
+        self._store[key] = prof
+        if len(self._store) > PROFILE_CACHE_SIZE:
+            self._store.popitem(last=False)
         return prof
 
 
@@ -63,6 +89,8 @@ class ModulationState:
     residual_norm: float
     ortho_residual: np.ndarray
     iterations: int
+    refreshes: int  # finite-difference Jacobians built by this decomposition
+    jacobian: np.ndarray | None  # the last one used, for the next frame's chord
 
 
 def train_field(grid: PeriodicGrid, speeds, positions, cache: ProfileCache) -> Field:
@@ -72,12 +100,17 @@ def train_field(grid: PeriodicGrid, speeds, positions, cache: ProfileCache) -> F
     return Field(grid, total)
 
 
-def orthogonality_residual(u: Field, waves) -> np.ndarray:
-    """2N-vector [ (eps,R_1)_S, ..., (eps,R_Nx)_S ] from waves = [(R_j, R_j,x)], eps summed as in train_field."""
+def _remainder(u: Field, waves) -> Field:
+    """eps = u - sum_j R_j from waves = [(R_j, R_j,x)], summed in train_field's order."""
     total = np.zeros(u.grid.n)
     for r, _ in waves:
         total += r.samples
-    eps = u - Field(u.grid, total)
+    return u - Field(u.grid, total)
+
+
+def orthogonality_residual(u: Field, waves) -> np.ndarray:
+    """2N-vector [ (eps,R_1)_S, ..., (eps,R_Nx)_S ] from waves = [(R_j, R_j,x)]."""
+    eps = _remainder(u, waves)
     return np.array([s_inner(eps, f) for wave in waves for f in wave])
 
 
@@ -118,8 +151,20 @@ def initial_guess(u: Field, n_waves: int, kappa: float, min_separation: float | 
     return np.asarray(speeds)[order], np.asarray(positions)[order]
 
 
-def decompose(u: Field, speeds0, positions0, kappa: float, cache: ProfileCache | None = None, max_iter: int = 30) -> ModulationState:
-    """Newton-solve the orthogonality system from the given guess."""
+def decompose(
+    u: Field, speeds0, positions0, kappa: float, cache: ProfileCache | None = None, max_iter: int = 30,
+    jacobian: np.ndarray | None = None,
+) -> ModulationState:
+    """Solve the orthogonality system from the given guess by a chord iteration.
+
+    The given Jacobian (typically the previous frame's) is kept while every
+    step shrinks the Newton correction to CHORD_CONTRACTION of the last one.
+    A finite-difference Jacobian is built at the current iterate when none is
+    given, after a step that contracts less, and in place of a chord step that
+    leaves the admissible family or does not shrink the correction; such a
+    step is undone first.  Only a step taken with a freshly built Jacobian
+    raises DecompositionError.
+    """
     cache = cache or ProfileCache(kappa)
     grid = u.grid
     period = grid.period
@@ -146,34 +191,60 @@ def decompose(u: Field, speeds0, positions0, kappa: float, cache: ProfileCache |
             raise DecompositionError(f"iterate left the resolvable family: {exc}", s, p) from exc
         return waves
 
-    waves = resample(theta, [None] * n_waves, range(n_waves))
-    r = orthogonality_residual(u, waves)
-    for iterations in range(1, max_iter + 1):
-        if np.max(np.abs(r)) <= target:
-            break
-        speeds, positions = split(theta)
+    def fd_jacobian(th, waves, r):
+        speeds, positions = split(th)
         gaps = np.mod(np.roll(positions, -1) - positions, period)
         gap_scale = np.min(gaps[gaps > 0]) if n_waves > 1 else period / 4.0
         jac = np.empty((2 * n_waves, 2 * n_waves))
         for k in range(2 * n_waves):
             step = 1e-6 * speeds[k // 2] if k % 2 == 0 else 1e-6 * gap_scale
-            bumped = theta.copy()
+            bumped = th.copy()
             bumped[k] += step
             jac[:, k] = (orthogonality_residual(u, resample(bumped, waves, [k // 2])) - r) / step
+        return jac
+
+    def correction(jac, th, r):
+        """The Newton correction -jac^{-1} r."""
         try:
-            delta = np.linalg.solve(jac, -r)
+            return np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
-            raise DecompositionError(f"singular modulation Jacobian: {exc}", *split(theta)) from exc
-        theta = theta + delta
-        waves = resample(theta, waves, range(n_waves))
-        r = orthogonality_residual(u, waves)
+            raise DecompositionError(f"singular modulation Jacobian: {exc}", *split(th)) from exc
+
+    waves = resample(theta, [None] * n_waves, range(n_waves))
+    r = orthogonality_residual(u, waves)
+    refreshes = 0
+    stale = jacobian is None  # build a Jacobian before the next step
+    delta = None if stale else correction(jacobian, theta, r)
+    for iterations in range(1, max_iter + 1):
+        if np.max(np.abs(r)) <= target and (stale or np.max(np.abs(delta)) <= STEP_TOL):
+            break
+        fresh = stale
+        if fresh:
+            jacobian = fd_jacobian(theta, waves, r)
+            refreshes += 1
+            delta = correction(jacobian, theta, r)
+        trial = theta + delta
+        try:
+            trial_waves = resample(trial, waves, range(n_waves))
+        except DecompositionError:
+            if fresh:
+                raise
+            stale = True  # undo the chord step
+            continue
+        r_trial = orthogonality_residual(u, trial_waves)
+        delta_trial = correction(jacobian, trial, r_trial)
+        contraction = np.max(np.abs(delta_trial)) / np.max(np.abs(delta))
+        stale = contraction > CHORD_CONTRACTION
+        if not fresh and contraction >= 1.0:
+            continue  # undo the chord step
+        theta, waves, r, delta = trial, trial_waves, r_trial, delta_trial
     else:
         r_max = np.max(np.abs(r))
         raise DecompositionError(f"Newton did not converge in {max_iter} iterations (|r|_inf={r_max:.3e})", *split(theta))
 
     speeds, positions = split(theta)
     positions = np.mod(positions + 0.5 * period, period) - 0.5 * period
-    eps = u - train_field(grid, speeds, positions, cache)
+    eps = _remainder(u, waves)
     return ModulationState(
         speeds=speeds.copy(),
         positions=positions,
@@ -181,12 +252,15 @@ def decompose(u: Field, speeds0, positions0, kappa: float, cache: ProfileCache |
         residual_norm=eps.l2_norm(),
         ortho_residual=r,
         iterations=iterations,
+        refreshes=refreshes,
+        jacobian=jacobian,
     )
 
 
 def track(trajectory, n_waves: int, kappa: float, cache: ProfileCache | None = None) -> list[ModulationState]:
     """Warm-started decomposition of every stored frame; aborts on first failure.
 
+    Each frame starts its chord iteration from the previous frame's Jacobian.
     Between frames the position guess is advected by the previously tracked
     speeds, so the warm start stays inside the Newton basin even when the
     frame spacing exceeds the soliton width.
@@ -194,6 +268,7 @@ def track(trajectory, n_waves: int, kappa: float, cache: ProfileCache | None = N
     cache = cache or ProfileCache(kappa)
     states: list[ModulationState] = []
     guess = None
+    jacobian = None
     t_prev = None
     for t, frame in zip(trajectory.times, trajectory.states):
         if guess is None:
@@ -201,11 +276,12 @@ def track(trajectory, n_waves: int, kappa: float, cache: ProfileCache | None = N
         else:
             guess = (guess[0], guess[1] + guess[0] * (t - t_prev))
         try:
-            st = decompose(frame, guess[0], guess[1], kappa, cache)
+            st = decompose(frame, guess[0], guess[1], kappa, cache, jacobian=jacobian)
         except DecompositionError as exc:
             raise DecompositionError(f"tracking failed at t={t}: {exc}", exc.speeds, exc.positions) from exc
         states.append(st)
         guess = (st.speeds, st.positions)
+        jacobian = st.jacobian
         t_prev = t
     return states
 

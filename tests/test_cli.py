@@ -1,8 +1,15 @@
+import contextlib
 import csv
+import dataclasses
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import dpwavelab.harness as harness
@@ -176,6 +183,56 @@ def test_malformed_config(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
     assert main(["stability", "--config", str(cfg)]) == 2
+
+
+VALID_DOC = json.loads(Scenario(kappa=1.0, speeds=(3.0, 5.0), separation=30.0, grid_n=512, t_end=0.1).to_json())
+_text = st.text(max_size=8)
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_lists = st.lists(st.integers() | _text, max_size=3)
+_objects = st.dictionaries(_text, st.integers(), max_size=2)
+# JSON values that a field of each annotated type does not accept
+WRONG = {
+    "float": _text | st.booleans() | _lists | _objects,
+    "int": _text | st.booleans() | _floats | _lists | _objects,
+    "str": st.integers() | _floats | st.booleans() | _lists | _objects,
+    "bool": st.integers() | _floats | _text | _lists | _objects,
+    "tuple[float, ...]": _text | _floats | _objects | st.lists(_text | st.booleans() | st.none(), min_size=1, max_size=3),
+}
+
+
+@st.composite
+def bad_scenarios(draw):
+    """A JSON document that is not a scenario: not an object, a field of the wrong type, an unknown or a missing field."""
+    defect = draw(st.sampled_from(["not an object", "wrong type", "unknown field", "missing field"]))
+    if defect == "not an object":
+        return draw(st.none() | st.booleans() | _floats | _text | st.lists(_floats, max_size=3))
+    doc = dict(VALID_DOC)
+    if defect == "wrong type":
+        name = draw(st.sampled_from(sorted(doc)))
+        kind, _, optional = {f.name: f.type for f in dataclasses.fields(Scenario)}[name].partition(" | ")
+        doc[name] = draw(WRONG[kind] if optional else WRONG[kind] | st.none())
+    elif defect == "unknown field":
+        doc[draw(_text.filter(lambda key: key not in doc))] = draw(st.integers())
+    else:
+        del doc[draw(st.sampled_from(["kappa", "speeds", "separation"]))]
+    return doc
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=bad_scenarios())
+@example(doc=[1, 2])
+@example(doc=dict(VALID_DOC, dt="0.01"))
+def test_stability_config_fuzz(doc):
+    # a document that is not a scenario exits 2 with one stderr line, never a traceback
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "scenario.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["stability", "--config", cfg, "--out", os.path.join(tmp, "out")])
+    assert code == 2
+    assert err.getvalue().startswith("configuration error: ") and err.getvalue().count("\n") == 1
 
 
 def test_evolve_subcommand(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from types import SimpleNamespace
 
 import dpwavelab.harness as harness
+import dpwavelab.modulation as modulation
 from dpwavelab.harness import (
     Scenario,
     ScenarioError,
@@ -152,6 +153,31 @@ class TestRunStability:
         with open(out / "summary.json") as fh:
             doc = json.load(fh)
         assert doc["apriori_all_ok"]
+        assert set(doc["counters"]) == {"newton_steps", "jacobian_refreshes", "profile_builds", "profiles_cached"}
+
+    def test_counters(self, monkeypatch):
+        # the counters match the profile builds and the decompositions the run made
+        builds, states = [], []
+        build_profile, decompose = modulation.build_profile, modulation.decompose
+
+        def counted_build(*args, **kwargs):
+            builds.append(args[0].c)
+            return build_profile(*args, **kwargs)
+
+        def recorded(*args, **kwargs):
+            states.append(decompose(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(modulation, "build_profile", counted_build)
+        monkeypatch.setattr(modulation, "decompose", recorded)
+        counters = run_stability(quick_scenario()).summary()["counters"]
+        assert counters == {
+            "newton_steps": sum(st.iterations - 1 for st in states),
+            "jacobian_refreshes": sum(st.refreshes for st in states),
+            "profile_builds": len(builds),
+            "profiles_cached": min(len(builds), modulation.PROFILE_CACHE_SIZE),
+        }
+        assert counters["jacobian_refreshes"] >= 1
 
     def test_persistence_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

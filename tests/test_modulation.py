@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpwavelab.modulation as modulation
 from dpwavelab.evolution import EvolutionConfig, evolve
 from dpwavelab.grid import Field, make_grid, s_inner
 from dpwavelab.invariants import momentum_S
 from dpwavelab.modulation import (
+    NEWTON_TOL,
+    STEP_TOL,
     DecompositionError,
     ModulationState,
     ProfileCache,
@@ -15,7 +19,7 @@ from dpwavelab.modulation import (
     track,
     train_field,
 )
-from dpwavelab.soliton import SolitonParams, build_profile, sample_dx_on_grid, sample_on_grid
+from dpwavelab.soliton import SolitonParams, build_profile, min_period, sample_dx_on_grid, sample_on_grid
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +59,32 @@ def seed_residual(u, speeds, positions, cache):
     return out
 
 
+def fresh_newton(u, speeds, positions, cache, max_iter=30):
+    """Oracle: the seed's Newton iteration, a finite-difference Jacobian built at every step."""
+    grid = u.grid
+    n = len(speeds)
+    th = np.empty(2 * n)
+    th[0::2], th[1::2] = speeds, positions
+    for _ in range(max_iter):
+        r = orthogonality_residual(u, waves_at(grid, th[0::2], th[1::2], cache))
+        if np.max(np.abs(r)) <= NEWTON_TOL * u.l2_norm():
+            return th[0::2].copy(), np.mod(th[1::2] + 0.5 * grid.period, grid.period) - 0.5 * grid.period
+        gaps = np.mod(np.roll(th[1::2], -1) - th[1::2], grid.period)
+        gap_scale = np.min(gaps[gaps > 0]) if n > 1 else grid.period / 4.0
+        jac = np.empty((2 * n, 2 * n))
+        for k in range(2 * n):
+            step = 1e-6 * th[k] if k % 2 == 0 else 1e-6 * gap_scale
+            bumped = th.copy()
+            bumped[k] += step
+            jac[:, k] = (orthogonality_residual(u, waves_at(grid, bumped[0::2], bumped[1::2], cache)) - r) / step
+        th = th + np.linalg.solve(jac, -r)
+    raise AssertionError("oracle Newton did not converge")
+
+
+def cyclic_error(got, want, period):
+    return np.max(np.abs(np.mod(np.asarray(got) - want + 0.5 * period, period) - 0.5 * period))
+
+
 class TestProfileCache:
     def test_reuses_profiles(self):
         cache = ProfileCache(1.0)
@@ -63,6 +93,27 @@ class TestProfileCache:
         assert a is b
         c = cache.get(3.1)
         assert c is not a
+        assert (cache.builds, cache.cached) == (2, 2)
+
+    def test_holds_at_most_its_capacity(self, monkeypatch):
+        monkeypatch.setattr(modulation, "PROFILE_CACHE_SIZE", 3)
+        cache = ProfileCache(1.0)
+        for c in (3.0, 3.1, 3.2, 3.3, 3.4):
+            cache.get(c)
+        assert (cache.builds, cache.cached) == (5, 3)
+
+    def test_keeps_recently_used_speeds(self, monkeypatch):
+        monkeypatch.setattr(modulation, "PROFILE_CACHE_SIZE", 3)
+        cache = ProfileCache(1.0)
+        first = cache.get(3.0)
+        cache.get(3.1)
+        cache.get(3.2)
+        assert cache.get(3.0) is first  # now the most recently used
+        cache.get(3.3)  # evicts 3.1, the least recently used
+        assert cache.get(3.0) is first
+        assert cache.builds == 4
+        cache.get(3.1)
+        assert cache.builds == 5
 
 
 class TestOrthogonalityResidual:
@@ -137,9 +188,12 @@ class TestDecompose:
             assert st.iterations <= 2
 
     def test_samples_each_wave_once_per_parameter_value(self, three_train, monkeypatch):
-        # per Newton step: 2N columns resample one wave each, the new iterate resamples all N,
-        # and the orthogonality residual is evaluated 2N + 1 times
+        # the residual is evaluated once for the guess, 2N + 1 times per step with a freshly built
+        # Jacobian (its columns, then the step) and once per chord step; every evaluation samples
+        # each wave once, and a Jacobian column resamples only the wave it bumps
         cache, grid, speeds, positions, u = three_train
+        n = len(speeds)
+        neighbour = decompose(train_field(grid, speeds + 2e-3, positions + 0.3, cache), speeds, positions, 1.0, cache=cache)
         calls = {"sample_on_grid": 0, "sample_dx_on_grid": 0, "orthogonality_residual": 0}
         for name in calls:
             def counted(*args, _fn=getattr(modulation, name), _name=name):
@@ -147,12 +201,50 @@ class TestDecompose:
                 return _fn(*args)
 
             monkeypatch.setattr(modulation, name, counted)
-        st = decompose(u, speeds + 1e-3, positions + 0.05, 1.0, cache=cache)
-        steps, n = st.iterations - 1, len(speeds)
-        assert steps >= 1
-        assert calls["orthogonality_residual"] == 1 + steps * (2 * n + 1)
-        assert calls["sample_dx_on_grid"] == n + steps * 3 * n
-        assert calls["sample_on_grid"] == n + steps * 3 * n + n  # the last n build the returned residual
+        for jacobian, refreshes in ((None, 1), (neighbour.jacobian, 0)):
+            calls.update(dict.fromkeys(calls, 0))
+            st = decompose(u, speeds + 1e-3, positions + 0.05, 1.0, cache=cache, jacobian=jacobian)
+            steps = st.iterations - 1
+            assert st.refreshes == refreshes
+            assert steps > st.refreshes
+            assert calls["orthogonality_residual"] == 1 + st.refreshes * (2 * n + 1) + (steps - st.refreshes)
+            assert calls["sample_dx_on_grid"] == n + st.refreshes * 2 * n + steps * n
+            assert calls["sample_on_grid"] == calls["sample_dx_on_grid"]
+
+    @pytest.mark.parametrize("scale", [3.0, -1.0, -2e-3, 1e-6])
+    def test_stale_jacobian_is_refreshed(self, three_train, scale):
+        # a step a third as long as Newton's (3), a step the wrong way (-1), one far the wrong way that
+        # stays admissible but leaves Newton's basin (-2e-3) and one out of the admissible family (1e-6)
+        # are each followed by one fresh Jacobian, not by an error
+        cache, grid, speeds, positions, u = three_train
+        neighbour = decompose(train_field(grid, speeds + 2e-3, positions + 0.3, cache), speeds, positions, 1.0, cache=cache)
+        st = decompose(u, speeds + 1e-3, positions + 0.05, 1.0, cache=cache, jacobian=scale * neighbour.jacobian)
+        assert st.refreshes == 1
+        assert np.allclose(st.speeds, speeds, atol=1e-8)
+        assert np.allclose(st.positions, positions, atol=1e-8)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kappa=st.floats(0.5, 2.0),
+        excess=st.lists(st.floats(1e-2, 1.0), min_size=1, max_size=3, unique=True),
+        shift=st.floats(-0.5, 0.5),
+    )
+    def test_round_trip(self, kappa, excess, shift):
+        # an exact train of N = 1..3 waves with c_j = 2 kappa (1 + excess_j), down to 2 kappa (1 + 1e-2),
+        # translated by shift periods, is recovered from a cold start and from a neighbour's Jacobian
+        n = len(excess)
+        speeds = 2.0 * kappa * (1.0 + np.sort(excess))
+        period = float(np.ceil(max(min_period(SolitonParams(speeds[0], kappa)), 120.0 * n) / 10.0) * 10.0)
+        grid = make_grid(1024, period)
+        positions = (np.arange(n) - 0.5 * (n - 1)) * 60.0 + shift * period
+        cache = ProfileCache(kappa)
+        u = train_field(grid, speeds, positions, cache)
+        neighbour = train_field(grid, speeds * (1 + 2e-3), positions + 0.3, cache)
+        jacobian = decompose(neighbour, speeds, positions, kappa, cache=cache).jacobian
+        for jac in (None, jacobian):
+            st = decompose(u, speeds * (1 + 1e-3), positions + 0.05, kappa, cache=cache, jacobian=jac)
+            assert np.max(np.abs(st.speeds - speeds)) <= 1e-8
+            assert cyclic_error(st.positions, positions, period) <= 1e-8
 
     def test_perturbed_train_order_alpha(self, two_train):
         cache, grid, speeds, positions, u = two_train
@@ -218,6 +310,28 @@ class TestTrack:
         u_norm = traj.states[0].l2_norm()
         for st in states:
             assert st.residual_norm <= 1e-4 * u_norm
+
+    def test_chord_matches_fresh_jacobian_newton(self, two_train):
+        cache, grid, speeds, positions, u = two_train
+        bump = np.exp(-(((grid.nodes + 27.0) / 2.0) ** 2)) + np.exp(-(((grid.nodes - 33.0) / 2.0) ** 2))
+        u0 = Field(grid, u.samples + 1e-3 * bump / np.sqrt(grid.h * np.sum(bump**2)))
+        traj = evolve(u0, EvolutionConfig(kappa=1.0, t_end=2.0, dt=0.01, observer_stride=20))
+        states = track(traj, 2, 1.0, cache=ProfileCache(1.0))
+        assert sum(st.refreshes for st in states) == 1
+        guess, t_prev = None, None
+        for t, frame, st in zip(traj.times, traj.states, states):
+            # the oracle tracks with the same warm starts as track
+            guess = initial_guess(frame, 2, 1.0) if guess is None else (guess[0], guess[1] + guess[0] * (t - t_prev))
+            guess = fresh_newton(frame, *guess, cache)
+            t_prev = t
+            # each stops once no parameter would move more than STEP_TOL (chord) or sooner (oracle)
+            assert np.max(np.abs(st.speeds - guess[0])) <= 2 * STEP_TOL
+            assert cyclic_error(st.positions, guess[1], grid.period) <= 2 * STEP_TOL
+            # the values read at the tracked parameters agree to the benchmark's reference tolerance
+            tol = 1e-10 * frame.l2_norm()
+            assert abs(st.residual_norm - (frame - train_field(grid, *guess, cache)).l2_norm()) <= tol
+            frozen_error = [(frame - train_field(grid, speeds, x, cache)).l2_norm() for x in (st.positions, guess[1])]
+            assert abs(frozen_error[0] - frozen_error[1]) <= tol
 
     def test_tracking_deterministic(self, two_train):
         cache, grid, speeds, positions, u = two_train
