@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("soliton", help="build and export a soliton profile")
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10, help="table extent: the table ends at phi = tol * amplitude")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_soliton)
 

@@ -22,8 +22,7 @@ class BlowUpError(RuntimeError):
 class EvolutionConfig:
     kappa: float
     t_end: float
-    dt: float | None = None
-    cfl: float | None = None
+    dt: float
     dealias: bool = True
     observer_stride: int = 1
 
@@ -32,12 +31,8 @@ class EvolutionConfig:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if not self.t_end > 0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if (self.dt is None) == (self.cfl is None):
-            raise ValueError("exactly one of dt and cfl must be given")
-        if self.dt is not None and not self.dt > 0:
+        if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.cfl is not None and not 0 < self.cfl <= 1:
-            raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
         if self.observer_stride < 1:
             raise ValueError("observer_stride must be >= 1")
 
@@ -46,7 +41,6 @@ class EvolutionConfig:
 class Trajectory:
     times: list[float] = field(default_factory=list)
     states: list[Field] = field(default_factory=list)
-    config: EvolutionConfig | None = None
 
 
 def _rhs_samples(u: np.ndarray, grid: PeriodicGrid, kappa: float, dealias: bool) -> np.ndarray:
@@ -100,17 +94,13 @@ def evolve(u0: Field, config: EvolutionConfig, observers: list | None = None) ->
     """
     grid = u0.grid
     kappa = config.kappa
-    if config.dt is not None:
-        dt = config.dt
-    else:
-        dt = config.cfl * grid.h / max(1.0, u0.max_norm())
-    n_steps = int(np.ceil(config.t_end / dt - 1e-12))
+    n_steps = int(np.ceil(config.t_end / config.dt - 1e-12))
     dt = config.t_end / n_steps
 
     guard = 10.0 * sup_bound(u0.l2_norm(), kappa)
     observers = observers or []
 
-    traj = Trajectory(config=config)
+    traj = Trajectory()
 
     def record(t: float, u: np.ndarray) -> None:
         f = Field(grid, u.copy())

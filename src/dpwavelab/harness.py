@@ -51,8 +51,7 @@ class Scenario:
     seed: int = 0
     grid_n: int = 1024
     grid_period: float | None = None  # None: auto-sized
-    dt: float | None = 0.01
-    cfl: float | None = None
+    dt: float = 0.01
     t_end: float = 20.0
     observer_stride: int = 100
     dealias: bool = True
@@ -120,7 +119,6 @@ class Scenario:
             kappa=self.kappa,
             t_end=self.t_end,
             dt=self.dt,
-            cfl=self.cfl,
             dealias=self.dealias,
             observer_stride=self.observer_stride,
         )

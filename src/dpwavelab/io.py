@@ -43,14 +43,3 @@ def save_trajectory_binary(traj: Trajectory, frames_path: str, sidecar_path: str
     with open(sidecar_path, "w") as fh:
         json.dump({"n": grid.n, "period": grid.period, "times": list(traj.times)}, fh)
 
-
-def load_trajectory_binary(frames_path: str, sidecar_path: str) -> Trajectory:
-    with open(sidecar_path) as fh:
-        meta = json.load(fh)
-    grid = make_grid(meta["n"], meta["period"])
-    frames = np.fromfile(frames_path, dtype="<f8").reshape(len(meta["times"]), grid.n)
-    traj = Trajectory()
-    for t, row in zip(meta["times"], frames):
-        traj.times.append(float(t))
-        traj.states.append(Field(grid, row.copy()))
-    return traj

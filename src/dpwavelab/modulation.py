@@ -55,7 +55,12 @@ class DecompositionError(RuntimeError):
 
 
 class ProfileCache:
-    """The PROFILE_CACHE_SIZE most recently used profiles, keyed by speed rounded to 1e-10 (kappa fixed per cache)."""
+    """The PROFILE_CACHE_SIZE most recently used profiles, keyed by speed rounded to 1e-10 (kappa fixed per cache).
+
+    Each profile is built at its key's speed, so the wave sampled for a speed
+    depends only on that speed, not on lookup order or evictions; speeds closer
+    than the 1e-10 granularity share one profile.
+    """
 
     def __init__(self, kappa: float):
         self.kappa = kappa
@@ -73,7 +78,7 @@ class ProfileCache:
         if prof is not None:
             self._store.move_to_end(key)
             return prof
-        prof = build_profile(SolitonParams(c, self.kappa))
+        prof = build_profile(SolitonParams(key / 1e10, self.kappa))
         self.builds += 1
         self._store[key] = prof
         if len(self._store) > PROFILE_CACHE_SIZE:

@@ -5,31 +5,30 @@ The profile phi(x) satisfies the first integral
     (1/2) (c - phi)^2 phi_x^2 = phi^2 F(phi),
     F(phi) = (1/2) phi^2 - (c - 2*kappa/3) phi + (1/2) c^2 - kappa*c,
 
-so with r1 < r2 the two positive roots of F, separation of variables gives
-the inverse map
+so with r1 < r2 the two positive roots of F, 2 F(s) = (s - r1)(s - r2), and
+separation of variables gives the inverse map
 
-    x(phi) = int_phi^r1 (c - s) / (s * sqrt(2 F(s))) ds.
+    x(phi) = int_phi^r1 (c - s) / (s * sqrt((r1 - s)(r2 - s))) ds.
 
-Since 2 F(s) = (s - r1)(s - r2), the substitution s = r1 - tau^2 removes the
-inverse-square-root singularity at the peak exactly:
+The integral is elementary (Vakhnenko & Parkes 2004; Matsuno 2005).  With
+nu = sqrt(1 - 2*kappa/c) and sqrt(r1 r2) = c nu,
 
-    x(phi) = int_0^sqrt(r1 - phi) 2 (c - s) / (s * sqrt(r2 - s)) dtau,
+    x(phi) = (2/nu) ln((sqrt(r2) sqrt(r1 - phi) + sqrt(r1) sqrt(r2 - phi)) / sqrt(phi (r2 - r1)))
+             - 2 ln((sqrt(r1 - phi) + sqrt(r2 - phi)) / sqrt(r2 - r1)),
 
-an analytic integrand on the whole table.  The table is inverted to phi(x)
+evaluated exactly on a table of phi nodes.  The table is inverted to phi(x)
 by a cubic spline in log(phi), clamped with the exact slopes at both ends,
-and extended beyond the table by the exact exponential decay law
-phi ~ A exp(-nu |x|) with nu = sqrt(1 - 2*kappa/c).
+and extended beyond the table by the exact far field phi ~ A exp(-nu |x|),
+whose coefficient ln A = lim (nu x(phi) + ln phi) as phi -> 0 is also elementary.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .grid import Field, PeriodicGrid
 
@@ -61,36 +60,38 @@ def peak_amplitude(params: SolitonParams) -> float:
     return float(r1)
 
 
-def min_period(params: SolitonParams) -> float:
-    """Smallest period whose wrapped tail at half a period is TAIL_BUDGET of the amplitude.
+def _far_field_ratio(params: SolitonParams) -> float:
+    """A / phi(0) of the far field phi ~ A exp(-nu |x|), in (1, 4].
 
-    Integrating the inverse map exactly as phi -> 0 gives the far field
-    phi ~ A exp(-nu |x|) with A / phi(0) = 4 r2/(r2 - r1) ((r2 - r1)/(sqrt r1 + sqrt r2)^2)^nu,
-    which lies in (1, 4]; so the result is at least 2 ln(1/TAIL_BUDGET) / nu.
+    It is 4 r2/(r2 - r1) ((r2 - r1)/(sqrt r1 + sqrt r2)^2)^nu, the phi -> 0 limit of the inverse map.
     """
     r1, r2 = _quadratic_roots(params.c, params.kappa)
     nu = np.sqrt(1.0 - 2.0 * params.kappa / params.c)
-    ratio = 4.0 * r2 / (r2 - r1) * ((r2 - r1) / (np.sqrt(r1) + np.sqrt(r2)) ** 2) ** nu
-    return float(2.0 * np.log(ratio / TAIL_BUDGET) / nu)
+    return float(4.0 * r2 / (r2 - r1) * ((r2 - r1) / (np.sqrt(r1) + np.sqrt(r2)) ** 2) ** nu)
+
+
+def min_period(params: SolitonParams) -> float:
+    """Smallest period whose wrapped tail at half a period is TAIL_BUDGET of the amplitude.
+
+    The far-field ratio lies in (1, 4], so the result is at least 2 ln(1/TAIL_BUDGET) / nu.
+    """
+    nu = np.sqrt(1.0 - 2.0 * params.kappa / params.c)
+    return float(2.0 * np.log(_far_field_ratio(params) / TAIL_BUDGET) / nu)
 
 
 def speed_from_amplitude(a: float, kappa: float) -> float:
-    """Invert peak_amplitude in c at fixed kappa (strictly increasing in c)."""
+    """Invert peak_amplitude in c at fixed kappa.
+
+    With k = 2 kappa/3, a = (c + k) - 2k - sqrt(k (c + k)) is a quadratic in
+    sqrt(c + k), whose positive root gives c = ((sqrt k + sqrt(9k + 4a)) / 2)^2 - k.
+    """
     if not (kappa > 0 and a > 0):
         raise ValueError(f"need a > 0 and kappa > 0, got a={a}, kappa={kappa}")
-
-    def f(c: float) -> float:
-        return peak_amplitude(SolitonParams(c, kappa)) - a
-
-    lo = 2.0 * kappa * (1.0 + 1e-13)
-    hi = max(4.0 * kappa, a + 2.0 * kappa)
-    while f(hi) < 0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError(f"amplitude {a} out of range for kappa={kappa}")
-    if f(lo) > 0:
-        raise ValueError(f"amplitude {a} out of range for kappa={kappa}")
-    return float(brentq(f, lo, hi, xtol=1e-14, rtol=1e-14))
+    k = 2.0 * kappa / 3.0
+    c = float(((np.sqrt(k) + np.sqrt(9.0 * k + 4.0 * a)) / 2.0) ** 2 - k)
+    if not c > 2.0 * kappa:
+        raise ValueError(f"amplitude {a} too small for kappa={kappa}: the speed rounds to c <= 2*kappa")
+    return c
 
 
 def _stencil_derivative(x: np.ndarray, y: np.ndarray, width: int = 7) -> np.ndarray:
@@ -112,21 +113,6 @@ def _stencil_derivative(x: np.ndarray, y: np.ndarray, width: int = 7) -> np.ndar
     rhs[1, 0] = 1.0
     weights = np.linalg.solve(powers, np.broadcast_to(rhs, (n, width, 1)))[:, :, 0]
     return np.sum(weights * y[idx], axis=1) / scale
-
-
-# Gauss-Legendre nodes and weights per order, computed on first use: at import the LAPACK call costs ~1 MB of RSS.
-_leggauss = cache(np.polynomial.legendre.leggauss)
-
-
-def _gauss_legendre_panels(fun, edges: np.ndarray, order: int) -> np.ndarray:
-    """Panel-wise Gauss-Legendre integrals of fun over consecutive edge pairs."""
-    nodes, weights = _leggauss(order)
-    a = edges[:-1]
-    b = edges[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    t = mid[:, None] + half[:, None] * nodes[None, :]
-    return half * (fun(t) @ weights)
 
 
 @dataclass(frozen=True)
@@ -170,7 +156,7 @@ class SolitonProfile:
         """Max residual of the first integral over the table.
 
         Slopes come from 7-point finite-difference stencils on the table alone,
-        independent of the quadrature and of the first integral itself.
+        independent of the closed-form inverse map and of the first integral itself.
         """
         c = self.params.c
         kappa = self.params.kappa
@@ -227,7 +213,10 @@ def _assemble_profile(params: SolitonParams, xs: np.ndarray, phis: np.ndarray, t
 
 
 def build_profile(params: SolitonParams, tol: float = 1e-10) -> SolitonProfile:
-    """Tabulate phi on [0, X_tail] by the singularity-free quadrature, then invert."""
+    """Tabulate phi on [0, X_tail] by the exact inverse map x(phi), then invert.
+
+    tol sets the table extent: the last node is phi = tol * phi(0).
+    """
     if not (0.0 < tol <= 1e-6):
         raise ValueError(f"build tolerance must be in (0, 1e-6], got {tol}")
     c, kappa = params.c, params.kappa
@@ -243,46 +232,18 @@ def build_profile(params: SolitonParams, tol: float = 1e-10) -> SolitonProfile:
     phi_geo = phi_cut * np.exp(np.linspace(0.0, np.log(tol * r1 / phi_cut), n_geo))
     phis = np.concatenate([phi_peak, phi_geo[1:]])
 
-    def integrand_tau(tau: np.ndarray) -> np.ndarray:
-        s = r1 - tau**2
-        return 2.0 * (c - s) / (s * np.sqrt(r2 - s))
-
-    def integrand_log(y: np.ndarray) -> np.ndarray:
-        # dx/d(log s) away from the peak, where sqrt((r1-s)(r2-s)) is regular
-        s = np.exp(y)
-        return (c - s) / np.sqrt((r1 - s) * (r2 - s))
-
-    taus = np.sqrt(np.maximum(r1 - phi_peak, 0.0))
-    logs = np.log(phi_geo)[::-1]  # increasing; panels accumulated right-to-left below
-    panels = np.concatenate(
-        [
-            _gauss_legendre_panels(integrand_tau, taus, order=12),
-            _gauss_legendre_panels(integrand_log, logs, order=12)[::-1],
-        ]
-    )
-    check = np.concatenate(
-        [
-            _gauss_legendre_panels(integrand_tau, taus, order=20),
-            _gauss_legendre_panels(integrand_log, logs, order=20)[::-1],
-        ]
-    )
-    quad_err = float(np.max(np.abs(panels - check)))
-    if quad_err > tol:
-        raise RuntimeError(f"profile quadrature did not converge: panel defect {quad_err:.3e} > tol {tol:.3e}")
-    xs = np.concatenate([[0.0], np.cumsum(np.abs(check))])
+    nu = np.sqrt(1.0 - 2.0 * kappa / c)
+    a = np.sqrt(r1 - phis)
+    b = np.sqrt(r2 - phis)
+    gap = np.sqrt(r2 - r1)
+    xs = (2.0 / nu) * np.log((np.sqrt(r2) * a + np.sqrt(r1) * b) / (np.sqrt(phis) * gap)) - 2.0 * np.log((a + b) / gap)
 
     if not (np.all(np.diff(xs) > 0) and np.all(np.diff(phis) < 0)):
         raise RuntimeError("profile table is not strictly monotone")
     if not (0.0 < phis[-1] and phis[0] < c):
         raise RuntimeError("profile table violates 0 < phi < c")
 
-    # Tail coefficient fitted on the last decade of the table.
-    nu = np.sqrt(1.0 - 2.0 * kappa / c)
-    mask = phis <= 10.0 * phis[-1]
-    intercept = np.mean(np.log(phis[mask]) + nu * xs[mask])
-    tail_coeff = float(np.exp(intercept))
-
-    return _assemble_profile(params, xs, phis, tail_coeff)
+    return _assemble_profile(params, xs, phis, r1 * _far_field_ratio(params))
 
 
 def sample_on_grid(profile: SolitonProfile, grid: PeriodicGrid, center: float = 0.0) -> Field:

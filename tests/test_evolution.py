@@ -16,11 +16,9 @@ from dpwavelab.soliton import SolitonParams, build_profile, sample_dx_on_grid, s
 
 
 class TestConfig:
-    def test_requires_exactly_one_step_rule(self):
-        with pytest.raises(ValueError):
+    def test_requires_dt(self):
+        with pytest.raises(TypeError):
             EvolutionConfig(kappa=1.0, t_end=1.0)
-        with pytest.raises(ValueError):
-            EvolutionConfig(kappa=1.0, t_end=1.0, dt=0.01, cfl=0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -28,7 +26,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             EvolutionConfig(kappa=1.0, t_end=-1.0, dt=0.01)
         with pytest.raises(ValueError):
-            EvolutionConfig(kappa=1.0, t_end=1.0, cfl=1.5)
+            EvolutionConfig(kappa=1.0, t_end=1.0, dt=0.0)
         with pytest.raises(ValueError):
             EvolutionConfig(kappa=1.0, t_end=1.0, dt=0.01, observer_stride=0)
 
@@ -159,12 +157,6 @@ class TestEvolve:
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(0.1)
         assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
-
-    def test_cfl_step_selection(self):
-        g = make_grid(64, 10.0)
-        u0 = Field(g, np.zeros(64))
-        traj = evolve(u0, EvolutionConfig(kappa=1.0, t_end=1.0, cfl=0.5))
-        assert len(traj.times) > 2
 
     def test_blow_up_raises(self):
         g = make_grid(128, 20.0)

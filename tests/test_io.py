@@ -1,16 +1,20 @@
 import csv
+import json
 
 import numpy as np
 
 from dpwavelab.evolution import EvolutionConfig, Trajectory, evolve
 from dpwavelab.grid import Field, make_grid
-from dpwavelab.io import (
-    load_state,
-    load_trajectory_binary,
-    save_state,
-    save_trajectory_binary,
-    save_trajectory_csv,
-)
+from dpwavelab.io import load_state, save_state, save_trajectory_binary, save_trajectory_csv
+
+
+def load_trajectory_binary(frames_path, sidecar_path):
+    """Read frames written by save_trajectory_binary: row-major little-endian float64, shape from the sidecar."""
+    with open(sidecar_path) as fh:
+        meta = json.load(fh)
+    grid = make_grid(meta["n"], meta["period"])
+    frames = np.fromfile(frames_path, dtype="<f8").reshape(len(meta["times"]), grid.n)
+    return Trajectory(times=[float(t) for t in meta["times"]], states=[Field(grid, row.copy()) for row in frames])
 
 
 def small_trajectory():

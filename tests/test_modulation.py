@@ -115,6 +115,18 @@ class TestProfileCache:
         cache.get(3.1)
         assert cache.builds == 5
 
+    def test_profile_depends_only_on_the_speed(self, monkeypatch):
+        # a key evicted and rebuilt from another speed within the 1e-10 granularity gives the same wave
+        monkeypatch.setattr(modulation, "PROFILE_CACHE_SIZE", 1)
+        cache = ProfileCache(1.0)
+        grid = make_grid(256, 100.0)
+        first = cache.get(3.0)
+        cache.get(4.0)
+        again = cache.get(3.0 + 4e-11)
+        assert again is not first
+        assert first.params.c == again.params.c == 3.0
+        assert np.array_equal(sample_on_grid(first, grid, 1.3).samples, sample_on_grid(again, grid, 1.3).samples)
+
 
 class TestOrthogonalityResidual:
     def test_exact_train_zero(self, two_train):

@@ -22,6 +22,42 @@ def amplitude_quadratic(phi, c, kappa):
     return 0.5 * phi**2 - (c - 2.0 * kappa / 3.0) * phi + 0.5 * c**2 - kappa * c
 
 
+def quadrature_xs(params, phis):
+    """x(phi) on a decreasing table by order-20 Gauss-Legendre panels between its nodes, summed from the peak.
+
+    Near the peak the substitution s = r1 - tau^2 removes the inverse square root at s = r1; below r1/2
+    the panels are integrated in log s.
+    """
+    c, kappa = params.c, params.kappa
+    b = c - 2.0 * kappa / 3.0
+    root = np.sqrt((2.0 * kappa / 3.0) * (c + 2.0 * kappa / 3.0))
+    r1, r2 = b - root, b + root
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+
+    def panels(fun, lo, hi):
+        half = 0.5 * (hi - lo)
+        return half * (fun(0.5 * (lo + hi)[:, None] + half[:, None] * nodes) @ weights)
+
+    def dx_dtau(tau):
+        s = r1 - tau**2
+        return 2.0 * (c - s) / (s * np.sqrt(r2 - s))
+
+    def dx_dlog(y):
+        s = np.exp(y)
+        return (c - s) / np.sqrt((r1 - s) * (r2 - s))
+
+    upper, lower = phis[:-1], phis[1:]
+    near = lower > 0.5 * r1
+    dx = np.empty(len(lower))
+    dx[near] = panels(dx_dtau, np.sqrt(r1 - upper[near]), np.sqrt(r1 - lower[near]))
+    dx[~near] = panels(dx_dlog, np.log(lower[~near]), np.log(upper[~near]))
+    return np.concatenate([[0.0], np.cumsum(dx)])
+
+
+# Speeds over 2*kappa and kappas on which the closed form meets the quadrature oracle.
+ORACLE_GRID = [(ratio, kappa) for ratio in (1.01, 1.1, 1.5, 2.5, 5.0) for kappa in (0.5, 1.0, 2.0)]
+
+
 class TestParams:
     def test_rejects_slow_speed(self):
         with pytest.raises(ValueError):
@@ -64,9 +100,19 @@ class TestPeakAmplitude:
 
 class TestSpeedFromAmplitude:
     def test_roundtrip(self):
-        for c, kappa in PARAM_PAIRS:
+        for c, kappa in PARAM_PAIRS + [(2.0 * (1.0 + 1e-6), 1.0), (1e6, 1.0)]:
             a = peak_amplitude(SolitonParams(c, kappa))
-            assert speed_from_amplitude(a, kappa) == pytest.approx(c, abs=1e-9)
+            assert abs(speed_from_amplitude(a, kappa) - c) <= 1e-14 * c
+
+    def test_large_amplitude(self):
+        c = speed_from_amplitude(1e12, 1.0)
+        assert peak_amplitude(SolitonParams(c, 1.0)) == pytest.approx(1e12, rel=1e-14)
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+    def test_rejects_amplitude_below_rounding(self, kappa):
+        # the closed form would round to c = 2*kappa, which is no soliton speed
+        with pytest.raises(ValueError, match="too small"):
+            speed_from_amplitude(1e-16 * kappa, kappa)
 
     def test_reference_value(self):
         assert speed_from_amplitude(0.76984, 1.0) == pytest.approx(3.0, abs=1e-3)
@@ -105,6 +151,19 @@ class TestBuildProfile:
             assert np.all(np.diff(prof.phis) < 0)
             assert prof.phis[0] < c
             assert prof.phis[-1] > 0
+
+    @pytest.mark.parametrize("ratio, kappa", ORACLE_GRID)
+    def test_table_matches_quadrature(self, ratio, kappa):
+        prof = build_profile(SolitonParams(2.0 * kappa * ratio, kappa))
+        xs = quadrature_xs(prof.params, prof.phis)
+        assert np.max(np.abs(prof.xs - xs)) <= 1e-12 * prof.x_tail
+
+    @pytest.mark.parametrize("ratio, kappa", ORACLE_GRID)
+    def test_tail_coeff_matches_last_decade_fit(self, ratio, kappa):
+        prof = build_profile(SolitonParams(2.0 * kappa * ratio, kappa))
+        last = prof.phis <= 10.0 * prof.phis[-1]
+        fit = np.exp(np.mean(np.log(prof.phis[last]) + prof.decay_rate * prof.xs[last]))
+        assert prof.tail_coeff == pytest.approx(fit, rel=1e-9)
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
@@ -191,7 +250,7 @@ class TestSampleOnGrid:
 
     @pytest.mark.parametrize("pair", PARAM_PAIRS)
     def test_min_period_is_the_sampling_threshold(self, profiles, pair):
-        # the closed-form far-field coefficient agrees with the profile's fitted tail
+        # sampling evaluates the profile's tail model, min_period the far-field ratio directly
         prof = profiles[pair]
         p = min_period(prof.params)
         sample_on_grid(prof, make_grid(64, 1.001 * p))
