@@ -1,8 +1,12 @@
 """Pseudospectral time evolution of the nonlocal DP equation.
 
 State equation:  u_t = -d/dx ( u^2/2 + (1 - d^2)^-1 (3/2 u^2 + 2 kappa u) ).
-Quadratic terms are dealiased with the 2/3 rule; time stepping is classical
-fixed-step RK4 with a blow-up guard tied to the a priori sup bound.
+In Fourier space this is  u_t^ = F2 (u^2)^ + F1 u^  with two fused multipliers
+F2 = -i xi (1/2 + 3/2 (1 + xi^2)^-1), 2/3-rule dealiased, and
+F1 = -i xi 2 kappa (1 + xi^2)^-1.  Time stepping is classical fixed-step RK4
+on the rfft coefficients u^: each RHS costs 2 FFTs (an irfft for the stage
+samples, an rfft of their square) and each step one more irfft, whose samples
+feed the blow-up guard tied to the a priori sup bound and the stored frames.
 """
 
 from __future__ import annotations
@@ -41,35 +45,56 @@ class EvolutionConfig:
 class Trajectory:
     times: list[float] = field(default_factory=list)
     states: list[Field] = field(default_factory=list)
+    steps: int = 0
 
 
-def _rhs_samples(u: np.ndarray, grid: PeriodicGrid, kappa: float, dealias: bool) -> np.ndarray:
-    u2_hat = np.fft.rfft(u * u)
+def _flux_symbols(grid: PeriodicGrid, kappa: float, dealias: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(F2, F1) with rfft(u_t) = F2 rfft(u^2) + F1 rfft(u); the 2/3 mask goes on F2 when dealias is set."""
+    minus_dx = -grid.derivative_symbol(1)
+    helmholtz = grid.helmholtz_symbol(1.0)
+    f2 = minus_dx * (0.5 + 1.5 * helmholtz)
     if dealias:
-        u2_hat *= grid.dealias_mask
-    flux_hat = 0.5 * u2_hat + (1.5 * u2_hat + 2.0 * kappa * np.fft.rfft(u)) * grid.helmholtz_symbol(1.0)
-    return -np.fft.irfft(grid.derivative_symbol(1) * flux_hat, n=grid.n)
+        f2 *= grid.dealias_mask
+    return f2, minus_dx * (2.0 * kappa * helmholtz)
+
+
+def _rhs_hat(u_hat: np.ndarray, u: np.ndarray, symbols: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """rfft of the right-hand side at the state with rfft coefficients u_hat and samples u: one rfft."""
+    f2, f1 = symbols
+    return f2 * np.fft.rfft(u * u) + f1 * u_hat
 
 
 def dp_rhs(u: Field, kappa: float, dealias: bool = True) -> Field:
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    return Field(u.grid, _rhs_samples(u.samples, u.grid, kappa, dealias))
+    rhs_hat = _rhs_hat(np.fft.rfft(u.samples), u.samples, _flux_symbols(u.grid, kappa, dealias))
+    return Field(u.grid, np.fft.irfft(rhs_hat, n=u.grid.n))
 
 
-def _guarded_rk4(u: np.ndarray, dt: float, grid: PeriodicGrid, kappa: float, dealias: bool, guard: float) -> np.ndarray:
-    """One classical RK4 step; raises BlowUpError on non-finite samples or a sup norm above guard."""
-    k1 = _rhs_samples(u, grid, kappa, dealias)
-    k2 = _rhs_samples(u + 0.5 * dt * k1, grid, kappa, dealias)
-    k3 = _rhs_samples(u + 0.5 * dt * k2, grid, kappa, dealias)
-    k4 = _rhs_samples(u + dt * k3, grid, kappa, dealias)
-    out = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _guarded_rk4(
+    u_hat: np.ndarray, u: np.ndarray, dt: float, symbols: tuple[np.ndarray, np.ndarray], guard: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One classical RK4 step on the rfft coefficients u_hat of the samples u.
+
+    Returns the new coefficients and their samples; raises BlowUpError on
+    non-finite samples or a sup norm above guard.
+    """
+    n = u.size
+    k1 = _rhs_hat(u_hat, u, symbols)
+    v = u_hat + 0.5 * dt * k1
+    k2 = _rhs_hat(v, np.fft.irfft(v, n=n), symbols)
+    v = u_hat + 0.5 * dt * k2
+    k3 = _rhs_hat(v, np.fft.irfft(v, n=n), symbols)
+    v = u_hat + dt * k3
+    k4 = _rhs_hat(v, np.fft.irfft(v, n=n), symbols)
+    out_hat = u_hat + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    out = np.fft.irfft(out_hat, n=n)
     sup = float(np.max(np.abs(out)))
     if not np.isfinite(sup):
         raise BlowUpError("non-finite samples after RK4 step")
     if sup > guard:
         raise BlowUpError(f"sup norm {sup:.3e} exceeds blow-up guard {guard:.3e}")
-    return out
+    return out_hat, out
 
 
 def sup_bound(u0_l2: float, kappa: float) -> float:
@@ -83,7 +108,9 @@ def step_rk4(u: Field, dt: float, kappa: float, dealias: bool = True, guard: flo
         raise ValueError(f"dt must be positive, got {dt}")
     if guard is None:
         guard = 10.0 * sup_bound(u.l2_norm(), kappa)
-    return Field(u.grid, _guarded_rk4(u.samples, dt, u.grid, kappa, dealias, guard))
+    symbols = _flux_symbols(u.grid, kappa, dealias)
+    _, out = _guarded_rk4(np.fft.rfft(u.samples), u.samples, dt, symbols, guard)
+    return Field(u.grid, out)
 
 
 def evolve(u0: Field, config: EvolutionConfig, observers: list | None = None) -> Trajectory:
@@ -93,11 +120,11 @@ def evolve(u0: Field, config: EvolutionConfig, observers: list | None = None) ->
     t = 0 and the final time.
     """
     grid = u0.grid
-    kappa = config.kappa
     n_steps = int(np.ceil(config.t_end / config.dt - 1e-12))
     dt = config.t_end / n_steps
 
-    guard = 10.0 * sup_bound(u0.l2_norm(), kappa)
+    guard = 10.0 * sup_bound(u0.l2_norm(), config.kappa)
+    symbols = _flux_symbols(grid, config.kappa, config.dealias)
     observers = observers or []
 
     traj = Trajectory()
@@ -109,15 +136,17 @@ def evolve(u0: Field, config: EvolutionConfig, observers: list | None = None) ->
         for obs in observers:
             obs(t, f)
 
-    u = u0.samples.copy()
+    u = u0.samples
+    u_hat = np.fft.rfft(u)
     record(0.0, u)
     for step in range(1, n_steps + 1):
         try:
-            u = _guarded_rk4(u, dt, grid, kappa, config.dealias, guard)
+            u_hat, u = _guarded_rk4(u_hat, u, dt, symbols, guard)
         except BlowUpError as exc:
             raise BlowUpError(f"{exc} at step {step}") from exc
         if step % config.observer_stride == 0 or step == n_steps:
             record(step * dt, u)
+    traj.steps = n_steps
     return traj
 
 

@@ -273,6 +273,8 @@ def run_stability(scenario: Scenario, outputs: str | None = None, cache: Profile
         init_info=info,
         monotonicity=mono,
         counters={
+            "rk4_steps": traj.steps,
+            "rhs_evals": 4 * traj.steps,
             "newton_steps": sum(st.iterations - 1 for st in states),
             "jacobian_refreshes": sum(st.refreshes for st in states),
             "profile_builds": cache.builds - builds0,

@@ -47,11 +47,14 @@ class SolitonParams:
 
 
 def _quadratic_roots(c: float, kappa: float) -> tuple[float, float]:
-    """Roots r1 < r2 of F(phi) = phi^2/2 - (c - 2k/3) phi + c^2/2 - k*c."""
+    """Roots r1 < r2 of F(phi) = phi^2/2 - (c - 2k/3) phi + c^2/2 - k*c.
+
+    r1 comes from the product r1 r2 = c (c - 2k), not from b - sqrt(disc), which cancels as c -> 2k.
+    """
     b = c - 2.0 * kappa / 3.0
     disc = (2.0 * kappa / 3.0) * (c + 2.0 * kappa / 3.0)
-    s = np.sqrt(disc)
-    return b - s, b + s
+    r2 = b + np.sqrt(disc)
+    return c * (c - 2.0 * kappa) / r2, r2
 
 
 def peak_amplitude(params: SolitonParams) -> float:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,45 @@ from dpwavelab.evolution import (
     sup_bound,
 )
 from dpwavelab.grid import Field, make_grid
+from dpwavelab.harness import Scenario, build_initial_state
 from dpwavelab.invariants import hamiltonian_H, momentum_S
 from dpwavelab.soliton import SolitonParams, build_profile, sample_dx_on_grid, sample_on_grid
+
+from conftest import random_field
+
+
+def oracle_rhs(u, grid, kappa, dealias):
+    """The sample-space RHS: rfft(u^2), rfft(u) and the irfft of the flux derivative."""
+    u2_hat = np.fft.rfft(u * u)
+    if dealias:
+        u2_hat *= grid.dealias_mask
+    flux_hat = 0.5 * u2_hat + (1.5 * u2_hat + 2.0 * kappa * np.fft.rfft(u)) * grid.helmholtz_symbol(1.0)
+    return -np.fft.irfft(grid.derivative_symbol(1) * flux_hat, n=grid.n)
+
+
+def oracle_rk4(u, dt, grid, kappa, dealias):
+    """One classical RK4 step with the state kept as samples."""
+    k1 = oracle_rhs(u, grid, kappa, dealias)
+    k2 = oracle_rhs(u + 0.5 * dt * k1, grid, kappa, dealias)
+    k3 = oracle_rhs(u + 0.5 * dt * k2, grid, kappa, dealias)
+    k4 = oracle_rhs(u + dt * k3, grid, kappa, dealias)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# The acceptance stability scenario: two waves at n = 1024, 2000 RK4 steps.
+ACCEPT_STATE = {
+    "kappa": 1.0,
+    "speeds": [3.0, 5.0],
+    "separation": 60.0,
+    "alpha": 1e-3,
+    "perturbation_kind": "bump",
+    "grid_n": 1024,
+    "grid_period": 200.0,
+    "dt": 0.01,
+    "t_end": 20.0,
+    "observer_stride": 2000,
+    "weight_B": 3.0,
+}
 
 
 class TestConfig:
@@ -60,6 +99,13 @@ class TestRhs:
         g = make_grid(64, 10.0)
         with pytest.raises(ValueError):
             dp_rhs(Field(g, np.zeros(64)), -1.0)
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_matches_sample_space_oracle(self, rng, dealias):
+        g = make_grid(256, 40.0)
+        u = random_field(g, rng, scale=2.0)
+        ref = oracle_rhs(u.samples, g, 0.7, dealias)
+        assert np.max(np.abs(dp_rhs(u, 0.7, dealias).samples - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestStepRK4:
@@ -164,6 +210,74 @@ class TestEvolve:
         with pytest.raises(BlowUpError):
             # inadmissible data (w0 changes sign); guard must trip, not hang
             evolve(Field(g, big), EvolutionConfig(kappa=0.01, t_end=50.0, dt=0.05))
+
+
+class TestSpectralState:
+    """The stepper carries rfft coefficients; the sample-space RK4 above is its oracle."""
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_matches_sample_space_oracle(self, dealias):
+        sc = Scenario.from_json(json.dumps(dict(ACCEPT_STATE, dealias=dealias)))
+        u0, _ = build_initial_state(sc)
+        traj = evolve(u0, sc.evolution_config())
+        assert traj.steps == 2000 and traj.times[-1] == pytest.approx(20.0)
+        u = u0.samples
+        for _ in range(traj.steps):
+            u = oracle_rk4(u, sc.dt, u0.grid, sc.kappa, dealias)
+        assert np.max(np.abs(traj.states[-1].samples - u)) <= 1e-12 * u0.max_norm()
+
+    def test_step_rk4_matches_evolve_frames(self):
+        prof = build_profile(SolitonParams(3.0, 1.0))
+        g = make_grid(512, 120.0)
+        u = sample_on_grid(prof, g)
+        traj = evolve(u, EvolutionConfig(kappa=1.0, t_end=0.5, dt=0.01, observer_stride=1))
+        assert traj.steps == 50 and len(traj.states) == 51
+        for frame in traj.states[1:]:
+            u = step_rk4(u, 0.01, 1.0)
+            assert np.max(np.abs(u.samples - frame.samples)) <= 1e-13
+
+    def test_fft_count(self, monkeypatch):
+        calls = {"rfft": 0, "irfft": 0}
+
+        def counted(name):
+            fft = getattr(np.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fft(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counted(name))
+        prof = build_profile(SolitonParams(3.0, 1.0))
+        u = sample_on_grid(prof, make_grid(256, 100.0))
+
+        def count(run):
+            for name in calls:
+                calls[name] = 0
+            run()
+            return calls["rfft"], calls["irfft"]
+
+        # one rfft of u0, then 4 rfft(w^2) and 3 stage irffts plus 1 guard irfft per step
+        assert count(lambda: evolve(u, EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01, observer_stride=3))) == (
+            1 + 4 * 10,
+            4 * 10,
+        )
+        assert count(lambda: step_rk4(u, 0.01, 1.0)) == (5, 4)
+        assert count(lambda: dp_rhs(u, 1.0)) == (2, 1)
+
+    def test_guard_breach_names_step(self):
+        # Inadmissible data beyond the step-size limit: the oracle finds where the guard first trips.
+        g = make_grid(128, 20.0)
+        u0 = Field(g, 10.0 * np.cos(2.0 * np.pi * g.nodes / g.period))
+        guard = 10.0 * sup_bound(u0.l2_norm(), 0.01)
+        u, step = u0.samples, 0
+        while np.max(np.abs(u)) <= guard:
+            u, step = oracle_rk4(u, 0.05, g, 0.01, True), step + 1
+        assert step > 1
+        with pytest.raises(BlowUpError, match=rf"exceeds blow-up guard .* at step {step}$"):
+            evolve(u0, EvolutionConfig(kappa=0.01, t_end=50.0, dt=0.05))
 
 
 class TestWPositivity:

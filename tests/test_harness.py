@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -153,7 +154,14 @@ class TestRunStability:
         with open(out / "summary.json") as fh:
             doc = json.load(fh)
         assert doc["apriori_all_ok"]
-        assert set(doc["counters"]) == {"newton_steps", "jacobian_refreshes", "profile_builds", "profiles_cached"}
+        assert set(doc["counters"]) == {
+            "rk4_steps",
+            "rhs_evals",
+            "newton_steps",
+            "jacobian_refreshes",
+            "profile_builds",
+            "profiles_cached",
+        }
 
     def test_counters(self, monkeypatch):
         # the counters match the profile builds and the decompositions the run made
@@ -170,8 +178,12 @@ class TestRunStability:
 
         monkeypatch.setattr(modulation, "build_profile", counted_build)
         monkeypatch.setattr(modulation, "decompose", recorded)
-        counters = run_stability(quick_scenario()).summary()["counters"]
+        scenario = quick_scenario()
+        counters = run_stability(scenario).summary()["counters"]
+        steps = math.ceil(scenario.t_end / scenario.dt)
         assert counters == {
+            "rk4_steps": steps,
+            "rhs_evals": 4 * steps,
             "newton_steps": sum(st.iterations - 1 for st in states),
             "jacobian_refreshes": sum(st.refreshes for st in states),
             "profile_builds": len(builds),

@@ -1,3 +1,4 @@
+import decimal
 import json
 
 import numpy as np
@@ -31,7 +32,8 @@ def quadrature_xs(params, phis):
     c, kappa = params.c, params.kappa
     b = c - 2.0 * kappa / 3.0
     root = np.sqrt((2.0 * kappa / 3.0) * (c + 2.0 * kappa / 3.0))
-    r1, r2 = b - root, b + root
+    r2 = b + root
+    r1 = c * (c - 2.0 * kappa) / r2  # b - root cancels near c = 2 kappa, and x(phi) ~ sqrt(r1 - phi) at the peak
     nodes, weights = np.polynomial.legendre.leggauss(20)
 
     def panels(fun, lo, hi):
@@ -90,6 +92,19 @@ class TestPeakAmplitude:
         amps = [peak_amplitude(SolitonParams(c, k)) for k in (1e-4, 1e-6, 1e-8)]
         assert abs(amps[-1] - c) < 1e-3
         assert amps[0] < amps[1] < amps[2] < c
+
+    @pytest.mark.parametrize("ratio", [1.0 + 1e-6, 1.01, 1.5, 2.5])
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+    def test_matches_40_digit_root(self, ratio, kappa):
+        # the small root near c = 2 kappa, against b - sqrt(disc) evaluated in 40 digits at the same floats
+        c = 2.0 * kappa * ratio
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            dc, dk = decimal.Decimal(c), decimal.Decimal(kappa)
+            b = dc - 2 * dk / 3
+            exact = b - ((2 * dk / 3) * (dc + 2 * dk / 3)).sqrt()
+            rel = abs((decimal.Decimal(peak_amplitude(SolitonParams(c, kappa))) - exact) / exact)
+        assert rel <= 4e-16
 
     def test_strictly_increasing_in_speed(self):
         for kappa in (0.5, 1.0):
