@@ -7,6 +7,8 @@ F1 = -i xi 2 kappa (1 + xi^2)^-1.  Time stepping is classical fixed-step RK4
 on the rfft coefficients u^: each RHS costs 2 FFTs (an irfft for the stage
 samples, an rfft of their square) and each step one more irfft, whose samples
 feed the blow-up guard tied to the a priori sup bound and the stored frames.
+States that share a grid step together as one (m, n) stack, every FFT on the
+last axis, with a guard per state.
 """
 
 from __future__ import annotations
@@ -71,15 +73,15 @@ def dp_rhs(u: Field, kappa: float, dealias: bool = True) -> Field:
     return Field(u.grid, np.fft.irfft(rhs_hat, n=u.grid.n))
 
 
-def _guarded_rk4(
-    u_hat: np.ndarray, u: np.ndarray, dt: float, symbols: tuple[np.ndarray, np.ndarray], guard: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _rk4(u_hat: np.ndarray, u: np.ndarray, dt: float, symbols: tuple[np.ndarray, np.ndarray]):
     """One classical RK4 step on the rfft coefficients u_hat of the samples u.
 
-    Returns the new coefficients and their samples; raises BlowUpError on
-    non-finite samples or a sup norm above guard.
+    u is one state (n,) or a stack (m, n) on one grid; the FFTs run on axis -1,
+    so each row is advanced exactly as it would be on its own. Returns the new
+    coefficients, their samples and the sup norm of each row (NaN or inf for a
+    row with non-finite samples).
     """
-    n = u.size
+    n = u.shape[-1]
     k1 = _rhs_hat(u_hat, u, symbols)
     v = u_hat + 0.5 * dt * k1
     k2 = _rhs_hat(v, np.fft.irfft(v, n=n), symbols)
@@ -89,12 +91,14 @@ def _guarded_rk4(
     k4 = _rhs_hat(v, np.fft.irfft(v, n=n), symbols)
     out_hat = u_hat + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     out = np.fft.irfft(out_hat, n=n)
-    sup = float(np.max(np.abs(out)))
+    return out_hat, out, np.abs(out).max(axis=-1)
+
+
+def _breach(sup: float, guard: float) -> str:
+    """Why a state whose sup norm is not within its guard was rejected."""
     if not np.isfinite(sup):
-        raise BlowUpError("non-finite samples after RK4 step")
-    if sup > guard:
-        raise BlowUpError(f"sup norm {sup:.3e} exceeds blow-up guard {guard:.3e}")
-    return out_hat, out
+        return "non-finite samples after RK4 step"
+    return f"sup norm {sup:.3e} exceeds blow-up guard {guard:.3e}"
 
 
 def sup_bound(u0_l2: float, kappa: float) -> float:
@@ -108,45 +112,75 @@ def step_rk4(u: Field, dt: float, kappa: float, dealias: bool = True, guard: flo
         raise ValueError(f"dt must be positive, got {dt}")
     if guard is None:
         guard = 10.0 * sup_bound(u.l2_norm(), kappa)
-    symbols = _flux_symbols(u.grid, kappa, dealias)
-    _, out = _guarded_rk4(np.fft.rfft(u.samples), u.samples, dt, symbols, guard)
+    _, out, sup = _rk4(np.fft.rfft(u.samples), u.samples, dt, _flux_symbols(u.grid, kappa, dealias))
+    if not sup <= guard:
+        raise BlowUpError(_breach(sup, guard))
     return Field(u.grid, out)
 
 
-def evolve(u0: Field, config: EvolutionConfig, observers: list | None = None) -> Trajectory:
-    """Evolve u0 to t_end, storing states every observer_stride steps.
+def evolve_stack(
+    u0s: list[Field], config: EvolutionConfig, observers: list | None = None
+) -> list[Trajectory | BlowUpError]:
+    """Evolve states that share one grid as a single (m, n) stack; row i of the result belongs to u0s[i].
 
-    Observers are callables (t, Field) invoked at the stored frames, including
-    t = 0 and the final time.
+    Each row is a Trajectory storing that state every observer_stride steps, or
+    the BlowUpError it raised: every state keeps its own guard, 10 sup_bound(||u0||_2),
+    and one that breaches it leaves the stack while the others go on. Rows evolve
+    exactly as they would alone. Observers are callables (t, Field) invoked at each
+    stored frame of each state still evolving, including t = 0 and the final time.
     """
-    grid = u0.grid
+    if not u0s:
+        return []
+    grid = u0s[0].grid
+    if any(u0.grid != grid for u0 in u0s):
+        raise ValueError("stacked states must share one grid")
     n_steps = int(np.ceil(config.t_end / config.dt - 1e-12))
     dt = config.t_end / n_steps
-
-    guard = 10.0 * sup_bound(u0.l2_norm(), config.kappa)
     symbols = _flux_symbols(grid, config.kappa, config.dealias)
     observers = observers or []
 
-    traj = Trajectory()
+    out: list[Trajectory | BlowUpError] = [Trajectory(steps=n_steps) for _ in u0s]
+    rows = np.arange(len(u0s))  # index in u0s of each stack row
+    guard = np.array([10.0 * sup_bound(u0.l2_norm(), config.kappa) for u0 in u0s])
 
     def record(t: float, u: np.ndarray) -> None:
-        f = Field(grid, u.copy())
-        traj.times.append(t)
-        traj.states.append(f)
-        for obs in observers:
-            obs(t, f)
+        for i, samples in zip(rows, u.reshape(rows.size, -1)):
+            f = Field(grid, samples.copy())
+            out[i].times.append(t)
+            out[i].states.append(f)
+            for obs in observers:
+                obs(t, f)
 
-    u = u0.samples
+    u = np.stack([u0.samples for u0 in u0s])
+    if len(u0s) == 1:
+        u = u[0]  # one state steps as a 1-D array: a stacked axis adds call overhead to every FFT and product
     u_hat = np.fft.rfft(u)
     record(0.0, u)
     for step in range(1, n_steps + 1):
-        try:
-            u_hat, u = _guarded_rk4(u_hat, u, dt, symbols, guard)
-        except BlowUpError as exc:
-            raise BlowUpError(f"{exc} at step {step}") from exc
+        u_hat, u, sup = _rk4(u_hat, u, dt, symbols)
+        ok = sup <= guard
+        if not ok.all():
+            for i, s, g in zip(rows[~ok], np.atleast_1d(sup)[~ok], guard[~ok]):
+                out[i] = BlowUpError(f"{_breach(s, g)} at step {step}")
+            rows, guard = rows[ok], guard[ok]
+            if not rows.size:
+                break
+            u_hat, u = u_hat[ok], u[ok]
         if step % config.observer_stride == 0 or step == n_steps:
             record(step * dt, u)
-    traj.steps = n_steps
+    return out
+
+
+def evolve(u0: Field, config: EvolutionConfig, observers: list | None = None) -> Trajectory:
+    """Evolve u0 to t_end, storing states every observer_stride steps: evolve_stack on one state.
+
+    Observers are callables (t, Field) invoked at the stored frames, including
+    t = 0 and the final time. Raises BlowUpError naming the step at which the
+    state breached its guard.
+    """
+    (traj,) = evolve_stack([u0], config, observers)
+    if isinstance(traj, BlowUpError):
+        raise traj
     return traj
 
 

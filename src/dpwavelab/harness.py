@@ -10,9 +10,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .diagnostics import WeightConfig, apriori_checks, localized_momentum, midpoints
-from .evolution import BlowUpError, EvolutionConfig, check_w_positivity, evolve
+from .evolution import BlowUpError, EvolutionConfig, check_w_positivity, evolve, evolve_stack
 from .grid import Field, PeriodicGrid, make_grid
 from .invariants import hamiltonian_H, momentum_S
 from .modulation import DecompositionError, ProfileCache, track, train_field
@@ -216,22 +218,25 @@ class StabilityResult:
             **self.init_info,
             **mono_max,
             "counters": self.counters,
+            "provenance": {"dpwavelab": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
         }
 
 
-def run_stability(scenario: Scenario, outputs: str | None = None, cache: ProfileCache | None = None) -> StabilityResult:
-    """Evolve the scenario and assemble the full diagnostic record series.
-
-    The train error uses the frozen initial speeds and the modulated positions.
-    """
-    cache = cache or ProfileCache(scenario.kappa)
-    builds0 = cache.builds
+def _prepare(scenario: Scenario, cache: ProfileCache) -> tuple[Field, dict]:
+    """The scenario's initial state and its info; raises ScenarioError unless w0 >= 0 on the grid."""
     u0, info = build_initial_state(scenario, cache)
     if not info["w0_ok"]:
         raise ScenarioError(f"initial data inadmissible: w0 min {info['w0_min']:.3e} < 0")
-    grid = u0.grid
+    return u0, info
 
-    traj = evolve(u0, scenario.evolution_config(), observers=None)
+
+def _observe(scenario: Scenario, u0: Field, info: dict, traj, cache: ProfileCache, builds0: int) -> StabilityResult:
+    """Track the trajectory of u0 and assemble the full diagnostic record series.
+
+    The train error uses the frozen initial speeds and the modulated positions.
+    builds0 is the cache's build count before the run's initial state.
+    """
+    grid = u0.grid
     states = track(traj, scenario.n_waves, scenario.kappa, cache=cache)
 
     s0 = momentum_S(u0)
@@ -265,7 +270,7 @@ def run_stability(scenario: Scenario, outputs: str | None = None, cache: Profile
             vals = [r[f"i_{j}"] for r in records]
             mono["series"][j] = [v - vals[0] for v in vals]
 
-    result = StabilityResult(
+    return StabilityResult(
         scenario=scenario,
         times=list(traj.times),
         records=records,
@@ -281,6 +286,15 @@ def run_stability(scenario: Scenario, outputs: str | None = None, cache: Profile
             "profiles_cached": cache.cached,
         },
     )
+
+
+def run_stability(scenario: Scenario, outputs: str | None = None, cache: ProfileCache | None = None) -> StabilityResult:
+    """Evolve the scenario and assemble the full diagnostic record series."""
+    cache = cache or ProfileCache(scenario.kappa)
+    builds0 = cache.builds
+    u0, info = _prepare(scenario, cache)
+    traj = evolve(u0, scenario.evolution_config(), observers=None)
+    result = _observe(scenario, u0, info, traj, cache, builds0)
     if outputs or scenario.outputs:
         _persist(result, outputs or scenario.outputs)
     return result
@@ -298,22 +312,56 @@ def _persist(result: StabilityResult, outdir: str) -> None:
         json.dump(result.summary(), fh, indent=2)
 
 
-def _sweep_one(args: tuple) -> dict:
-    base, alpha, separation = args
-    scenario = replace(base, alpha=alpha, separation=separation, outputs=None)
-    try:
-        res = run_stability(scenario)
-        return {
-            "alpha": alpha,
-            "L": separation,
+# Domain failures of one run: recorded as a failed sweep row, while any other exception propagates.
+_RUN_FAILURES = (ScenarioError, BlowUpError, DecompositionError)
+
+
+def _failed_row(scenario: Scenario, exc: Exception, phase: str) -> dict:
+    return {"alpha": scenario.alpha, "L": scenario.separation, "sup_error": float("nan"), "w0_ok": False,
+            "failed": True, "error": str(exc), "error_type": type(exc).__name__, "phase": phase}
+
+
+def _sweep_chunk(scenarios: list[Scenario]) -> list[dict]:
+    """Sweep rows of runs on one grid: prepare each, evolve them as one stack, then observe each in turn.
+
+    The runs share one profile cache; each profile is built at its key's speed,
+    so the samples do not depend on the sharing.
+    """
+    cache = ProfileCache(scenarios[0].kappa)
+    rows: list = [None] * len(scenarios)
+    prepared = []
+    for i, scenario in enumerate(scenarios):
+        try:
+            prepared.append((i, *_prepare(scenario, cache)))
+        except _RUN_FAILURES as exc:
+            rows[i] = _failed_row(scenario, exc, "initial_state")
+    trajs = evolve_stack([u0 for _, u0, _ in prepared], scenarios[0].evolution_config())
+    for (i, u0, info), traj in zip(prepared, trajs):
+        scenario = scenarios[i]
+        if isinstance(traj, BlowUpError):
+            rows[i] = _failed_row(scenario, traj, "evolve")
+            continue
+        try:
+            res = _observe(scenario, u0, info, traj, cache, cache.builds)
+        except _RUN_FAILURES as exc:
+            rows[i] = _failed_row(scenario, exc, "track")
+            continue
+        rows[i] = {
+            "alpha": scenario.alpha,
+            "L": scenario.separation,
             "sup_error": res.sup_error,
-            "w0_ok": res.init_info["w0_ok"],
-            "alpha_used": res.init_info["alpha_used"],
+            "w0_ok": info["w0_ok"],
+            "alpha_used": info["alpha_used"],
             "failed": False,
         }
-    except (ScenarioError, BlowUpError, DecompositionError) as exc:  # run failures recorded, sweep continues
-        return {"alpha": alpha, "L": separation, "sup_error": float("nan"), "w0_ok": False, "failed": True,
-                "error": str(exc), "error_type": type(exc).__name__}
+    return rows
+
+
+def _split(items: list, k: int) -> list[list]:
+    """items in k contiguous chunks whose sizes differ by at most one."""
+    q, r = divmod(len(items), k)
+    bounds = [i * q + min(i, r) for i in range(k + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -325,17 +373,29 @@ class SweepResult:
 
 
 def run_sweep(base: Scenario, alphas, separations, parallelism: int = 1) -> SweepResult:
-    """run_stability over the (alpha, L) grid; fit sup_error ~ A (alpha + exp(-gamma0 L / 2))."""
+    """Stability runs over the (alpha, L) grid; fit sup_error ~ A (alpha + exp(-gamma0 L / 2)).
+
+    Runs that share a grid are split into min(parallelism, runs) contiguous
+    chunks, and each chunk evolves as one stack in one worker. Rows are the
+    same whatever the parallelism.
+    """
     alphas = list(alphas)
     separations = list(separations)
     if not alphas or not separations:
         raise ScenarioError("sweep lists must be non-empty")
-    jobs = [(base, a, L) for a in alphas for L in separations]
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            rows = list(pool.map(_sweep_one, jobs))
+    # Runs on one grid evolve as one stack; the evolution config is the base's for every run.
+    groups: dict[tuple, list[Scenario]] = {}
+    for a in alphas:
+        for L in separations:
+            scenario = replace(base, alpha=a, separation=L, outputs=None)
+            groups.setdefault((scenario.grid_n, scenario.auto_period()), []).append(scenario)
+    workers = max(1, parallelism)
+    chunks = [chunk for group in groups.values() for chunk in _split(group, min(workers, len(group)))]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = [row for chunk_rows in pool.map(_sweep_chunk, chunks) for row in chunk_rows]
     else:
-        rows = [_sweep_one(j) for j in jobs]
+        rows = [row for chunk in chunks for row in _sweep_chunk(chunk)]
     rows.sort(key=lambda r: (r["alpha"], r["L"]))
 
     gamma0 = base.gamma0

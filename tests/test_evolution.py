@@ -9,6 +9,7 @@ from dpwavelab.evolution import (
     check_w_positivity,
     dp_rhs,
     evolve,
+    evolve_stack,
     step_rk4,
     sup_bound,
 )
@@ -264,6 +265,11 @@ class TestSpectralState:
             1 + 4 * 10,
             4 * 10,
         )
+        # a stack of states costs the same FFT calls, each over all of its rows
+        assert count(lambda: evolve_stack([u, 2.0 * u, u], EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01))) == (
+            1 + 4 * 10,
+            4 * 10,
+        )
         assert count(lambda: step_rk4(u, 0.01, 1.0)) == (5, 4)
         assert count(lambda: dp_rhs(u, 1.0)) == (2, 1)
 
@@ -278,6 +284,49 @@ class TestSpectralState:
         assert step > 1
         with pytest.raises(BlowUpError, match=rf"exceeds blow-up guard .* at step {step}$"):
             evolve(u0, EvolutionConfig(kappa=0.01, t_end=50.0, dt=0.05))
+
+
+class TestStack:
+    """States on one grid step as an (m, n) stack; every row must evolve bitwise as it does alone."""
+
+    @pytest.mark.parametrize("n", [64, 1024, 2048])
+    def test_fft_rows_bitwise(self, rng, n):
+        # the premise of byte identity: rows of a 2-D transform are the 1-D transforms
+        for m in range(1, 10):
+            u = rng.normal(size=(m, n))
+            u_hat = np.fft.rfft(u)
+            back = np.fft.irfft(u_hat, n=n)
+            for i in range(m):
+                assert np.array_equal(u_hat[i], np.fft.rfft(u[i]))
+                assert np.array_equal(back[i], np.fft.irfft(u_hat[i], n=n))
+
+    def test_breach_leaves_stack(self):
+        sc = Scenario.from_json(json.dumps(ACCEPT_STATE))
+        u0, _ = build_initial_state(sc)
+        g = u0.grid
+        # the 10 cos state of test_guard_breach_names_step, wavelength 20, on the acceptance grid
+        wave = Field(g, 10.0 * np.cos(2.0 * np.pi * 10 * g.nodes / g.period))
+        config = EvolutionConfig(kappa=1.0, t_end=2.0, dt=0.05, observer_stride=5)
+        seen = []
+        traj, err = evolve_stack([u0, wave], config, observers=[lambda t, f: seen.append(t)])
+
+        alone = evolve(u0, config)
+        assert traj.times == alone.times and traj.steps == alone.steps == 40
+        assert all(np.array_equal(a.samples, b.samples) for a, b in zip(traj.states, alone.states))
+        # both states are observed at t = 0 and 0.25 (step 5), the survivor alone after the breach at step 6
+        assert seen == [0.0, 0.0, 0.25, 0.25] + alone.times[2:]
+        assert isinstance(err, BlowUpError)
+        with pytest.raises(BlowUpError) as single:
+            evolve(wave, config)
+        assert str(err) == str(single.value)
+        assert str(err).endswith("at step 6")
+
+    def test_rejects_mixed_grids(self):
+        a = Field(make_grid(64, 10.0), np.zeros(64))
+        b = Field(make_grid(64, 20.0), np.zeros(64))
+        with pytest.raises(ValueError):
+            evolve_stack([a, b], EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01))
+        assert evolve_stack([], EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01)) == []
 
 
 class TestWPositivity:

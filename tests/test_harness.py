@@ -1,14 +1,16 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 
-from types import SimpleNamespace
-
+import dpwavelab
 import dpwavelab.harness as harness
 import dpwavelab.modulation as modulation
+from dpwavelab.evolution import BlowUpError
 from dpwavelab.harness import (
     Scenario,
     ScenarioError,
@@ -162,6 +164,7 @@ class TestRunStability:
             "profile_builds",
             "profiles_cached",
         }
+        assert doc["provenance"] == {"dpwavelab": dpwavelab.__version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
     def test_counters(self, monkeypatch):
         # the counters match the profile builds and the decompositions the run made
@@ -233,25 +236,89 @@ class TestRunSweep:
         with pytest.raises(SweepError):
             run_sweep(quick_scenario(), [1e-3], [25.0, 30.0])
 
+    def test_parallelism_invariant_uneven_chunks(self):
+        # one grid, five runs: chunks of 3 + 2 over two workers and 2 + 2 + 1 over three
+        assert harness._split([1, 2, 3, 4, 5], 2) == [[1, 2, 3], [4, 5]]
+        assert harness._split([1, 2, 3, 4, 5], 3) == [[1, 2], [3, 4], [5]]
+        base = quick_scenario(grid_period=100.0)
+        alphas = [1e-4, 3e-4, 1e-3, 3e-3, 1e-2]
+        seq = run_sweep(base, alphas, [30.0], parallelism=1)
+        for parallelism in (2, 3):
+            par = run_sweep(base, alphas, [30.0], parallelism=parallelism)
+            assert par.rows == seq.rows
+            assert par.fitted_amplitude == seq.fitted_amplitude
+
+    def test_runs_grouped_by_grid(self, monkeypatch):
+        # auto-sized boxes: each separation has its own period, so the runs form two stacks
+        base = quick_scenario()
+        assert {replace(base, separation=L).auto_period() for L in (25.0, 30.0)} == {90.0, 100.0}
+        stacks = []
+        evolve_stack = harness.evolve_stack
+
+        def spy(u0s, config):
+            stacks.append((len(u0s), u0s[0].grid.period))
+            return evolve_stack(u0s, config)
+
+        monkeypatch.setattr(harness, "evolve_stack", spy)
+        sw = run_sweep(base, [1e-4, 1e-3], [25.0, 30.0], parallelism=1)
+        assert sorted(stacks) == [(2, 90.0), (2, 100.0)]
+        for row in sw.rows:
+            res = run_stability(replace(base, alpha=row["alpha"], separation=row["L"]))
+            assert row["sup_error"] == res.sup_error
+            assert row["alpha_used"] == res.init_info["alpha_used"]
+            assert row["w0_ok"] == res.init_info["w0_ok"]
+
     def test_programming_error_propagates(self, monkeypatch):
-        def broken(scenario):
+        def broken(*args, **kwargs):
             raise TypeError("not a run failure")
 
-        monkeypatch.setattr(harness, "run_stability", broken)
+        monkeypatch.setattr(harness, "track", broken)
         with pytest.raises(TypeError, match="not a run failure"):
             run_sweep(quick_scenario(), [1e-4, 1e-3], [25.0, 30.0], parallelism=1)
 
     def test_run_failure_recorded(self, monkeypatch):
-        def one_fails(scenario):
-            if scenario.alpha == 1e-3 and scenario.separation == 30.0:
-                raise DecompositionError("tracking failed at t=1.0: Newton did not converge")
-            info = {"w0_ok": True, "alpha_used": scenario.alpha}
-            return SimpleNamespace(sup_error=scenario.alpha, init_info=info)
+        # tracking fails for the run (1e-3, 30): only its row fails, the others are real runs
+        target, _ = build_initial_state(quick_scenario(alpha=1e-3, separation=30.0))
+        track = harness.track
 
-        monkeypatch.setattr(harness, "run_stability", one_fails)
+        def one_fails(traj, *args, **kwargs):
+            if np.array_equal(traj.states[0].samples, target.samples):
+                raise DecompositionError("tracking failed at t=1.0: Newton did not converge")
+            return track(traj, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "track", one_fails)
         sw = run_sweep(quick_scenario(), [1e-4, 1e-3, 1e-2], [25.0, 30.0], parallelism=1)
         failed = [r for r in sw.rows if r["failed"]]
         assert [(r["alpha"], r["L"]) for r in failed] == [(1e-3, 30.0)]
         assert failed[0]["error_type"] == "DecompositionError"
         assert failed[0]["error"] == "tracking failed at t=1.0: Newton did not converge"
-        assert not any("error_type" in r for r in sw.rows if not r["failed"])
+        assert failed[0]["phase"] == "track"
+        assert not any("error_type" in r or "phase" in r for r in sw.rows if not r["failed"])
+
+    @pytest.mark.parametrize("phase", ["initial_state", "evolve"])
+    def test_failure_phase(self, monkeypatch, phase):
+        # the run (1e-3, 30) fails before tracking; its row names the phase, its stack mate is unharmed
+        failing = quick_scenario(alpha=1e-3, separation=30.0)
+        target, _ = build_initial_state(failing)
+        build, evolve_stack = harness.build_initial_state, harness.evolve_stack
+
+        def bad_state(scenario, cache=None):
+            if scenario == failing:
+                raise ScenarioError("perturbation cannot be made admissible")
+            return build(scenario, cache)
+
+        def blows_up(u0s, config):
+            out = evolve_stack(u0s, config)
+            return [BlowUpError("non-finite samples after RK4 step at step 7")
+                    if np.array_equal(u0.samples, target.samples) else traj for u0, traj in zip(u0s, out)]
+
+        if phase == "initial_state":
+            monkeypatch.setattr(harness, "build_initial_state", bad_state)
+        else:
+            monkeypatch.setattr(harness, "evolve_stack", blows_up)
+        sw = run_sweep(quick_scenario(), [1e-4, 1e-3, 1e-2], [25.0, 30.0], parallelism=1)
+        failed = [r for r in sw.rows if r["failed"]]
+        assert [(r["alpha"], r["L"], r["phase"]) for r in failed] == [(1e-3, 30.0, phase)]
+        assert failed[0]["error_type"] == ("ScenarioError" if phase == "initial_state" else "BlowUpError")
+        mate = next(r for r in sw.rows if (r["alpha"], r["L"]) == (1e-4, 30.0))
+        assert mate["sup_error"] == run_stability(replace(failing, alpha=1e-4)).sup_error
