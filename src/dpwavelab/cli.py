@@ -17,7 +17,7 @@ from .diagnostics import psi_derivative_bounds_check
 from .evolution import BlowUpError, evolve
 from .grid import make_grid
 from .harness import Scenario, ScenarioError, SweepError, build_initial_state, run_stability, run_sweep
-from .invariants import dS_dc_closed, momentum_S, hamiltonian_H, dH_dc_closed
+from .invariants import dS_dc_closed, momentum_S
 from .io import load_state, save_state, save_trajectory_binary, save_trajectory_csv
 from .linearized import SpectralError, assemble_L, constrained_theta, eigen_report, lowest_eigenpairs
 from .modulation import DecompositionError, ProfileCache, decompose, initial_guess

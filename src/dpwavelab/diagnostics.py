@@ -2,28 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import Field, derivative, helmholtz_inverse, integrate
+from .grid import Field, derivative, helmholtz_inverse
 from .evolution import sup_bound
-
-
-@dataclass(frozen=True)
-class WeightConfig:
-    B: float
-    sigma0: float
-
-    def __post_init__(self) -> None:
-        if not self.B > 2.0:
-            raise ValueError(f"weight scale B must exceed 2, got {self.B}")
-        if not self.sigma0 > 0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
-
-    @property
-    def gamma0(self) -> float:
-        return min(1.0 / (8.0 * self.B), self.sigma0 / 8.0)
 
 
 def _sech(t: np.ndarray) -> np.ndarray:

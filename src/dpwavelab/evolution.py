@@ -67,6 +67,11 @@ def _rhs_hat(u_hat: np.ndarray, u: np.ndarray, symbols: tuple[np.ndarray, np.nda
 
 
 def dp_rhs(u: Field, kappa: float, dealias: bool = True) -> Field:
+    """The right-hand side u_t at the state u, through the stepper's own symbols.
+
+    The stepper never calls it: this is the one-RHS probe that perfbench/rep.py
+    times, its only caller outside the tests.
+    """
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     rhs_hat = _rhs_hat(np.fft.rfft(u.samples), u.samples, _flux_symbols(u.grid, kappa, dealias))
@@ -106,28 +111,13 @@ def sup_bound(u0_l2: float, kappa: float) -> float:
     return 2.0 * (1.0 + np.sqrt(2.0)) * u0_l2 + 4.0 * kappa / 3.0
 
 
-def step_rk4(u: Field, dt: float, kappa: float, dealias: bool = True, guard: float | None = None) -> Field:
-    """One classical RK4 step; rejects states exceeding 10x the a priori sup bound."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if guard is None:
-        guard = 10.0 * sup_bound(u.l2_norm(), kappa)
-    _, out, sup = _rk4(np.fft.rfft(u.samples), u.samples, dt, _flux_symbols(u.grid, kappa, dealias))
-    if not sup <= guard:
-        raise BlowUpError(_breach(sup, guard))
-    return Field(u.grid, out)
-
-
-def evolve_stack(
-    u0s: list[Field], config: EvolutionConfig, observers: list | None = None
-) -> list[Trajectory | BlowUpError]:
+def evolve_stack(u0s: list[Field], config: EvolutionConfig) -> list[Trajectory | BlowUpError]:
     """Evolve states that share one grid as a single (m, n) stack; row i of the result belongs to u0s[i].
 
     Each row is a Trajectory storing that state every observer_stride steps, or
     the BlowUpError it raised: every state keeps its own guard, 10 sup_bound(||u0||_2),
     and one that breaches it leaves the stack while the others go on. Rows evolve
-    exactly as they would alone. Observers are callables (t, Field) invoked at each
-    stored frame of each state still evolving, including t = 0 and the final time.
+    exactly as they would alone. Frames include t = 0 and the final time.
     """
     if not u0s:
         return []
@@ -137,7 +127,6 @@ def evolve_stack(
     n_steps = int(np.ceil(config.t_end / config.dt - 1e-12))
     dt = config.t_end / n_steps
     symbols = _flux_symbols(grid, config.kappa, config.dealias)
-    observers = observers or []
 
     out: list[Trajectory | BlowUpError] = [Trajectory(steps=n_steps) for _ in u0s]
     rows = np.arange(len(u0s))  # index in u0s of each stack row
@@ -145,11 +134,8 @@ def evolve_stack(
 
     def record(t: float, u: np.ndarray) -> None:
         for i, samples in zip(rows, u.reshape(rows.size, -1)):
-            f = Field(grid, samples.copy())
             out[i].times.append(t)
-            out[i].states.append(f)
-            for obs in observers:
-                obs(t, f)
+            out[i].states.append(Field(grid, samples.copy()))
 
     u = np.stack([u0.samples for u0 in u0s])
     if len(u0s) == 1:
@@ -171,14 +157,13 @@ def evolve_stack(
     return out
 
 
-def evolve(u0: Field, config: EvolutionConfig, observers: list | None = None) -> Trajectory:
+def evolve(u0: Field, config: EvolutionConfig) -> Trajectory:
     """Evolve u0 to t_end, storing states every observer_stride steps: evolve_stack on one state.
 
-    Observers are callables (t, Field) invoked at the stored frames, including
-    t = 0 and the final time. Raises BlowUpError naming the step at which the
-    state breached its guard.
+    Frames include t = 0 and the final time. Raises BlowUpError naming the step
+    at which the state breached its guard.
     """
-    (traj,) = evolve_stack([u0], config, observers)
+    (traj,) = evolve_stack([u0], config)
     if isinstance(traj, BlowUpError):
         raise traj
     return traj

@@ -13,7 +13,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .diagnostics import WeightConfig, apriori_checks, localized_momentum, midpoints
+from .diagnostics import apriori_checks, localized_momentum, midpoints
 from .evolution import BlowUpError, EvolutionConfig, check_w_positivity, evolve, evolve_stack
 from .grid import Field, PeriodicGrid, make_grid
 from .invariants import hamiltonian_H, momentum_S
@@ -76,6 +76,10 @@ class Scenario:
             raise ScenarioError(f"unknown perturbation kind {self.perturbation_kind!r}")
         if len(speeds) > 1 and not self.separation > 0:
             raise ScenarioError(f"separation must be positive, got {self.separation}")
+        if not self.weight_B > 2.0:
+            raise ScenarioError(f"weight scale weight_B must exceed 2, got {self.weight_B}")
+        if self.sigma0 is not None and not self.sigma0 > 0:
+            raise ScenarioError(f"sigma0 must be positive, got {self.sigma0}")
 
     @property
     def n_waves(self) -> int:
@@ -96,12 +100,9 @@ class Scenario:
         return 0.5 * float(min(items))
 
     @property
-    def weight(self) -> WeightConfig:
-        return WeightConfig(B=self.weight_B, sigma0=self.sigma0_value)
-
-    @property
     def gamma0(self) -> float:
-        return self.weight.gamma0
+        """Decay rate min(1/(8B), sigma0/8) of the sweep's separation term exp(-gamma0 L / 2)."""
+        return min(1.0 / (8.0 * self.weight_B), self.sigma0_value / 8.0)
 
     def auto_period(self) -> float:
         if self.grid_period is not None:
@@ -293,7 +294,7 @@ def run_stability(scenario: Scenario, outputs: str | None = None, cache: Profile
     cache = cache or ProfileCache(scenario.kappa)
     builds0 = cache.builds
     u0, info = _prepare(scenario, cache)
-    traj = evolve(u0, scenario.evolution_config(), observers=None)
+    traj = evolve(u0, scenario.evolution_config())
     result = _observe(scenario, u0, info, traj, cache, builds0)
     if outputs or scenario.outputs:
         _persist(result, outputs or scenario.outputs)

@@ -119,13 +119,11 @@ def orthogonality_residual(u: Field, waves) -> np.ndarray:
     return np.array([s_inner(eps, f) for wave in waves for f in wave])
 
 
-def initial_guess(u: Field, n_waves: int, kappa: float, min_separation: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Positions from parabolic-refined dominant maxima, speeds from peak amplitudes."""
+def initial_guess(u: Field, n_waves: int, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """Positions from parabolic-refined dominant maxima at least period/(4 n_waves) apart, speeds from peak amplitudes."""
     samples = u.samples
     grid = u.grid
-    if min_separation is None:
-        min_separation = grid.period / (4.0 * n_waves)
-    min_gap_nodes = max(1, int(min_separation / grid.h))
+    min_gap_nodes = max(1, int(grid.period / (4.0 * n_waves) / grid.h))
 
     is_max = (samples > np.roll(samples, 1)) & (samples >= np.roll(samples, -1))
     candidates = np.flatnonzero(is_max)

@@ -57,12 +57,6 @@ def _quadratic_roots(c: float, kappa: float) -> tuple[float, float]:
     return c * (c - 2.0 * kappa) / r2, r2
 
 
-def peak_amplitude(params: SolitonParams) -> float:
-    """Peak value phi(0): the smaller positive root of F."""
-    r1, _ = _quadratic_roots(params.c, params.kappa)
-    return float(r1)
-
-
 def _far_field_ratio(params: SolitonParams) -> float:
     """A / phi(0) of the far field phi ~ A exp(-nu |x|), in (1, 4].
 
@@ -83,7 +77,7 @@ def min_period(params: SolitonParams) -> float:
 
 
 def speed_from_amplitude(a: float, kappa: float) -> float:
-    """Invert peak_amplitude in c at fixed kappa.
+    """Invert the peak value phi(0) = r1 in c at fixed kappa.
 
     With k = 2 kappa/3, a = (c + k) - 2k - sqrt(k (c + k)) is a quadratic in
     sqrt(c + k), whose positive root gives c = ((sqrt k + sqrt(9k + 4a)) / 2)^2 - k.
@@ -188,32 +182,6 @@ class SolitonProfile:
         }
         return json.dumps(doc)
 
-    @staticmethod
-    def from_json(text: str) -> "SolitonProfile":
-        doc = json.loads(text)
-        table = np.asarray(doc["table"], dtype=float)
-        params = SolitonParams(doc["c"], doc["kappa"])
-        return _assemble_profile(params, table[:, 0], table[:, 1], doc["tail_coeff"])
-
-
-def _assemble_profile(params: SolitonParams, xs: np.ndarray, phis: np.ndarray, tail_coeff: float) -> SolitonProfile:
-    c, kappa = params.c, params.kappa
-    r1, r2 = _quadratic_roots(c, kappa)
-    nu = np.sqrt(1.0 - 2.0 * kappa / c)
-    phi_end = phis[-1]
-    # Exact log-slopes at both ends of the table clamp the spline.
-    end_slope = -np.sqrt(max(r1 - phi_end, 0.0) * (r2 - phi_end)) / (c - phi_end)
-    spline = CubicSpline(xs, np.log(phis), bc_type=((1, 0.0), (1, float(end_slope))))
-    return SolitonProfile(
-        params=params,
-        amplitude=float(phis[0]),
-        decay_rate=float(nu),
-        xs=xs,
-        phis=phis,
-        tail_coeff=float(tail_coeff),
-        _log_spline=spline,
-    )
-
 
 def build_profile(params: SolitonParams, tol: float = 1e-10) -> SolitonProfile:
     """Tabulate phi on [0, X_tail] by the exact inverse map x(phi), then invert.
@@ -246,7 +214,19 @@ def build_profile(params: SolitonParams, tol: float = 1e-10) -> SolitonProfile:
     if not (0.0 < phis[-1] and phis[0] < c):
         raise RuntimeError("profile table violates 0 < phi < c")
 
-    return _assemble_profile(params, xs, phis, r1 * _far_field_ratio(params))
+    # Exact log-slopes at both ends of the table clamp the spline.
+    phi_end = phis[-1]
+    end_slope = -np.sqrt(max(r1 - phi_end, 0.0) * (r2 - phi_end)) / (c - phi_end)
+    spline = CubicSpline(xs, np.log(phis), bc_type=((1, 0.0), (1, float(end_slope))))
+    return SolitonProfile(
+        params=params,
+        amplitude=float(phis[0]),
+        decay_rate=float(nu),
+        xs=xs,
+        phis=phis,
+        tail_coeff=float(r1 * _far_field_ratio(params)),
+        _log_spline=spline,
+    )
 
 
 def sample_on_grid(profile: SolitonProfile, grid: PeriodicGrid, center: float = 0.0) -> Field:

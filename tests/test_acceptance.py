@@ -11,7 +11,7 @@ from scipy.optimize import minimize_scalar
 
 from conftest import PARAM_PAIRS, random_field
 from dpwavelab.diagnostics import psi_derivative_bounds_check
-from dpwavelab.evolution import EvolutionConfig, evolve, step_rk4
+from dpwavelab.evolution import EvolutionConfig, evolve
 from dpwavelab.grid import Field, derivative, helmholtz_inverse, integrate, make_grid, s_inner, sqrt_helmholtz_inverse4
 from dpwavelab.harness import Scenario, build_initial_state, run_stability, run_sweep
 from dpwavelab.invariants import dH_dc_closed, dS_dc_closed, hamiltonian_H, momentum_S
@@ -139,10 +139,7 @@ def test_criterion_03_solver_fidelity():
     v0 = sample_on_grid(prof, g2)
 
     def advance(dt, steps):
-        v = v0
-        for _ in range(steps):
-            v = step_rk4(v, dt, kappa)
-        return v
+        return evolve(v0, EvolutionConfig(kappa=kappa, t_end=dt * steps, dt=dt, observer_stride=steps)).states[-1]
 
     dt = 0.05
     ref = advance(dt / 8.0, 16)

@@ -150,6 +150,25 @@ def test_stability_decreasing_speeds_rejected(tmp_path, capsys):
     assert main(["stability", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("field, value", [("weight_B", 2.0), ("sigma0", -1.0), ("sigma0", 0.0)])
+@pytest.mark.parametrize("command", ["stability", "sweep"])
+def test_bad_weight_rejected_before_evolving(tmp_path, capsys, monkeypatch, command, field, value):
+    def evolving(*args, **kwargs):
+        raise AssertionError("evolved a scenario that fails validation")
+
+    monkeypatch.setattr(harness, "evolve", evolving)
+    monkeypatch.setattr(harness, "evolve_stack", evolving)
+    cfg = tmp_path / "bad.json"
+    doc = json.loads(open(write_scenario(tmp_path / "good.json")).read())
+    doc[field] = value
+    cfg.write_text(json.dumps(doc))
+    sweep_args = ["--alphas", "1e-4,1e-3", "--separations", "25,30"] if command == "sweep" else []
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *sweep_args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert field in err
+
+
 def test_stability_blow_up(tmp_path, capsys):
     cfg = write_scenario(tmp_path / "scenario.json", dt=2.0)
     assert main(["stability", "--config", cfg]) == 1

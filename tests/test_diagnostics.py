@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dpwavelab.diagnostics import (
-    WeightConfig,
     apriori_checks,
     localized_momentum,
     midpoints,
@@ -13,18 +12,6 @@ from dpwavelab.diagnostics import (
 from dpwavelab.grid import Field, make_grid
 from dpwavelab.invariants import momentum_S
 from dpwavelab.soliton import SolitonParams, build_profile, sample_on_grid
-
-
-class TestWeightConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WeightConfig(B=2.0, sigma0=0.3)
-        with pytest.raises(ValueError):
-            WeightConfig(B=4.0, sigma0=0.0)
-
-    def test_gamma0(self):
-        assert WeightConfig(B=4.0, sigma0=0.3).gamma0 == pytest.approx(1.0 / 32.0)
-        assert WeightConfig(B=4.0, sigma0=0.1).gamma0 == pytest.approx(0.1 / 8.0)
 
 
 class TestWeightPsi:

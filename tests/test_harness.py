@@ -60,6 +60,15 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             quick_scenario(separation=0.0)
 
+    def test_weight_validation(self):
+        for bad in ({"weight_B": 2.0}, {"weight_B": float("nan")}, {"sigma0": 0.0}, {"sigma0": -1.0}):
+            with pytest.raises(ScenarioError):
+                quick_scenario(**bad)
+
+    def test_gamma0(self):
+        assert quick_scenario(weight_B=4.0, sigma0=0.3).gamma0 == pytest.approx(1.0 / 32.0)
+        assert quick_scenario(weight_B=4.0, sigma0=0.1).gamma0 == pytest.approx(0.1 / 8.0)
+
     def test_positions_centered(self):
         s = quick_scenario()
         assert np.allclose(s.positions0, [-15.0, 15.0])

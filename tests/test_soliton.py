@@ -7,10 +7,9 @@ import pytest
 from dpwavelab.grid import make_grid
 from dpwavelab.soliton import (
     SolitonParams,
-    SolitonProfile,
+    _quadratic_roots,
     build_profile,
     min_period,
-    peak_amplitude,
     sample_dx_on_grid,
     sample_on_grid,
     speed_from_amplitude,
@@ -75,21 +74,23 @@ class TestParams:
 
 
 class TestPeakAmplitude:
+    """The peak value phi(0) is r1, the smaller root of F."""
+
     def test_reference_value(self):
-        a = peak_amplitude(SolitonParams(3.0, 1.0))
+        a = _quadratic_roots(3.0, 1.0)[0]
         expected = (3.0 - 2.0 / 3.0) - np.sqrt((2.0 / 3.0) * (3.0 + 2.0 / 3.0))
         assert a == pytest.approx(expected, rel=1e-14)
         assert a == pytest.approx(0.76984, abs=1e-4)
 
     def test_root_residual(self):
         for c, kappa in PARAM_PAIRS:
-            a = peak_amplitude(SolitonParams(c, kappa))
+            a = _quadratic_roots(c, kappa)[0]
             assert abs(amplitude_quadratic(a, c, kappa)) <= 1e-12 * c**2
             assert 0.0 < a < c
 
     def test_small_kappa_limit(self):
         c = 3.0
-        amps = [peak_amplitude(SolitonParams(c, k)) for k in (1e-4, 1e-6, 1e-8)]
+        amps = [_quadratic_roots(c, k)[0] for k in (1e-4, 1e-6, 1e-8)]
         assert abs(amps[-1] - c) < 1e-3
         assert amps[0] < amps[1] < amps[2] < c
 
@@ -103,25 +104,25 @@ class TestPeakAmplitude:
             dc, dk = decimal.Decimal(c), decimal.Decimal(kappa)
             b = dc - 2 * dk / 3
             exact = b - ((2 * dk / 3) * (dc + 2 * dk / 3)).sqrt()
-            rel = abs((decimal.Decimal(peak_amplitude(SolitonParams(c, kappa))) - exact) / exact)
+            rel = abs((decimal.Decimal(_quadratic_roots(c, kappa)[0]) - exact) / exact)
         assert rel <= 4e-16
 
     def test_strictly_increasing_in_speed(self):
         for kappa in (0.5, 1.0):
             cs = np.linspace(2.2 * kappa, 8.0, 40)
-            amps = [peak_amplitude(SolitonParams(c, kappa)) for c in cs]
+            amps = [_quadratic_roots(c, kappa)[0] for c in cs]
             assert np.all(np.diff(amps) > 0)
 
 
 class TestSpeedFromAmplitude:
     def test_roundtrip(self):
         for c, kappa in PARAM_PAIRS + [(2.0 * (1.0 + 1e-6), 1.0), (1e6, 1.0)]:
-            a = peak_amplitude(SolitonParams(c, kappa))
+            a = _quadratic_roots(c, kappa)[0]
             assert abs(speed_from_amplitude(a, kappa) - c) <= 1e-14 * c
 
     def test_large_amplitude(self):
         c = speed_from_amplitude(1e12, 1.0)
-        assert peak_amplitude(SolitonParams(c, 1.0)) == pytest.approx(1e12, rel=1e-14)
+        assert _quadratic_roots(c, 1.0)[0] == pytest.approx(1e12, rel=1e-14)
 
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
     def test_rejects_amplitude_below_rounding(self, kappa):
@@ -147,7 +148,7 @@ class TestSpeedFromAmplitude:
 class TestBuildProfile:
     def test_peak_value(self, profiles):
         for (c, kappa), prof in profiles.items():
-            assert prof.evaluate(0.0) == pytest.approx(peak_amplitude(prof.params), rel=1e-12)
+            assert prof.evaluate(0.0) == pytest.approx(_quadratic_roots(c, kappa)[0], rel=1e-12)
             assert prof.amplitude == prof.phis[0]
 
     def test_first_integral_residual(self, profiles):
@@ -224,13 +225,14 @@ class TestEvaluate:
 
 
 class TestJsonRoundtrip:
-    def test_roundtrip_evaluation(self, profiles):
+    def test_document_matches_profile(self, profiles):
         prof = profiles[(4.0, 0.5)]
-        clone = SolitonProfile.from_json(prof.to_json())
-        x = np.linspace(0.0, 40.0, 300)
-        assert np.allclose(clone.evaluate(x), prof.evaluate(x), rtol=1e-12, atol=1e-15)
-        assert clone.params == prof.params
-        assert clone.tail_coeff == pytest.approx(prof.tail_coeff, rel=1e-12)
+        doc = json.loads(prof.to_json())
+        table = np.asarray(doc["table"])
+        assert np.array_equal(table[:, 0], prof.xs) and np.array_equal(table[:, 1], prof.phis)
+        assert doc["tail_coeff"] == prof.tail_coeff
+        assert SolitonParams(doc["c"], doc["kappa"]) == prof.params
+        assert doc["amplitude"] == prof.amplitude and doc["decay_rate"] == prof.decay_rate
 
     def test_json_schema(self, profiles):
         doc = json.loads(profiles[(3.0, 1.0)].to_json())
