@@ -11,17 +11,15 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .diagnostics import psi_derivative_bounds_check
 from .evolution import BlowUpError, evolve
 from .grid import make_grid
 from .harness import Scenario, ScenarioError, SweepError, build_initial_state, run_stability, run_sweep
-from .invariants import dS_dc_closed, momentum_S
+from .invariants import dS_dc_closed, dS_dH_dc_fd
 from .io import load_state, save_state, save_trajectory_binary, save_trajectory_csv
 from .linearized import SpectralError, assemble_L, constrained_theta, eigen_report, lowest_eigenpairs
 from .modulation import DecompositionError, ProfileCache, decompose, initial_guess
-from .soliton import SolitonParams, build_profile, sample_on_grid
+from .soliton import SolitonParams, build_profile
 
 
 def _load_scenario(path: str) -> Scenario:
@@ -40,8 +38,7 @@ def _cmd_soliton(args) -> int:
 
 def _cmd_evolve(args) -> int:
     scenario = _load_scenario(args.config)
-    cache = ProfileCache(scenario.kappa)
-    u0, info = build_initial_state(scenario, cache)
+    u0, info = build_initial_state(scenario)
     traj = evolve(u0, scenario.evolution_config())
     outdir = args.out or scenario.outputs or "."
     os.makedirs(outdir, exist_ok=True)
@@ -86,10 +83,9 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_decompose(args) -> int:
     u = load_state(args.state)
-    cache = ProfileCache(args.kappa)
     try:
         speeds, positions = initial_guess(u, args.n_waves, args.kappa)
-        st = decompose(u, speeds, positions, args.kappa, cache=cache)
+        st = decompose(u, speeds, positions, args.kappa, ProfileCache(args.kappa))
     except (ValueError, DecompositionError) as exc:
         print(f"decomposition failed: {exc}", file=sys.stderr)
         return 1
@@ -114,17 +110,7 @@ def _cmd_check_invariants(args) -> int:
     print(f"{'c':>8} {'kappa':>8} {'dS/dc closed':>14} {'dS/dc FD':>14} {'rel err':>10}")
     for c in speeds:
         closed = dS_dc_closed(c, kappa)
-        dc = 1e-4 * c
-        nu = np.sqrt(1.0 - 2.0 * kappa / (c - 2 * dc))
-        period = 2.0 * (20.0 / nu)
-        grid = make_grid(args.n, period)
-
-        def s_of(cc: float) -> float:
-            return momentum_S(sample_on_grid(build_profile(SolitonParams(cc, kappa)), grid))
-
-        d1 = (s_of(c + dc) - s_of(c - dc)) / (2 * dc)
-        d2 = (s_of(c + dc / 2) - s_of(c - dc / 2)) / dc
-        fd = (4.0 * d2 - d1) / 3.0
+        fd, _ = dS_dH_dc_fd(c, kappa, args.n)
         rel = abs(fd / closed - 1.0)
         worst = max(worst, rel)
         print(f"{c:8.3f} {kappa:8.3f} {closed:14.8f} {fd:14.8f} {rel:10.2e}")

@@ -7,6 +7,9 @@ import numpy as np
 from .grid import Field, derivative, helmholtz_inverse
 from .evolution import sup_bound
 
+# Sample points of the weight-derivative check.
+PSI_CHECK_SAMPLES = 20001
+
 
 def _sech(t: np.ndarray) -> np.ndarray:
     # overflow-safe: sech(t) = 2 exp(-|t|) / (1 + exp(-2|t|))
@@ -46,9 +49,9 @@ def weight_psi(x, B: float, order: int = 0):
     return float(out[0]) if scalar else out
 
 
-def psi_derivative_bounds_check(B: float, n_samples: int = 20001) -> dict:
-    """Verify the four weight-derivative inequalities on a dense sample of [-40B, 40B]."""
-    x = np.linspace(-40.0 * B, 40.0 * B, n_samples)
+def psi_derivative_bounds_check(B: float) -> dict:
+    """Verify the four weight-derivative inequalities on PSI_CHECK_SAMPLES points of [-40B, 40B]."""
+    x = np.linspace(-40.0 * B, 40.0 * B, PSI_CHECK_SAMPLES)
     p1 = weight_psi(x, B, 1)
     ratios = {
         "psi2_over_psi1": float(np.max(weight_psi(x, B, 2) / p1)),

@@ -7,7 +7,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import scipy
@@ -80,6 +80,11 @@ class Scenario:
             raise ScenarioError(f"weight scale weight_B must exceed 2, got {self.weight_B}")
         if self.sigma0 is not None and not self.sigma0 > 0:
             raise ScenarioError(f"sigma0 must be positive, got {self.sigma0}")
+        try:
+            self.grid()
+            self.evolution_config()
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
 
     @property
     def n_waves(self) -> int:
@@ -171,7 +176,7 @@ def _unit_perturbation(scenario: Scenario, grid: PeriodicGrid) -> np.ndarray:
 
 
 def build_initial_state(scenario: Scenario, cache: ProfileCache | None = None) -> tuple[Field, dict]:
-    """Train plus alpha * unit perturbation; alpha is halved until w0 >= 0 on the grid."""
+    """Train plus alpha * unit perturbation; alpha is halved until w0 >= 0 on the grid, ScenarioError below 1e-12."""
     cache = cache or ProfileCache(scenario.kappa)
     grid = scenario.grid()
     train = train_field(grid, scenario.speeds, scenario.positions0, cache)
@@ -181,12 +186,12 @@ def build_initial_state(scenario: Scenario, cache: ProfileCache | None = None) -
     while True:
         u0 = Field(grid, train.samples + alpha * p)
         w = check_w_positivity(u0, scenario.kappa)
-        if w["ok"] or alpha == 0.0:
+        if w["ok"]:
             break
-        alpha *= 0.5
+        alpha *= 0.5  # at alpha = 0 this raises at once: the train itself is inadmissible
         if alpha < 1e-12:
             raise ScenarioError(
-                f"perturbation cannot be made admissible: w0 min {w['min_value']:.3e} at alpha {alpha:.3e}"
+                f"initial data cannot be made admissible: w0 min {w['min_value']:.3e} at alpha {alpha:.3e}"
             )
     info = {
         "alpha_requested": scenario.alpha,
@@ -200,16 +205,18 @@ def build_initial_state(scenario: Scenario, cache: ProfileCache | None = None) -
 @dataclass
 class StabilityResult:
     scenario: Scenario
-    times: list[float]
     records: list[dict]
-    sup_error: float
-    init_info: dict = field(default_factory=dict)
-    monotonicity: dict = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
+    init_info: dict
+    counters: dict
+
+    @property
+    def sup_error(self) -> float:
+        return max(r["train_error"] for r in self.records)
 
     def summary(self) -> dict:
         mono_max = {
-            f"I_{j}_max_increase": (max(v) if v else 0.0) for j, v in self.monotonicity.get("series", {}).items()
+            f"I_{j}_max_increase": max(r[f"i_{j}"] - self.records[0][f"i_{j}"] for r in self.records)
+            for j in range(2, self.scenario.n_waves + 1)
         }
         return {
             "sup_error": self.sup_error,
@@ -223,22 +230,13 @@ class StabilityResult:
         }
 
 
-def _prepare(scenario: Scenario, cache: ProfileCache) -> tuple[Field, dict]:
-    """The scenario's initial state and its info; raises ScenarioError unless w0 >= 0 on the grid."""
-    u0, info = build_initial_state(scenario, cache)
-    if not info["w0_ok"]:
-        raise ScenarioError(f"initial data inadmissible: w0 min {info['w0_min']:.3e} < 0")
-    return u0, info
-
-
-def _observe(scenario: Scenario, u0: Field, info: dict, traj, cache: ProfileCache, builds0: int) -> StabilityResult:
+def _observe(scenario: Scenario, u0: Field, info: dict, traj, cache: ProfileCache) -> StabilityResult:
     """Track the trajectory of u0 and assemble the full diagnostic record series.
 
     The train error uses the frozen initial speeds and the modulated positions.
-    builds0 is the cache's build count before the run's initial state.
     """
     grid = u0.grid
-    states = track(traj, scenario.n_waves, scenario.kappa, cache=cache)
+    states = track(traj, scenario.n_waves, scenario.kappa, cache)
 
     s0 = momentum_S(u0)
     h0 = hamiltonian_H(u0, scenario.kappa)
@@ -265,37 +263,27 @@ def _observe(scenario: Scenario, u0: Field, info: dict, traj, cache: ProfileCach
         row.update(flags)
         records.append(row)
 
-    mono: dict = {"series": {}, "times": traj.times}
-    if scenario.n_waves > 1:
-        for j in range(2, scenario.n_waves + 1):
-            vals = [r[f"i_{j}"] for r in records]
-            mono["series"][j] = [v - vals[0] for v in vals]
-
     return StabilityResult(
         scenario=scenario,
-        times=list(traj.times),
         records=records,
-        sup_error=max(r["train_error"] for r in records),
         init_info=info,
-        monotonicity=mono,
         counters={
             "rk4_steps": traj.steps,
             "rhs_evals": 4 * traj.steps,
             "newton_steps": sum(st.iterations - 1 for st in states),
             "jacobian_refreshes": sum(st.refreshes for st in states),
-            "profile_builds": cache.builds - builds0,
+            "profile_builds": cache.builds,
             "profiles_cached": cache.cached,
         },
     )
 
 
-def run_stability(scenario: Scenario, outputs: str | None = None, cache: ProfileCache | None = None) -> StabilityResult:
-    """Evolve the scenario and assemble the full diagnostic record series."""
-    cache = cache or ProfileCache(scenario.kappa)
-    builds0 = cache.builds
-    u0, info = _prepare(scenario, cache)
+def run_stability(scenario: Scenario, outputs: str | None = None) -> StabilityResult:
+    """Prepare, evolve and observe the scenario with a fresh profile cache; persist when an output directory is set."""
+    cache = ProfileCache(scenario.kappa)
+    u0, info = build_initial_state(scenario, cache)
     traj = evolve(u0, scenario.evolution_config())
-    result = _observe(scenario, u0, info, traj, cache, builds0)
+    result = _observe(scenario, u0, info, traj, cache)
     if outputs or scenario.outputs:
         _persist(result, outputs or scenario.outputs)
     return result
@@ -333,7 +321,7 @@ def _sweep_chunk(scenarios: list[Scenario]) -> list[dict]:
     prepared = []
     for i, scenario in enumerate(scenarios):
         try:
-            prepared.append((i, *_prepare(scenario, cache)))
+            prepared.append((i, *build_initial_state(scenario, cache)))
         except _RUN_FAILURES as exc:
             rows[i] = _failed_row(scenario, exc, "initial_state")
     trajs = evolve_stack([u0 for _, u0, _ in prepared], scenarios[0].evolution_config())
@@ -343,7 +331,7 @@ def _sweep_chunk(scenarios: list[Scenario]) -> list[dict]:
             rows[i] = _failed_row(scenario, traj, "evolve")
             continue
         try:
-            res = _observe(scenario, u0, info, traj, cache, cache.builds)
+            res = _observe(scenario, u0, info, traj, cache)
         except _RUN_FAILURES as exc:
             rows[i] = _failed_row(scenario, exc, "track")
             continue

@@ -1,10 +1,11 @@
-"""Conserved quantities S and H and the closed-form derivatives d/dc along the soliton family."""
+"""Conserved quantities S and H and their d/dc along the soliton family, in closed form and by finite differences."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, derivative, helmholtz_inverse, integrate, sqrt_helmholtz_inverse4
+from .grid import Field, derivative, helmholtz_inverse, integrate, make_grid, sqrt_helmholtz_inverse4
+from .soliton import SolitonParams, build_profile, sample_on_grid
 
 
 def momentum_S(u: Field) -> float:
@@ -40,3 +41,21 @@ def dH_dc_closed(c: float, kappa: float) -> float:
 def dS_dc_closed(c: float, kappa: float) -> float:
     """dS(phi_c)/dc = -(1/c) dH(phi_c)/dc > 0."""
     return -dH_dc_closed(c, kappa) / c
+
+
+def dS_dH_dc_fd(c: float, kappa: float, n: int) -> tuple[float, float]:
+    """(dS/dc, dH/dc) of the sampled soliton by Richardson-extrapolated central differences with step 1e-3 c.
+
+    All profiles share one grid: n nodes, period 50/nu with nu taken at c - 1e-3.
+    """
+    grid = make_grid(n, 50.0 / np.sqrt(1.0 - 2.0 * kappa / (c - 1e-3)))
+    dc = 1e-3 * c
+
+    def s_h(cc: float) -> np.ndarray:
+        u = sample_on_grid(build_profile(SolitonParams(cc, kappa)), grid)
+        return np.array([momentum_S(u), hamiltonian_H(u, kappa)])
+
+    d1 = (s_h(c + dc) - s_h(c - dc)) / (2.0 * dc)
+    d2 = (s_h(c + dc / 2) - s_h(c - dc / 2)) / dc
+    ds, dh = (4.0 * d2 - d1) / 3.0
+    return float(ds), float(dh)

@@ -39,8 +39,6 @@ class OperatorMatrix:
 
     matrix: np.ndarray
     grid: PeriodicGrid
-    c: float
-    kappa: float
     symbol: np.ndarray
     phi: np.ndarray
 
@@ -73,7 +71,7 @@ def assemble_L(profile: SolitonProfile, grid: PeriodicGrid) -> OperatorMatrix:
     kernel = np.fft.irfft(symbol, n=grid.n)
     m = circulant(0.5 * (kernel + kernel[_reflection(grid.n)]))
     m[np.diag_indices(grid.n)] -= phi
-    return OperatorMatrix(matrix=m, grid=grid, c=c, kappa=kappa, symbol=symbol, phi=phi)
+    return OperatorMatrix(matrix=m, grid=grid, symbol=symbol, phi=phi)
 
 
 def _lanczos(phase: str, matvec, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:

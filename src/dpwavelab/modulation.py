@@ -43,6 +43,8 @@ STEP_TOL = 1e-9
 CHORD_CONTRACTION = 0.1
 # Profiles a ProfileCache keeps (about 117 KB each).
 PROFILE_CACHE_SIZE = 64
+# Iterations after which a decomposition that has not converged raises DecompositionError.
+MAX_ITER = 30
 
 
 class DecompositionError(RuntimeError):
@@ -155,8 +157,7 @@ def initial_guess(u: Field, n_waves: int, kappa: float) -> tuple[np.ndarray, np.
 
 
 def decompose(
-    u: Field, speeds0, positions0, kappa: float, cache: ProfileCache | None = None, max_iter: int = 30,
-    jacobian: np.ndarray | None = None,
+    u: Field, speeds0, positions0, kappa: float, cache: ProfileCache, jacobian: np.ndarray | None = None
 ) -> ModulationState:
     """Solve the orthogonality system from the given guess by a chord iteration.
 
@@ -168,7 +169,6 @@ def decompose(
     step is undone first.  Only a step taken with a freshly built Jacobian
     raises DecompositionError.
     """
-    cache = cache or ProfileCache(kappa)
     grid = u.grid
     period = grid.period
     n_waves = len(speeds0)
@@ -218,7 +218,7 @@ def decompose(
     refreshes = 0
     stale = jacobian is None  # build a Jacobian before the next step
     delta = None if stale else correction(jacobian, theta, r)
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         if np.max(np.abs(r)) <= target and (stale or np.max(np.abs(delta)) <= STEP_TOL):
             break
         fresh = stale
@@ -243,7 +243,7 @@ def decompose(
         theta, waves, r, delta = trial, trial_waves, r_trial, delta_trial
     else:
         r_max = np.max(np.abs(r))
-        raise DecompositionError(f"Newton did not converge in {max_iter} iterations (|r|_inf={r_max:.3e})", *split(theta))
+        raise DecompositionError(f"Newton did not converge in {MAX_ITER} iterations (|r|_inf={r_max:.3e})", *split(theta))
 
     speeds, positions = split(theta)
     positions = np.mod(positions + 0.5 * period, period) - 0.5 * period
@@ -260,7 +260,7 @@ def decompose(
     )
 
 
-def track(trajectory, n_waves: int, kappa: float, cache: ProfileCache | None = None) -> list[ModulationState]:
+def track(trajectory, n_waves: int, kappa: float, cache: ProfileCache) -> list[ModulationState]:
     """Warm-started decomposition of every stored frame; aborts on first failure.
 
     Each frame starts its chord iteration from the previous frame's Jacobian.
@@ -268,7 +268,6 @@ def track(trajectory, n_waves: int, kappa: float, cache: ProfileCache | None = N
     speeds, so the warm start stays inside the Newton basin even when the
     frame spacing exceeds the soliton width.
     """
-    cache = cache or ProfileCache(kappa)
     states: list[ModulationState] = []
     guess = None
     jacobian = None

@@ -34,6 +34,8 @@ from .grid import Field, PeriodicGrid
 
 # Largest wrapped tail, relative to the amplitude, that grid sampling accepts at half a period.
 TAIL_BUDGET = 1e-8
+# Points of the finite-difference stencils that check the first integral on the table.
+STENCIL_WIDTH = 7
 
 
 @dataclass(frozen=True)
@@ -91,24 +93,24 @@ def speed_from_amplitude(a: float, kappa: float) -> float:
     return c
 
 
-def _stencil_derivative(x: np.ndarray, y: np.ndarray, width: int = 7) -> np.ndarray:
+def _stencil_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """First derivative of tabulated data via local polynomial stencils.
 
-    Each node gets a width-point stencil (shifted near the ends); weights solve
-    the Vandermonde moment conditions in batch, scaled by the local spacing for
-    conditioning.
+    Each node gets a STENCIL_WIDTH-point stencil (shifted near the ends); weights
+    solve the Vandermonde moment conditions in batch, scaled by the local spacing
+    for conditioning.
     """
     n = len(x)
-    half = width // 2
-    starts = np.clip(np.arange(n) - half, 0, n - width)
-    idx = starts[:, None] + np.arange(width)[None, :]
+    half = STENCIL_WIDTH // 2
+    starts = np.clip(np.arange(n) - half, 0, n - STENCIL_WIDTH)
+    idx = starts[:, None] + np.arange(STENCIL_WIDTH)[None, :]
     dx = x[idx] - x[:, None]
     scale = np.max(np.abs(dx), axis=1)
     t = dx / scale[:, None]
-    powers = t[:, None, :] ** np.arange(width)[None, :, None]  # (n, width, width)
-    rhs = np.zeros((width, 1))
+    powers = t[:, None, :] ** np.arange(STENCIL_WIDTH)[None, :, None]  # one Vandermonde matrix per node
+    rhs = np.zeros((STENCIL_WIDTH, 1))
     rhs[1, 0] = 1.0
-    weights = np.linalg.solve(powers, np.broadcast_to(rhs, (n, width, 1)))[:, :, 0]
+    weights = np.linalg.solve(powers, np.broadcast_to(rhs, (n, STENCIL_WIDTH, 1)))[:, :, 0]
     return np.sum(weights * y[idx], axis=1) / scale
 
 
@@ -138,38 +140,26 @@ class SolitonProfile:
         out[~inside] = self.tail_coeff * np.exp(-self.decay_rate * ax[~inside])
         return float(out[0]) if scalar else out
 
-    def evaluate_dx(self, x) -> np.ndarray | float:
+    def evaluate_dx(self, x: np.ndarray) -> np.ndarray:
         """Exact slope from the first integral: phi_x = -sgn(x) phi sqrt((r1-phi)(r2-phi))/(c-phi)."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
-        phi = np.atleast_1d(self.evaluate(xv))
+        phi = self.evaluate(x)
         r1, r2 = _quadratic_roots(self.params.c, self.params.kappa)
         rad = np.sqrt(np.maximum(r1 - phi, 0.0) * (r2 - phi))
-        out = -np.sign(xv) * phi * rad / (self.params.c - phi)
-        return float(out[0]) if scalar else out
+        return -np.sign(x) * phi * rad / (self.params.c - phi)
 
     def first_integral_residual(self) -> float:
         """Max residual of the first integral over the table.
 
-        Slopes come from 7-point finite-difference stencils on the table alone,
-        independent of the closed-form inverse map and of the first integral itself.
+        Slopes come from STENCIL_WIDTH-point finite-difference stencils on the table
+        alone, independent of the closed-form inverse map and of the first integral itself.
         """
         c = self.params.c
         kappa = self.params.kappa
-        dphi = _stencil_derivative(self.xs, self.phis, width=7)
+        dphi = _stencil_derivative(self.xs, self.phis)
         p = self.phis
         f_of_phi = 0.5 * p**2 - (c - 2.0 * kappa / 3.0) * p + 0.5 * c**2 - kappa * c
         res = 0.5 * (c - p) ** 2 * dphi**2 - p**2 * f_of_phi
         return float(np.max(np.abs(res)))
-
-    def fitted_tail_decay(self) -> float:
-        """Least-squares slope of -log(phi) vs x over the last decade of the table."""
-        mask = self.phis <= 10.0 * self.phis[-1]
-        x = self.xs[mask]
-        y = np.log(self.phis[mask])
-        slope = np.polyfit(x, y, 1)[0]
-        return float(-slope)
 
     def to_json(self) -> str:
         doc = {

@@ -38,3 +38,9 @@ def random_field(grid, rng, scale=1.0, modes=None):
     if norm > 0:
         samples *= scale / norm
     return Field(grid, samples)
+
+
+def fitted_tail_decay(profile):
+    """Least-squares slope of -log(phi) vs x over the last decade of the profile's table."""
+    mask = profile.phis <= 10.0 * profile.phis[-1]
+    return float(-np.polyfit(profile.xs[mask], np.log(profile.phis[mask]), 1)[0])

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import PARAM_PAIRS, random_field
+from conftest import PARAM_PAIRS, fitted_tail_decay, random_field
 from dpwavelab.diagnostics import psi_derivative_bounds_check
 from dpwavelab.evolution import EvolutionConfig, evolve
 from dpwavelab.grid import Field, derivative, helmholtz_inverse, integrate, make_grid, s_inner, sqrt_helmholtz_inverse4
 from dpwavelab.harness import Scenario, build_initial_state, run_stability, run_sweep
-from dpwavelab.invariants import dH_dc_closed, dS_dc_closed, hamiltonian_H, momentum_S
+from dpwavelab.invariants import dH_dc_closed, dS_dc_closed, dS_dH_dc_fd, hamiltonian_H, momentum_S
 from dpwavelab.linearized import assemble_L, constrained_theta, eigen_report
 from dpwavelab.modulation import ProfileCache, decompose, initial_guess, train_field
 from dpwavelab.soliton import SolitonParams, build_profile, sample_on_grid
@@ -40,11 +40,6 @@ SWEEP_SEPARATIONS = [30.0, 45.0, 60.0]
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num} ({name}) failed: {detail}"
-
-
-def _soliton_box(c: float, kappa: float, n: int = 1024, margin: float = 25.0):
-    nu = np.sqrt(1.0 - 2.0 * kappa / c)
-    return make_grid(n, 2.0 * margin / nu)
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +68,7 @@ def test_criterion_01_profile_correctness(profiles):
     for (c, kappa), prof in profiles.items():
         resid = prof.first_integral_residual() / (1e-8 * c**4)
         nu = np.sqrt(1.0 - 2.0 * kappa / c)
-        decay_rel = abs(prof.fitted_tail_decay() - nu) / nu
+        decay_rel = abs(fitted_tail_decay(prof) - nu) / nu
         worst_resid = max(worst_resid, resid)
         worst_decay = max(worst_decay, decay_rel)
     ok = worst_resid <= 1.0 and worst_decay <= 0.01
@@ -88,19 +83,7 @@ def test_criterion_01_profile_correctness(profiles):
 def test_criterion_02_derivative_identity():
     worst_ds = worst_dh = worst_id = 0.0
     for c, kappa in PARAM_PAIRS:
-        grid = _soliton_box(c - 1e-3, kappa)
-
-        def s_h(cc):
-            u = sample_on_grid(build_profile(SolitonParams(cc, kappa)), grid)
-            return momentum_S(u), hamiltonian_H(u, kappa)
-
-        dc = 1e-3 * c
-        sp1, hp1 = s_h(c + dc)
-        sm1, hm1 = s_h(c - dc)
-        sp2, hp2 = s_h(c + dc / 2)
-        sm2, hm2 = s_h(c - dc / 2)
-        ds = (4.0 * (sp2 - sm2) / dc - (sp1 - sm1) / (2.0 * dc)) / 3.0
-        dh = (4.0 * (hp2 - hm2) / dc - (hp1 - hm1) / (2.0 * dc)) / 3.0
+        ds, dh = dS_dH_dc_fd(c, kappa, 1024)
         ds_ref = dS_dc_closed(c, kappa)
         dh_ref = dH_dc_closed(c, kappa)
         worst_ds = max(worst_ds, abs(ds / ds_ref - 1.0))
@@ -230,8 +213,8 @@ def test_criterion_06_modulation_exactness(cache_k1):
 def test_criterion_07_monotonicity(stability_run, cache_k1):
     u0, _ = build_initial_state(ACCEPT_SCENARIO, cache_k1)
     bound = 1e-4 * momentum_S(u0)
-    increases = stability_run.monotonicity["series"][2]
-    max_increase = max(increases)
+    i_2 = [r["i_2"] for r in stability_run.records]
+    max_increase = max(v - i_2[0] for v in i_2)
     ok = max_increase <= bound
     _verdict(
         7,
@@ -261,7 +244,7 @@ def test_criterion_09_stability_scaling(sweep, stability_run):
         np.polyfit(np.log([r["alpha"] for r in rows60]), np.log([r["sup_error"] for r in rows60]), 1)[0]
     )
 
-    times = np.array(stability_run.times)
+    times = np.array([r["t"] for r in stability_run.records])
     errs = np.array([r["train_error"] for r in stability_run.records])
     half = 0.5 * times[-1]
     secular_ratio = float(np.max(errs[times > half]) / np.max(errs[(times <= half) & (times > 0)]))

@@ -1,4 +1,5 @@
-"""Every exported name must have a caller in the program: no public function exists only for its own unit test.
+"""Every exported name, and every public member of an exported class, must have a caller in the program:
+no public function, method, property or field exists only for its own unit test.
 
 A name counts as used when src/dpwavelab/*.py other than __init__.py, or
 perfbench/*.py, reads it as a name or an attribute. perfbench is read as
@@ -6,6 +7,8 @@ source and never imported or written.
 """
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,27 @@ def test_sources_found():
 @pytest.mark.parametrize("name", dpwavelab.__all__)
 def test_export_has_a_caller(name):
     assert name in USED, f"dpwavelab.{name} is exported, but nothing in src/dpwavelab or perfbench uses it"
+
+
+def _public_members() -> list[str]:
+    """Class.member for every public method, property and dataclass field of each class in dpwavelab.__all__."""
+    members = []
+    for name in dpwavelab.__all__:
+        cls = getattr(dpwavelab, name)
+        if not inspect.isclass(cls):
+            continue
+        names = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+        names |= set(vars(cls))
+        members += [f"{name}.{m}" for m in sorted(names) if not m.startswith("_")]
+    return members
+
+
+def test_members_found():
+    members = _public_members()
+    assert "SolitonProfile.evaluate_dx" in members and "Scenario.grid_n" in members
+    assert not any(m.split(".")[1].startswith("_") for m in members)
+
+
+@pytest.mark.parametrize("member", _public_members())
+def test_member_has_a_caller(member):
+    assert member.split(".")[1] in USED, f"{member} is public, but nothing in src/dpwavelab or perfbench reads it"

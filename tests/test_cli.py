@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import dpwavelab.cli as cli
 import dpwavelab.harness as harness
 import dpwavelab.linearized as linearized
 from dpwavelab.cli import main
@@ -167,6 +168,39 @@ def test_bad_weight_rejected_before_evolving(tmp_path, capsys, monkeypatch, comm
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert field in err
+
+
+@pytest.mark.parametrize(
+    "field, value", [("observer_stride", 0), ("dt", 0.0), ("t_end", -1.0), ("grid_n", 1000), ("grid_period", -5.0)]
+)
+@pytest.mark.parametrize("command", ["stability", "sweep"])
+def test_bad_grid_or_stepping_rejected_on_load(tmp_path, capsys, monkeypatch, command, field, value):
+    def preparing(*args, **kwargs):
+        raise AssertionError("built the initial state of a scenario that fails validation")
+
+    monkeypatch.setattr(harness, "build_initial_state", preparing)
+    cfg = tmp_path / "bad.json"
+    doc = json.loads(open(write_scenario(tmp_path / "good.json")).read())
+    doc[field] = value
+    cfg.write_text(json.dumps(doc))
+    sweep_args = ["--alphas", "1e-4,1e-3", "--separations", "25,30"] if command == "sweep" else []
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *sweep_args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+def test_evolve_rejects_inadmissible_data(tmp_path, capsys, monkeypatch):
+    # w0 < 0 at alpha = 0 cannot be repaired by halving: evolve exits 2 before it evolves
+    def evolving(*args, **kwargs):
+        raise AssertionError("evolved inadmissible initial data")
+
+    monkeypatch.setattr(harness, "check_w_positivity", lambda u0, kappa: {"min_value": -0.5, "ok": False})
+    monkeypatch.setattr(cli, "evolve", evolving)
+    cfg = write_scenario(tmp_path / "scenario.json", alpha=0.0, t_end=0.5)
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: initial data cannot be made admissible: w0 min -5.000e-01 at alpha 0.000e+00\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_stability_blow_up(tmp_path, capsys):

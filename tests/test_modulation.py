@@ -280,10 +280,11 @@ class TestDecompose:
         assert np.allclose(st.speeds, speeds, atol=1e-9)
         assert np.allclose(st.positions, positions + shift_nodes * grid.h, atol=1e-9)
 
-    def test_inadmissible_speed_fails(self, two_train):
+    def test_inadmissible_speed_fails(self, two_train, monkeypatch):
         cache, grid, speeds, positions, u = two_train
+        monkeypatch.setattr(modulation, "MAX_ITER", 3)
         with pytest.raises(DecompositionError):
-            decompose(u, np.array([2.0001, 5.0]), positions, 1.0, cache=cache, max_iter=3)
+            decompose(u, np.array([2.0001, 5.0]), positions, 1.0, cache=cache)
 
     def test_guards_name_the_failure(self, two_train):
         cache, grid, speeds, positions, u = two_train

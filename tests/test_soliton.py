@@ -15,7 +15,7 @@ from dpwavelab.soliton import (
     speed_from_amplitude,
 )
 
-from conftest import PARAM_PAIRS
+from conftest import PARAM_PAIRS, fitted_tail_decay
 
 
 def amplitude_quadratic(phi, c, kappa):
@@ -158,7 +158,7 @@ class TestBuildProfile:
     def test_fitted_tail_decay(self, profiles):
         for (c, kappa), prof in profiles.items():
             nu = np.sqrt(1.0 - 2.0 * kappa / c)
-            assert prof.fitted_tail_decay() == pytest.approx(nu, rel=0.01)
+            assert fitted_tail_decay(prof) == pytest.approx(nu, rel=0.01)
             assert prof.decay_rate == pytest.approx(nu, rel=1e-14)
 
     def test_table_monotone_and_bounded(self, profiles):
@@ -209,12 +209,13 @@ class TestEvaluate:
 
     def test_slope_zero_at_peak(self, profiles):
         prof = profiles[(3.0, 1.0)]
-        assert prof.evaluate_dx(0.0) == 0.0
+        assert prof.evaluate_dx(np.array([0.0])).tolist() == [0.0]
 
     def test_slope_sign(self, profiles):
         prof = profiles[(5.0, 1.0)]
-        assert prof.evaluate_dx(2.0) < 0
-        assert prof.evaluate_dx(-2.0) > 0
+        slope = prof.evaluate_dx(np.array([2.0, -2.0]))
+        assert slope[0] < 0
+        assert slope[1] > 0
 
     def test_slope_matches_finite_difference(self, profiles):
         prof = profiles[(3.0, 1.0)]
