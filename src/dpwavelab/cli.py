@@ -113,7 +113,7 @@ def _cmd_check_invariants(args) -> int:
         fd, _ = dS_dH_dc_fd(c, kappa, args.n)
         rel = abs(fd / closed - 1.0)
         worst = max(worst, rel)
-        print(f"{c:8.3f} {kappa:8.3f} {closed:14.8f} {fd:14.8f} {rel:10.2e}")
+        print(f"{c!r:>8} {kappa!r:>8} {closed:14.8f} {fd:14.8f} {rel:10.2e}")
     return 0 if worst <= 1e-4 else 1
 
 

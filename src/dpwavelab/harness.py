@@ -85,6 +85,12 @@ class Scenario:
             self.evolution_config()
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
+        span, drift, margin = self._geometry()
+        if self.grid_period is not None and self.grid_period - span - drift < margin:
+            raise ScenarioError(
+                f"grid_period {self.grid_period} leaves a seam gap of {self.grid_period - span - drift:.4g} "
+                f"at t_end {self.t_end}, below 20/nu_min = {margin:.4g}: the waves would meet across the periodic seam"
+            )
 
     @property
     def n_waves(self) -> int:
@@ -109,14 +115,18 @@ class Scenario:
         """Decay rate min(1/(8B), sigma0/8) of the sweep's separation term exp(-gamma0 L / 2)."""
         return min(1.0 / (8.0 * self.weight_B), self.sigma0_value / 8.0)
 
+    def _geometry(self) -> tuple[float, float, float]:
+        """Span of the initial train, the fastest wave's gain on the slowest by t_end, and the seam margin
+        20/nu_min, twenty decay lengths of the widest tail."""
+        nu_min = np.sqrt(1.0 - 2.0 * self.kappa / self.speeds[0])
+        return (self.n_waves - 1) * self.separation, (self.speeds[-1] - self.speeds[0]) * self.t_end, 20.0 / nu_min
+
     def auto_period(self) -> float:
         if self.grid_period is not None:
             return self.grid_period
-        nu_min = np.sqrt(1.0 - 2.0 * self.kappa / self.speeds[0])
-        span = (self.n_waves - 1) * self.separation
-        drift = (self.speeds[-1] - self.speeds[0]) * self.t_end
+        span, drift, margin = self._geometry()
         # The slowest wave has the widest tail, so its wrapped-tail period bounds the others.
-        p = max(2.0 * span + 20.0 / nu_min + drift, min_period(SolitonParams(self.speeds[0], self.kappa)))
+        p = max(2.0 * span + margin + drift, min_period(SolitonParams(self.speeds[0], self.kappa)))
         return float(np.ceil(p / 10.0) * 10.0)
 
     def grid(self) -> PeriodicGrid:

@@ -44,12 +44,13 @@ def dS_dc_closed(c: float, kappa: float) -> float:
 
 
 def dS_dH_dc_fd(c: float, kappa: float, n: int) -> tuple[float, float]:
-    """(dS/dc, dH/dc) of the sampled soliton by Richardson-extrapolated central differences with step 1e-3 c.
+    """(dS/dc, dH/dc) of the sampled soliton by Richardson-extrapolated central differences.
 
-    All profiles share one grid: n nodes, period 50/nu with nu taken at c - 1e-3.
+    The step dc = min(1e-3 c, 0.1 (c - 2 kappa)) keeps every sampled speed above 2 kappa.
+    All profiles share one grid: n nodes, period 50/nu with nu taken at c - dc, the slowest speed sampled.
     """
-    grid = make_grid(n, 50.0 / np.sqrt(1.0 - 2.0 * kappa / (c - 1e-3)))
-    dc = 1e-3 * c
+    dc = min(1e-3 * c, 0.1 * (c - 2.0 * kappa))
+    grid = make_grid(n, 50.0 / np.sqrt(1.0 - 2.0 * kappa / (c - dc)))
 
     def s_h(cc: float) -> np.ndarray:
         u = sample_on_grid(build_profile(SolitonParams(cc, kappa)), grid)

@@ -17,9 +17,11 @@ nu = sqrt(1 - 2*kappa/c) and sqrt(r1 r2) = c nu,
              - 2 ln((sqrt(r1 - phi) + sqrt(r2 - phi)) / sqrt(r2 - r1)),
 
 evaluated exactly on a table of phi nodes.  The table is inverted to phi(x)
-by a cubic spline in log(phi), clamped with the exact slopes at both ends,
-and extended beyond the table by the exact far field phi ~ A exp(-nu |x|),
-whose coefficient ln A = lim (nu x(phi) + ln phi) as phi -> 0 is also elementary.
+by a piecewise-cubic Hermite interpolant of log(phi) whose node slopes are the
+exact log-slopes -sqrt((r1 - phi)(r2 - phi))/(c - phi) of the first integral
+(0 at the peak), so it needs no linear solve.  Beyond the table the profile is
+the exact far field phi ~ A exp(-nu |x|), whose coefficient
+ln A = lim (nu x(phi) + ln phi) as phi -> 0 is also elementary.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .grid import Field, PeriodicGrid
 
@@ -124,7 +125,7 @@ class SolitonProfile:
     xs: np.ndarray  # strictly increasing, xs[0] = 0
     phis: np.ndarray  # strictly decreasing
     tail_coeff: float
-    _log_spline: CubicSpline
+    _log_cubic: np.ndarray  # (4, len(xs) - 1): log(phi) = sum_k _log_cubic[k, i] (x - xs[i])^k on [xs[i], xs[i+1]]
 
     @property
     def x_tail(self) -> float:
@@ -136,7 +137,11 @@ class SolitonProfile:
         ax = np.abs(np.atleast_1d(x))
         out = np.empty_like(ax)
         inside = ax <= self.x_tail
-        out[inside] = np.exp(self._log_spline(ax[inside]))
+        xi = ax[inside]
+        i = np.minimum(np.searchsorted(self.xs, xi, side="right") - 1, len(self.xs) - 2)
+        t = xi - self.xs[i]
+        y, m, q, r = self._log_cubic[:, i]
+        out[inside] = np.exp(y + t * (m + t * (q + t * r)))
         out[~inside] = self.tail_coeff * np.exp(-self.decay_rate * ax[~inside])
         return float(out[0]) if scalar else out
 
@@ -204,10 +209,13 @@ def build_profile(params: SolitonParams, tol: float = 1e-10) -> SolitonProfile:
     if not (0.0 < phis[-1] and phis[0] < c):
         raise RuntimeError("profile table violates 0 < phi < c")
 
-    # Exact log-slopes at both ends of the table clamp the spline.
-    phi_end = phis[-1]
-    end_slope = -np.sqrt(max(r1 - phi_end, 0.0) * (r2 - phi_end)) / (c - phi_end)
-    spline = CubicSpline(xs, np.log(phis), bc_type=((1, 0.0), (1, float(end_slope))))
+    # Cubic Hermite pieces of log(phi) with the exact log-slopes at every node.
+    logs = np.log(phis)
+    slopes = -a * b / (c - phis)
+    h = np.diff(xs)
+    secant = np.diff(logs) / h
+    m0, m1 = slopes[:-1], slopes[1:]
+    log_cubic = np.array([logs[:-1], m0, (3.0 * secant - 2.0 * m0 - m1) / h, (m0 + m1 - 2.0 * secant) / h**2])
     return SolitonProfile(
         params=params,
         amplitude=float(phis[0]),
@@ -215,7 +223,7 @@ def build_profile(params: SolitonParams, tol: float = 1e-10) -> SolitonProfile:
         xs=xs,
         phis=phis,
         tail_coeff=float(r1 * _far_field_ratio(params)),
-        _log_spline=spline,
+        _log_cubic=log_cubic,
     )
 
 

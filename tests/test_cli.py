@@ -133,6 +133,13 @@ def test_check_invariants(capsys):
     assert "dS/dc" in out
 
 
+def test_check_invariants_near_two_kappa(capsys):
+    speeds = ["2.0005", "2.0015", "2.0025", "2.004"]
+    assert main(["check-invariants", "--kappa", "1", "--n", "1024", "--speeds", ",".join(speeds)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == speeds
+
+
 def test_stability(tmp_path, capsys):
     cfg = write_scenario(tmp_path / "scenario.json")
     out = tmp_path / "run"
@@ -187,6 +194,25 @@ def test_bad_grid_or_stepping_rejected_on_load(tmp_path, capsys, monkeypatch, co
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *sweep_args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["stability", "sweep"])
+def test_seam_collision_rejected_on_load(tmp_path, capsys, monkeypatch, command):
+    # The acceptance scenario run to t_end 80: the c = 5 wave gains 160 on the c = 3 wave and
+    # closes the 140-long gap across the seam of the period-200 box.
+    def preparing(*args, **kwargs):
+        raise AssertionError("built the initial state of a scenario whose waves collide across the seam")
+
+    monkeypatch.setattr(harness, "build_initial_state", preparing)
+    accept = dict(separation=60.0, seed=3, grid_n=1024, grid_period=200.0, t_end=20.0, observer_stride=200)
+    doc = json.loads(open(write_scenario(tmp_path / "accept.json", **accept)).read())
+    doc["t_end"] = 80.0
+    cfg = tmp_path / "collision.json"
+    cfg.write_text(json.dumps(doc))
+    sweep_args = ["--alphas", "1e-4,1e-3", "--separations", "30,60"] if command == "sweep" else []
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *sweep_args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: grid_period 200.0 leaves a seam gap of -20 ") and err.count("\n") == 1
 
 
 def test_evolve_rejects_inadmissible_data(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,8 @@
 import decimal
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -53,6 +56,15 @@ def quadrature_xs(params, phis):
     dx[near] = panels(dx_dtau, np.sqrt(r1 - upper[near]), np.sqrt(r1 - lower[near]))
     dx[~near] = panels(dx_dlog, np.log(lower[~near]), np.log(upper[~near]))
     return np.concatenate([[0.0], np.cumsum(dx)])
+
+
+def closed_form_xs(params, phis):
+    """The exact inverse map x(phi) of Vakhnenko & Parkes (2004), written out independently of build_profile."""
+    c, kappa = params.c, params.kappa
+    r1, r2 = _quadratic_roots(c, kappa)
+    nu = np.sqrt(1.0 - 2.0 * kappa / c)
+    a, b, gap = np.sqrt(r1 - phis), np.sqrt(r2 - phis), np.sqrt(r2 - r1)
+    return (2.0 / nu) * np.log((np.sqrt(r2) * a + np.sqrt(r1) * b) / (np.sqrt(phis) * gap)) - 2.0 * np.log((a + b) / gap)
 
 
 # Speeds over 2*kappa and kappas on which the closed form meets the quadrature oracle.
@@ -207,6 +219,16 @@ class TestEvaluate:
         right = prof.evaluate(prof.x_tail + eps)
         assert right == pytest.approx(left, rel=1e-5)
 
+    @pytest.mark.parametrize("c", [2.02, 3.0, 5.0, 10.0])
+    def test_inverts_the_exact_map_between_nodes(self, c):
+        # The interpolant is least accurate between its nodes; the exact x(phi) of phi values
+        # there must map back to phi.
+        prof = build_profile(SolitonParams(c, 1.0))
+        frac = np.array([0.1, 0.25, 0.5, 0.75, 0.9])[:, None]
+        phis = (prof.phis[:-1] * (1.0 - frac) + prof.phis[1:] * frac).ravel()
+        xs = closed_form_xs(prof.params, phis)
+        assert np.max(np.abs(prof.evaluate(xs) - phis)) <= 2e-10 * prof.amplitude
+
     def test_slope_zero_at_peak(self, profiles):
         prof = profiles[(3.0, 1.0)]
         assert prof.evaluate_dx(np.array([0.0])).tolist() == [0.0]
@@ -281,3 +303,12 @@ class TestSampleOnGrid:
         s = sample_dx_on_grid(prof, grid, center=5.0).samples
         expected = prof.evaluate_dx(grid.nodes - 5.0)
         assert np.allclose(s, expected, atol=1e-10)
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    # Every run imports dpwavelab.cli; scipy.interpolate would add 0.2-0.3 s to each (2-vCPU Xeon).
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, dpwavelab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
