@@ -27,6 +27,15 @@ def _load_scenario(path: str) -> Scenario:
         return Scenario.from_json(fh.read())
 
 
+def _emit(doc: dict, path: str | None) -> None:
+    """Print doc as indented JSON, and write the same text to path when one is given."""
+    text = json.dumps(doc, indent=2)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    print(text)
+
+
 def _cmd_soliton(args) -> int:
     prof = build_profile(SolitonParams(args.c, args.kappa), args.tol)
     with open(args.out, "w") as fh:
@@ -54,9 +63,9 @@ def _cmd_spectrum(args) -> int:
     grid = make_grid(args.n, args.period)
     op = assemble_L(prof, grid)
     pairs = lowest_eigenpairs(op, args.k) if args.eigpairs else None
-    rep = eigen_report(op, prof)
-    theta = constrained_theta(op, prof)
-    doc = {
+    rep = eigen_report(op)
+    theta = constrained_theta(op)
+    _emit({
         "neg_eigenvalue": rep.neg_eigenvalue,
         "neg_count": rep.neg_count,
         "kernel_eigenvalue": rep.kernel_eigenvalue,
@@ -64,12 +73,7 @@ def _cmd_spectrum(args) -> int:
         "ess_gap_proxy": rep.ess_gap_proxy,
         "theta": theta,
         "operator_norm": rep.operator_norm,
-    }
-    text = json.dumps(doc, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    print(text)
+    }, args.out)
     if pairs is not None:
         vals, vecs = pairs
         with open(args.eigpairs, "w", newline="") as fh:
@@ -85,21 +89,16 @@ def _cmd_decompose(args) -> int:
     u = load_state(args.state)
     try:
         speeds, positions = initial_guess(u, args.n_waves, args.kappa)
-        st = decompose(u, speeds, positions, args.kappa, ProfileCache(args.kappa))
+        st = decompose(u, speeds, positions, ProfileCache(args.kappa))
     except (ValueError, DecompositionError) as exc:
         print(f"decomposition failed: {exc}", file=sys.stderr)
         return 1
-    doc = {
+    _emit({
         "speeds": st.speeds.tolist(),
         "positions": st.positions.tolist(),
         "residual_norm": st.residual_norm,
         "ortho_residual": st.ortho_residual.tolist(),
-    }
-    text = json.dumps(doc, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    print(text)
+    }, args.out)
     return 0
 
 
@@ -119,9 +118,9 @@ def _cmd_check_invariants(args) -> int:
 
 def _cmd_stability(args) -> int:
     scenario = _load_scenario(args.config)
-    result = run_stability(scenario, outputs=args.out)
-    print(json.dumps(result.summary(), indent=2))
-    return 0 if result.summary()["apriori_all_ok"] else 1
+    summary = run_stability(scenario, outputs=args.out).summary()
+    print(json.dumps(summary, indent=2))
+    return 0 if summary["apriori_all_ok"] else 1
 
 
 def _cmd_sweep(args) -> int:
@@ -129,18 +128,14 @@ def _cmd_sweep(args) -> int:
     alphas = [float(a) for a in args.alphas.split(",")]
     seps = [float(l) for l in args.separations.split(",")]
     result = run_sweep(scenario, alphas, seps, parallelism=args.parallelism)
-    doc = {
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    _emit({
         "fitted_amplitude": result.fitted_amplitude,
         "gamma0": result.gamma0,
         "fit_residual": result.fit_residual,
         "rows": result.rows,
-    }
-    text = json.dumps(doc, indent=2)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "sweep.json"), "w") as fh:
-            fh.write(text)
-    print(text)
+    }, args.out and os.path.join(args.out, "sweep.json"))
     return 0 if not any(r["failed"] for r in result.rows) else 1
 
 

@@ -17,8 +17,8 @@ def _sech(t: np.ndarray) -> np.ndarray:
     return 2.0 * a / (1.0 + a * a)
 
 
-def weight_psi(x, B: float, order: int = 0):
-    """psi(x) = (2/pi) arctan(exp(x/B)) and its derivatives up to order 4.
+def weight_psi(x: np.ndarray, B: float, order: int = 0) -> np.ndarray:
+    """psi(x) = (2/pi) arctan(exp(x/B)) and its derivatives up to order 4, at the points of the array x.
 
     Evaluated branchlessly through sech/tanh so that |x|/B in the hundreds
     neither overflows nor loses the saturated limits 0 and 1.
@@ -27,9 +27,7 @@ def weight_psi(x, B: float, order: int = 0):
         raise ValueError(f"weight scale B must exceed 2, got {B}")
     if order not in (0, 1, 2, 3, 4):
         raise ValueError(f"unsupported derivative order {order}")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    t = np.atleast_1d(x) / B
+    t = x / B
     if order == 0:
         # arctan(e^t) = pi/2 - arctan(e^-t) keeps the large-t branch exact
         out = np.where(t >= 0, 1.0 - (2.0 / np.pi) * np.arctan(np.exp(-np.abs(t))),
@@ -46,7 +44,7 @@ def weight_psi(x, B: float, order: int = 0):
             out = (th**2 - s**2) * base / B**2
         else:
             out = th * (5.0 * s**2 - th**2) * base / B**3
-    return float(out[0]) if scalar else out
+    return out
 
 
 def psi_derivative_bounds_check(B: float) -> dict:

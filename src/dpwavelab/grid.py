@@ -110,21 +110,9 @@ class Field:
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
 
-    def __add__(self, other: "Field") -> "Field":
-        self._check_same_grid(other)
-        return Field(self.grid, self.samples + other.samples)
-
     def __sub__(self, other: "Field") -> "Field":
         self._check_same_grid(other)
         return Field(self.grid, self.samples - other.samples)
-
-    def __mul__(self, scalar: float) -> "Field":
-        return Field(self.grid, self.samples * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.samples)
 
     def l2_norm(self) -> float:
         return float(np.sqrt(self.grid.h * np.sum(self.samples**2)))

@@ -246,7 +246,7 @@ def _observe(scenario: Scenario, u0: Field, info: dict, traj, cache: ProfileCach
     The train error uses the frozen initial speeds and the modulated positions.
     """
     grid = u0.grid
-    states = track(traj, scenario.n_waves, scenario.kappa, cache)
+    states = track(traj, scenario.n_waves, cache)
 
     s0 = momentum_S(u0)
     h0 = hamiltonian_H(u0, scenario.kappa)

@@ -8,7 +8,9 @@ constrained coercivity constant come from implicitly restarted Lanczos (ARPACK
 through eigsh) on that action. Only the top eigenvalue, which sits in a tight
 cluster that Lanczos does not resolve, uses the dense matrix: phi is even, so L
 commutes with the reflection x -> -x and its top eigenvalue is read, values
-only, from the even and odd blocks.
+only, from the even and odd blocks. The operator carries its phi and phi_x
+samples: phi_x is the kernel direction the report looks for, and the smoothed
+phi and phi_x are the constraint columns of the constrained coercivity constant.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.linalg import circulant, eigh
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from .grid import PeriodicGrid, smoothing_operator
+from .grid import Field, PeriodicGrid, smoothing_operator
 from .soliton import SolitonProfile, sample_dx_on_grid, sample_on_grid
 
 _LANCZOS_SEED = 0  # seed of the fixed Lanczos start vector: repeated solves are bitwise identical
@@ -35,12 +37,13 @@ class SpectralError(RuntimeError):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """L on one grid: the dense matrix, and the multiplier symbol and phi samples that apply it matrix-free."""
+    """L on one grid: the dense matrix, the multiplier symbol and phi samples that apply it matrix-free, and phi_x."""
 
     matrix: np.ndarray
     grid: PeriodicGrid
     symbol: np.ndarray
     phi: np.ndarray
+    phi_x: np.ndarray
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.fft.irfft(self.symbol * np.fft.rfft(x), n=self.grid.n) - self.phi * x
@@ -71,7 +74,8 @@ def assemble_L(profile: SolitonProfile, grid: PeriodicGrid) -> OperatorMatrix:
     kernel = np.fft.irfft(symbol, n=grid.n)
     m = circulant(0.5 * (kernel + kernel[_reflection(grid.n)]))
     m[np.diag_indices(grid.n)] -= phi
-    return OperatorMatrix(matrix=m, grid=grid, symbol=symbol, phi=phi)
+    phi_x = sample_dx_on_grid(profile, grid).samples
+    return OperatorMatrix(matrix=m, grid=grid, symbol=symbol, phi=phi, phi_x=phi_x)
 
 
 def _lanczos(phase: str, matvec, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,11 +114,10 @@ def _top_eigenvalue(op: OperatorMatrix) -> float:
     return float(max(top_even, top_odd))
 
 
-def eigen_report(op: OperatorMatrix, profile: SolitonProfile) -> SpectralReport:
+def eigen_report(op: OperatorMatrix) -> SpectralReport:
     n = op.grid.n
     top = _top_eigenvalue(op)
-    dphi = sample_dx_on_grid(profile, op.grid).samples
-    dphi = dphi / np.linalg.norm(dphi)
+    dphi = op.phi_x / np.linalg.norm(op.phi_x)
     # Widen the window until a positive eigenvalue other than the kernel shows,
     # so that every negative eigenvalue is in it.
     k = min(4, n - 2)
@@ -140,26 +143,17 @@ def eigen_report(op: OperatorMatrix, profile: SolitonProfile) -> SpectralReport:
     )
 
 
-def constraint_vectors(profile: SolitonProfile, grid: PeriodicGrid) -> np.ndarray:
-    """Columns v1 = (1-d^2)(4-d^2)^-1 phi and v2 = same of phi_x.
-
-    L2-orthogonality of y to these is equivalent to the S-orthogonality of y
-    to phi and phi_x.
-    """
-    v1 = smoothing_operator(sample_on_grid(profile, grid))
-    v2 = smoothing_operator(sample_dx_on_grid(profile, grid))
-    return np.column_stack([v1.samples, v2.samples])
-
-
-def constrained_theta(op: OperatorMatrix, profile: SolitonProfile) -> float:
+def constrained_theta(op: OperatorMatrix) -> float:
     """Minimum eigenvalue of L restricted to the S-orthogonal complement of {phi, phi_x}.
 
+    The constraint columns are op.phi and op.phi_x smoothed by (1-d^2)(4-d^2)^-1:
+    L2-orthogonality of y to them is S-orthogonality of y to phi and phi_x.
     Lanczos on P L P + s Q Q^T, where Q is an orthonormal basis of the
-    constraint vectors and P = I - Q Q^T. On range(P) this is the restricted L;
+    constraint columns and P = I - Q Q^T. On range(P) this is the restricted L;
     on range(Q) it is s, the symbol's maximum, which bounds L from above
     because phi > 0, so the lowest eigenvalue is the restricted minimum.
     """
-    v = constraint_vectors(profile, op.grid)
+    v = np.column_stack([smoothing_operator(Field(op.grid, f)).samples for f in (op.phi, op.phi_x)])
     norms = np.linalg.norm(v, axis=0)
     cosang = abs(float(v[:, 0] @ v[:, 1])) / (norms[0] * norms[1])
     if cosang > 1.0 - 1e-10:

@@ -156,10 +156,8 @@ def initial_guess(u: Field, n_waves: int, kappa: float) -> tuple[np.ndarray, np.
     return np.asarray(speeds)[order], np.asarray(positions)[order]
 
 
-def decompose(
-    u: Field, speeds0, positions0, kappa: float, cache: ProfileCache, jacobian: np.ndarray | None = None
-) -> ModulationState:
-    """Solve the orthogonality system from the given guess by a chord iteration.
+def decompose(u: Field, speeds0, positions0, cache: ProfileCache, jacobian: np.ndarray | None = None) -> ModulationState:
+    """Solve the orthogonality system from the given guess by a chord iteration; kappa is the cache's.
 
     The given Jacobian (typically the previous frame's) is kept while every
     step shrinks the Newton correction to CHORD_CONTRACTION of the last one.
@@ -183,7 +181,7 @@ def decompose(
     def resample(th, waves, js):
         """waves, with wave j resampled at th for each j in js; the whole iterate is guarded first."""
         s, p = split(th)
-        if np.any(s <= 2.0 * kappa):
+        if np.any(s <= 2.0 * cache.kappa):
             raise DecompositionError(f"speed left the admissible family (min {np.min(s):.6g} <= 2*kappa)", s, p)
         waves = list(waves)
         try:
@@ -260,7 +258,7 @@ def decompose(
     )
 
 
-def track(trajectory, n_waves: int, kappa: float, cache: ProfileCache) -> list[ModulationState]:
+def track(trajectory, n_waves: int, cache: ProfileCache) -> list[ModulationState]:
     """Warm-started decomposition of every stored frame; aborts on first failure.
 
     Each frame starts its chord iteration from the previous frame's Jacobian.
@@ -274,11 +272,11 @@ def track(trajectory, n_waves: int, kappa: float, cache: ProfileCache) -> list[M
     t_prev = None
     for t, frame in zip(trajectory.times, trajectory.states):
         if guess is None:
-            guess = initial_guess(frame, n_waves, kappa)
+            guess = initial_guess(frame, n_waves, cache.kappa)
         else:
             guess = (guess[0], guess[1] + guess[0] * (t - t_prev))
         try:
-            st = decompose(frame, guess[0], guess[1], kappa, cache, jacobian=jacobian)
+            st = decompose(frame, guess[0], guess[1], cache, jacobian=jacobian)
         except DecompositionError as exc:
             raise DecompositionError(f"tracking failed at t={t}: {exc}", exc.speeds, exc.positions) from exc
         states.append(st)

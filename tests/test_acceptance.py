@@ -58,7 +58,7 @@ def spectral_reports(profiles):
     for pair, prof in profiles.items():
         op1 = assemble_L(prof, make_grid(1024, 100.0))
         op2 = assemble_L(prof, make_grid(2048, 100.0))
-        out[pair] = (op1, eigen_report(op1, prof), op2, eigen_report(op2, prof))
+        out[pair] = (op1, eigen_report(op1), op2, eigen_report(op2))
     return out
 
 
@@ -160,14 +160,13 @@ def test_criterion_04_spectral_claims(spectral_reports):
     )
 
 
-def test_criterion_05_constrained_coercivity(spectral_reports, profiles):
+def test_criterion_05_constrained_coercivity(spectral_reports):
     min_theta = np.inf
     max_change = 0.0
     max_min_mismatch = 0.0
-    for pair, (op1, rep1, op2, _) in spectral_reports.items():
-        prof = profiles[pair]
-        th1 = constrained_theta(op1, prof)
-        th2 = constrained_theta(op2, prof)
+    for op1, rep1, op2, _ in spectral_reports.values():
+        th1 = constrained_theta(op1)
+        th2 = constrained_theta(op2)
         min_theta = min(min_theta, th1, th2)
         max_change = max(max_change, abs(th2 / th1 - 1.0))
         unconstrained_min = float(np.linalg.eigvalsh(op1.matrix)[0])
@@ -188,13 +187,13 @@ def test_criterion_06_modulation_exactness(cache_k1):
     positions = np.array([-30.0, 30.0])
     u = train_field(grid, speeds, positions, cache_k1)
     g_speeds, g_positions = initial_guess(u, 2, 1.0)
-    st = decompose(u, g_speeds, g_positions, 1.0, cache=cache_k1)
+    st = decompose(u, g_speeds, g_positions, cache=cache_k1)
     param_err = max(np.max(np.abs(st.speeds - speeds)), np.max(np.abs(st.positions - positions)))
     eps_rel = st.residual.l2_norm() / u.l2_norm()
 
     alpha = ACCEPT_SCENARIO.alpha
     u_pert, _ = build_initial_state(ACCEPT_SCENARIO, cache_k1)
-    st_p = decompose(u_pert, speeds, ACCEPT_SCENARIO.positions0, 1.0, cache=cache_k1)
+    st_p = decompose(u_pert, speeds, ACCEPT_SCENARIO.positions0, cache=cache_k1)
     shift = max(
         np.max(np.abs(st_p.speeds - speeds)),
         np.max(np.abs(st_p.positions - ACCEPT_SCENARIO.positions0)),

@@ -1,5 +1,5 @@
-"""Every exported name, and every public member of an exported class, must have a caller in the program:
-no public function, method, property or field exists only for its own unit test.
+"""Every exported name, every public module-level function and class, and every public member of an
+exported class must have a caller in the program: none exists only for its own unit test.
 
 A name counts as used when src/dpwavelab/*.py other than __init__.py, or
 perfbench/*.py, reads it as a name or an attribute. perfbench is read as
@@ -16,8 +16,8 @@ import pytest
 import dpwavelab
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = [p for p in sorted((ROOT / "src" / "dpwavelab").glob("*.py")) if p.name != "__init__.py"]
-SOURCES += sorted((ROOT / "perfbench").glob("*.py"))
+MODULES = [p for p in sorted((ROOT / "src" / "dpwavelab").glob("*.py")) if p.name != "__init__.py"]
+SOURCES = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _used_names() -> set[str]:
@@ -66,3 +66,24 @@ def test_members_found():
 @pytest.mark.parametrize("member", _public_members())
 def test_member_has_a_caller(member):
     assert member.split(".")[1] in USED, f"{member} is public, but nothing in src/dpwavelab or perfbench reads it"
+
+
+def _public_definitions() -> list[str]:
+    """module.name for every public function and class defined at the top level of src/dpwavelab/*.py."""
+    return [
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def test_definitions_found():
+    definitions = _public_definitions()
+    assert {"linearized.assemble_L", "modulation.ProfileCache", "cli.main"} <= set(definitions)
+
+
+@pytest.mark.parametrize("definition", _public_definitions())
+def test_definition_has_a_caller(definition):
+    name = definition.split(".")[1]
+    assert name in USED, f"{definition} is public, but nothing in src/dpwavelab or perfbench reads it"

@@ -240,7 +240,8 @@ class TestSpectralState:
             4 * 10,
         )
         # a stack of states costs the same FFT calls, each over all of its rows
-        assert count(lambda: evolve_stack([u, 2.0 * u, u], EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01))) == (
+        stack = [u, Field(u.grid, 2.0 * u.samples), u]
+        assert count(lambda: evolve_stack(stack, EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01))) == (
             1 + 4 * 10,
             4 * 10,
         )

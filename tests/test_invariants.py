@@ -63,7 +63,7 @@ class TestHamiltonianH:
         for _ in range(20):
             u = random_field(g, rng)
             hp = hamiltonian_H(u, kappa)
-            hm = hamiltonian_H(-u, kappa)
+            hm = hamiltonian_H(Field(g, -u.samples), kappa)
             cubic = 0.5 * (hp - hm)
             quad = 0.5 * (hp + hm)
             direct_cubic = -g.h * np.sum(u.samples**3) / 6.0

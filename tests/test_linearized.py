@@ -6,14 +6,13 @@ from scipy.linalg import eigh, qr
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 import dpwavelab.linearized as linearized
-from dpwavelab.grid import Field, make_grid, s_inner
+from dpwavelab.grid import Field, make_grid, s_inner, smoothing_operator
 from dpwavelab.invariants import dS_dc_closed
 from dpwavelab.linearized import (
     SpectralError,
     SpectralReport,
     assemble_L,
     constrained_theta,
-    constraint_vectors,
     eigen_report,
     lowest_eigenpairs,
 )
@@ -47,9 +46,10 @@ def _dense_report(op, prof):
     return report, vals
 
 
-def _dense_theta(op, prof):
-    """constrained_theta from a full QR of the constraints and the reduced matrix Z^T L Z."""
-    q_full, _ = qr(constraint_vectors(prof, op.grid), mode="full")
+def _dense_theta(op):
+    """constrained_theta from a full QR of the smoothed op.phi, op.phi_x and the reduced matrix Z^T L Z."""
+    v = np.column_stack([smoothing_operator(Field(op.grid, f)).samples for f in (op.phi, op.phi_x)])
+    q_full, _ = qr(v, mode="full")
     z = q_full[:, 2:]
     return float(eigh(z.T @ op.matrix @ z, eigvals_only=True, subset_by_index=(0, 0))[0])
 
@@ -97,8 +97,8 @@ class TestAssemble:
 
 class TestSpectrum:
     def test_report_structure(self, setup_c3):
-        prof, _, op = setup_c3
-        rep = eigen_report(op, prof)
+        _, _, op = setup_c3
+        rep = eigen_report(op)
         assert rep.neg_count == 1
         assert rep.neg_eigenvalue < 0
         assert abs(rep.kernel_eigenvalue) <= 1e-6 * rep.operator_norm
@@ -113,15 +113,15 @@ class TestSpectrum:
 
     def test_one_negative_eigenvalue_across_params(self, profiles):
         for (c, kappa), prof in profiles.items():
-            rep = eigen_report(assemble_L(prof, _family_grid(c, kappa)), prof)
+            rep = eigen_report(assemble_L(prof, _family_grid(c, kappa)))
             assert rep.neg_count == 1
             assert rep.kernel_overlap >= 0.999
 
     def test_gap_proxy_stable_under_refinement(self, setup_c3):
         prof, _, op = setup_c3
-        rep = eigen_report(op, prof)
+        rep = eigen_report(op)
         op2 = assemble_L(prof, make_grid(1024, 100.0))
-        rep2 = eigen_report(op2, prof)
+        rep2 = eigen_report(op2)
         assert rep2.ess_gap_proxy == pytest.approx(rep.ess_gap_proxy, rel=0.1)
         assert rep2.neg_eigenvalue == pytest.approx(rep.neg_eigenvalue, rel=1e-4)
 
@@ -144,30 +144,29 @@ class TestSpectrum:
 class TestConstrainedTheta:
     def test_positive_and_stable(self, setup_c3):
         prof, _, op = setup_c3
-        theta = constrained_theta(op, prof)
+        theta = constrained_theta(op)
         assert theta > 0
-        theta2 = constrained_theta(assemble_L(prof, make_grid(1024, 100.0)), prof)
+        theta2 = constrained_theta(assemble_L(prof, make_grid(1024, 100.0)))
         assert theta2 == pytest.approx(theta, rel=0.05)
 
     def test_constraints_encode_s_orthogonality(self, setup_c3):
+        # constrained_theta's columns are op.phi and op.phi_x smoothed by (1-d^2)(4-d^2)^-1
         prof, grid, op = setup_c3
-        v = constraint_vectors(prof, grid)
-        phi = sample_on_grid(prof, grid)
-        dphi = sample_dx_on_grid(prof, grid)
         y = Field(grid, np.cos(2.0 * np.pi * 3 * grid.nodes / grid.period))
-        assert grid.h * (y.samples @ v[:, 0]) == pytest.approx(s_inner(y, phi), rel=1e-10, abs=1e-12)
-        assert grid.h * (y.samples @ v[:, 1]) == pytest.approx(s_inner(y, dphi), rel=1e-10, abs=1e-12)
+        for samples, f in ((op.phi, sample_on_grid(prof, grid)), (op.phi_x, sample_dx_on_grid(prof, grid))):
+            column = smoothing_operator(Field(grid, samples)).samples
+            assert grid.h * (y.samples @ column) == pytest.approx(s_inner(y, f), rel=1e-10, abs=1e-12)
 
     def test_theta_below_gap_and_above_zero(self, setup_c3):
-        prof, _, op = setup_c3
-        rep = eigen_report(op, prof)
-        theta = constrained_theta(op, prof)
+        _, _, op = setup_c3
+        rep = eigen_report(op)
+        theta = constrained_theta(op)
         # constrained minimum sits between 0 and the unconstrained positive gap
         assert 0 < theta <= rep.ess_gap_proxy + 1e-10
 
     def test_unconstrained_minimum_is_negative_eigenvalue(self, setup_c3):
-        prof, _, op = setup_c3
-        rep = eigen_report(op, prof)
+        _, _, op = setup_c3
+        rep = eigen_report(op)
         vals = np.linalg.eigvalsh(op.matrix)
         assert vals[0] == pytest.approx(rep.neg_eigenvalue, rel=1e-12)
 
@@ -179,7 +178,7 @@ def dense_family(profiles):
     for (c, kappa), prof in profiles.items():
         op = assemble_L(prof, _family_grid(c, kappa))
         report, vals = _dense_report(op, prof)
-        out[(c, kappa)] = (prof, op, report, vals, _dense_theta(op, prof))
+        out[(c, kappa)] = (prof, op, report, vals, _dense_theta(op))
     return out
 
 
@@ -206,8 +205,8 @@ class TestDenseOracles:
             assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-12 * dense.operator_norm
 
     def test_report(self, dense_family):
-        for prof, op, dense, _, _ in dense_family.values():
-            rep = eigen_report(op, prof)
+        for _, op, dense, _, _ in dense_family.values():
+            rep = eigen_report(op)
             assert rep.neg_count == dense.neg_count
             assert rep.neg_eigenvalue == pytest.approx(dense.neg_eigenvalue, rel=1e-12)
             assert rep.ess_gap_proxy == pytest.approx(dense.ess_gap_proxy, rel=1e-12)
@@ -216,16 +215,16 @@ class TestDenseOracles:
             assert abs(rep.kernel_eigenvalue - dense.kernel_eigenvalue) <= 1e-12 * dense.operator_norm
 
     def test_theta(self, dense_family):
-        for prof, op, _, _, theta in dense_family.values():
-            assert constrained_theta(op, prof) == pytest.approx(theta, rel=1e-12)
+        for _, op, _, _, theta in dense_family.values():
+            assert constrained_theta(op) == pytest.approx(theta, rel=1e-12)
 
     def test_repeated_solves_are_bitwise_identical(self, dense_family):
-        prof, op, _, _, _ = dense_family[(3.0, 1.0)]
-        assert eigen_report(op, prof) == eigen_report(op, prof)
-        assert constrained_theta(op, prof) == constrained_theta(op, prof)
+        _, op, _, _, _ = dense_family[(3.0, 1.0)]
+        assert eigen_report(op) == eigen_report(op)
+        assert constrained_theta(op) == constrained_theta(op)
 
     def test_start_vector_has_both_parities(self, dense_family, monkeypatch):
-        prof, op, _, _, _ = dense_family[(3.0, 1.0)]
+        _, op, _, _, _ = dense_family[(3.0, 1.0)]
         starts = []
 
         def spy(*args, **kwargs):
@@ -233,8 +232,8 @@ class TestDenseOracles:
             return eigsh(*args, **kwargs)
 
         monkeypatch.setattr(linearized, "eigsh", spy)
-        eigen_report(op, prof)
-        constrained_theta(op, prof)
+        eigen_report(op)
+        constrained_theta(op)
         r = -np.arange(op.grid.n) % op.grid.n
         for v0 in starts:
             assert np.linalg.norm(v0 + v0[r]) >= 0.5 * np.linalg.norm(v0)
@@ -247,7 +246,7 @@ class TestDenseOracles:
         scaled = replace(op, matrix=op.matrix - (scale - 1.0) * np.diag(op.phi), phi=scale * op.phi)
         dense, _ = _dense_report(scaled, prof)
         assert dense.neg_count >= 3
-        rep = eigen_report(scaled, prof)
+        rep = eigen_report(scaled)
         assert rep.neg_count == dense.neg_count
         assert rep.neg_eigenvalue == pytest.approx(dense.neg_eigenvalue, rel=1e-12)
         assert abs(rep.ess_gap_proxy - dense.ess_gap_proxy) <= 1e-12 * dense.operator_norm
@@ -255,7 +254,7 @@ class TestDenseOracles:
 
 class TestSpectralErrors:
     def test_lanczos_failure_names_phase(self, setup_c3, monkeypatch):
-        prof, _, op = setup_c3
+        _, _, op = setup_c3
 
         def no_convergence(*args, **kwargs):
             raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
@@ -263,13 +262,11 @@ class TestSpectralErrors:
         monkeypatch.setattr(linearized, "eigsh", no_convergence)
         for solve, phase in ((eigen_report, "eigen_report"), (constrained_theta, "constrained_theta")):
             with pytest.raises(SpectralError, match=f"^{phase}: .*No convergence") as info:
-                solve(op, prof)
+                solve(op)
             assert info.value.phase == phase
 
-    def test_collinear_constraints(self, setup_c3, monkeypatch):
-        prof, grid, op = setup_c3
-        v = constraint_vectors(prof, grid)[:, 0]
-        monkeypatch.setattr(linearized, "constraint_vectors", lambda *_: np.column_stack([v, 2.0 * v]))
+    def test_collinear_constraints(self, setup_c3):
+        _, _, op = setup_c3
         with pytest.raises(SpectralError, match="collinear") as info:
-            constrained_theta(op, prof)
+            constrained_theta(replace(op, phi_x=2.0 * op.phi))
         assert info.value.phase == "constrained_theta"

@@ -193,7 +193,7 @@ class TestInitialGuess:
 class TestDecompose:
     def test_exact_train_recovery(self, two_train, three_train):
         for cache, grid, speeds, positions, u in (two_train, three_train):
-            st = decompose(u, speeds, positions, 1.0, cache=cache)
+            st = decompose(u, speeds, positions, cache=cache)
             assert np.allclose(st.speeds, speeds, atol=1e-8)
             assert np.allclose(st.positions, positions, atol=1e-8)
             assert st.residual_norm <= 1e-10 * u.l2_norm()
@@ -205,7 +205,7 @@ class TestDecompose:
         # each wave once, and a Jacobian column resamples only the wave it bumps
         cache, grid, speeds, positions, u = three_train
         n = len(speeds)
-        neighbour = decompose(train_field(grid, speeds + 2e-3, positions + 0.3, cache), speeds, positions, 1.0, cache=cache)
+        neighbour = decompose(train_field(grid, speeds + 2e-3, positions + 0.3, cache), speeds, positions, cache=cache)
         calls = {"sample_on_grid": 0, "sample_dx_on_grid": 0, "orthogonality_residual": 0}
         for name in calls:
             def counted(*args, _fn=getattr(modulation, name), _name=name):
@@ -215,7 +215,7 @@ class TestDecompose:
             monkeypatch.setattr(modulation, name, counted)
         for jacobian, refreshes in ((None, 1), (neighbour.jacobian, 0)):
             calls.update(dict.fromkeys(calls, 0))
-            st = decompose(u, speeds + 1e-3, positions + 0.05, 1.0, cache=cache, jacobian=jacobian)
+            st = decompose(u, speeds + 1e-3, positions + 0.05, cache=cache, jacobian=jacobian)
             steps = st.iterations - 1
             assert st.refreshes == refreshes
             assert steps > st.refreshes
@@ -229,8 +229,8 @@ class TestDecompose:
         # stays admissible but leaves Newton's basin (-2e-3) and one out of the admissible family (1e-6)
         # are each followed by one fresh Jacobian, not by an error
         cache, grid, speeds, positions, u = three_train
-        neighbour = decompose(train_field(grid, speeds + 2e-3, positions + 0.3, cache), speeds, positions, 1.0, cache=cache)
-        st = decompose(u, speeds + 1e-3, positions + 0.05, 1.0, cache=cache, jacobian=scale * neighbour.jacobian)
+        neighbour = decompose(train_field(grid, speeds + 2e-3, positions + 0.3, cache), speeds, positions, cache=cache)
+        st = decompose(u, speeds + 1e-3, positions + 0.05, cache=cache, jacobian=scale * neighbour.jacobian)
         assert st.refreshes == 1
         assert np.allclose(st.speeds, speeds, atol=1e-8)
         assert np.allclose(st.positions, positions, atol=1e-8)
@@ -252,9 +252,9 @@ class TestDecompose:
         cache = ProfileCache(kappa)
         u = train_field(grid, speeds, positions, cache)
         neighbour = train_field(grid, speeds * (1 + 2e-3), positions + 0.3, cache)
-        jacobian = decompose(neighbour, speeds, positions, kappa, cache=cache).jacobian
+        jacobian = decompose(neighbour, speeds, positions, cache=cache).jacobian
         for jac in (None, jacobian):
-            st = decompose(u, speeds * (1 + 1e-3), positions + 0.05, kappa, cache=cache, jacobian=jac)
+            st = decompose(u, speeds * (1 + 1e-3), positions + 0.05, cache=cache, jacobian=jac)
             assert np.max(np.abs(st.speeds - speeds)) <= 1e-8
             assert cyclic_error(st.positions, positions, period) <= 1e-8
 
@@ -267,7 +267,7 @@ class TestDecompose:
             bump += np.exp(-((grid.nodes - center) / 2.0) ** 2)
         bump /= np.sqrt(grid.h * np.sum(bump**2))
         pert = Field(grid, u.samples + alpha * bump)
-        st = decompose(pert, speeds, positions, 1.0, cache=cache)
+        st = decompose(pert, speeds, positions, cache=cache)
         assert st.residual_norm <= 5.0 * alpha
         assert np.max(np.abs(st.speeds - speeds)) <= 5.0 * alpha
         assert np.max(np.abs(st.positions - positions)) <= 5.0 * alpha
@@ -276,7 +276,7 @@ class TestDecompose:
         cache, grid, speeds, positions, u = two_train
         shift_nodes = 53
         shifted = Field(grid, np.roll(u.samples, shift_nodes))
-        st = decompose(shifted, speeds, positions + shift_nodes * grid.h, 1.0, cache=cache)
+        st = decompose(shifted, speeds, positions + shift_nodes * grid.h, cache=cache)
         assert np.allclose(st.speeds, speeds, atol=1e-9)
         assert np.allclose(st.positions, positions + shift_nodes * grid.h, atol=1e-9)
 
@@ -284,16 +284,26 @@ class TestDecompose:
         cache, grid, speeds, positions, u = two_train
         monkeypatch.setattr(modulation, "MAX_ITER", 3)
         with pytest.raises(DecompositionError):
-            decompose(u, np.array([2.0001, 5.0]), positions, 1.0, cache=cache)
+            decompose(u, np.array([2.0001, 5.0]), positions, cache=cache)
 
     def test_guards_name_the_failure(self, two_train):
         cache, grid, speeds, positions, u = two_train
         with pytest.raises(DecompositionError, match="speed left the admissible family"):
-            decompose(u, np.array([2.0, 5.0]), positions, 1.0, cache=cache)
+            decompose(u, np.array([2.0, 5.0]), positions, cache=cache)
         small = make_grid(256, 40.0)  # too short a period for the wrapped tail of c = 3
         with pytest.raises(DecompositionError, match="iterate left the resolvable family") as info:
-            decompose(Field(small, np.zeros(small.n)), [3.0], [0.0], 1.0, cache=cache)
+            decompose(Field(small, np.zeros(small.n)), [3.0], [0.0], cache=cache)
         assert isinstance(info.value.__cause__, ValueError)
+
+    def test_admissibility_reads_the_cache_kappa(self):
+        # c = 1.5 is below 2 kappa at kappa = 1 but admissible at the cache's kappa = 0.5
+        grid = make_grid(512, 100.0)
+        u = train_field(grid, [1.5], [0.0], ProfileCache(0.5))
+        st = decompose(u, [1.5], [0.1], ProfileCache(0.5))
+        assert st.speeds[0] == pytest.approx(1.5, abs=1e-8)
+        assert st.positions[0] == pytest.approx(0.0, abs=1e-8)
+        with pytest.raises(DecompositionError, match="speed left the admissible family"):
+            decompose(u, [1.5], [0.1], ProfileCache(1.0))
 
 
 class TestTrack:
@@ -302,7 +312,7 @@ class TestTrack:
     def tracked(two_train):
         cache, grid, speeds, positions, u = two_train
         traj = evolve(u, EvolutionConfig(kappa=1.0, t_end=2.0, dt=0.01, observer_stride=50))
-        states = track(traj, 2, 1.0, cache=cache)
+        states = track(traj, 2, cache=cache)
         return traj, states
 
     def test_positions_advance_at_speed(self, tracked):
@@ -329,7 +339,7 @@ class TestTrack:
         bump = np.exp(-(((grid.nodes + 27.0) / 2.0) ** 2)) + np.exp(-(((grid.nodes - 33.0) / 2.0) ** 2))
         u0 = Field(grid, u.samples + 1e-3 * bump / np.sqrt(grid.h * np.sum(bump**2)))
         traj = evolve(u0, EvolutionConfig(kappa=1.0, t_end=2.0, dt=0.01, observer_stride=20))
-        states = track(traj, 2, 1.0, cache=ProfileCache(1.0))
+        states = track(traj, 2, cache=ProfileCache(1.0))
         assert sum(st.refreshes for st in states) == 1
         guess, t_prev = None, None
         for t, frame, st in zip(traj.times, traj.states, states):
@@ -349,8 +359,8 @@ class TestTrack:
     def test_tracking_deterministic(self, two_train):
         cache, grid, speeds, positions, u = two_train
         traj = evolve(u, EvolutionConfig(kappa=1.0, t_end=0.5, dt=0.01, observer_stride=25))
-        a = track(traj, 2, 1.0, cache=ProfileCache(1.0))
-        b = track(traj, 2, 1.0, cache=ProfileCache(1.0))
+        a = track(traj, 2, cache=ProfileCache(1.0))
+        b = track(traj, 2, cache=ProfileCache(1.0))
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.speeds, sb.speeds)
             assert np.array_equal(sa.positions, sb.positions)
