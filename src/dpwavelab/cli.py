@@ -17,7 +17,7 @@ from .grid import make_grid
 from .harness import Scenario, ScenarioError, SweepError, build_initial_state, run_stability, run_sweep
 from .invariants import dS_dc_closed, dS_dH_dc_fd
 from .io import load_state, save_state, save_trajectory_binary, save_trajectory_csv
-from .linearized import SpectralError, assemble_L, constrained_theta, eigen_report, lowest_eigenpairs
+from .linearized import SpectralError, assemble_L, constrained_theta, eigen_report
 from .modulation import DecompositionError, ProfileCache, decompose, initial_guess
 from .soliton import SolitonParams, build_profile
 
@@ -62,8 +62,7 @@ def _cmd_spectrum(args) -> int:
     prof = build_profile(SolitonParams(args.c, args.kappa))
     grid = make_grid(args.n, args.period)
     op = assemble_L(prof, grid)
-    pairs = lowest_eigenpairs(op, args.k) if args.eigpairs else None
-    rep = eigen_report(op)
+    rep = eigen_report(op, args.k if args.eigpairs else 4)
     theta = constrained_theta(op)
     _emit({
         "neg_eigenvalue": rep.neg_eigenvalue,
@@ -74,13 +73,12 @@ def _cmd_spectrum(args) -> int:
         "theta": theta,
         "operator_norm": rep.operator_norm,
     }, args.out)
-    if pairs is not None:
-        vals, vecs = pairs
+    if args.eigpairs:
         with open(args.eigpairs, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["eigenvalue"] + [f"v_{i}" for i in range(grid.n)])
             for i in range(args.k):
-                writer.writerow([vals[i]] + vecs[:, i].tolist())
+                writer.writerow([rep.eigenvalues[i]] + rep.eigenvectors[:, i].tolist())
     ok = rep.neg_count == 1 and rep.kernel_overlap > 0.999 and theta > 0
     return 0 if ok else 1
 

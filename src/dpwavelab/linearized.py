@@ -3,28 +3,33 @@
 L = -phi_c - 2 kappa (4 - d^2)^-1 + c (1 - d^2)(4 - d^2)^-1
 
 The nonlocal part is a Fourier multiplier and the local part a diagonal, so L
-acts on a grid function in O(n log n). The low end of the spectrum and the
-constrained coercivity constant come from implicitly restarted Lanczos (ARPACK
-through eigsh) on that action. Only the top eigenvalue, which sits in a tight
-cluster that Lanczos does not resolve, uses the dense matrix: phi is even, so L
-commutes with the reflection x -> -x and its top eigenvalue is read, values
-only, from the even and odd blocks. The operator carries its phi and phi_x
-samples: phi_x is the kernel direction the report looks for, and the smoothed
-phi and phi_x are the constraint columns of the constrained coercivity constant.
+acts on a grid function in O(n log n). phi is even, so L commutes with the
+reflection x -> -x and splits into an even and an odd block. The low end of the
+spectrum and the constrained coercivity constant come from Lanczos with full
+reorthogonalization on each block's action, in half-length coordinates, and the
+two blocks' results are merged. Only the top eigenvalue, which sits in a tight
+cluster that Lanczos does not resolve, uses the dense matrix: it is read, values
+only, from the even block, and a Cholesky factorization certifies that the odd
+block lies below it. The operator carries its phi and phi_x samples: phi_x is
+the kernel direction the report looks for, and the smoothed phi and phi_x are
+the constraint columns of the constrained coercivity constant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import circulant, eigh
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+from numpy.lib.stride_tricks import as_strided
+from numpy.linalg import LinAlgError, cholesky
+from numpy.linalg import eigvalsh as eigh
 
 from .grid import Field, PeriodicGrid, smoothing_operator
 from .soliton import SolitonProfile, sample_dx_on_grid, sample_on_grid
 
 _LANCZOS_SEED = 0  # seed of the fixed Lanczos start vector: repeated solves are bitwise identical
+_LANCZOS_TOL = 1e-14  # Ritz residual bound |beta_m s_mi|, relative to the largest Ritz value in magnitude
+_SQRT_HALF = np.sqrt(0.5)
 
 
 class SpectralError(RuntimeError):
@@ -51,17 +56,67 @@ class OperatorMatrix:
 
 @dataclass(frozen=True)
 class SpectralReport:
+    """The report, and the lowest eigenpairs it was read from: eigenvalues ascending, unit eigenvectors as columns."""
+
     neg_eigenvalue: float
     neg_count: int
     kernel_eigenvalue: float
     kernel_overlap: float
     ess_gap_proxy: float
     operator_norm: float
+    eigenvalues: np.ndarray = field(repr=False, compare=False)
+    eigenvectors: np.ndarray = field(repr=False, compare=False)
 
 
 def _reflection(n: int) -> np.ndarray:
     """Node permutation of x -> -x on the grid: node j goes to node -j mod n."""
     return -np.arange(n) % n
+
+
+def _circulant(c: np.ndarray) -> np.ndarray:
+    """The circulant matrix with first column c: entry (i, j) is c[(i - j) mod n]."""
+    n = len(c)
+    ext = np.concatenate((c[::-1], c[:0:-1]))
+    step = ext.strides[0]
+    return as_strided(ext[n - 1:], shape=(n, n), strides=(-step, step)).copy()
+
+
+@dataclass(frozen=True)
+class _Parity:
+    """Orthonormal half-length coordinates of the even or the odd grid functions under x -> -x.
+
+    Even basis: e_j for the fixed nodes j = 0, n/2, (e_j + e_-j)/sqrt2 for 0 < j < n/2;
+    odd basis: (e_j - e_-j)/sqrt2 for 0 < j < n/2.
+    """
+
+    n: int
+    odd: bool
+
+    @property
+    def dim(self) -> int:
+        return self.n // 2 - 1 if self.odd else self.n // 2 + 1
+
+    def expand(self, a: np.ndarray) -> np.ndarray:
+        """Grid functions from coordinates along the last axis."""
+        half = self.n // 2
+        v = np.zeros(a.shape[:-1] + (self.n,))
+        inner = _SQRT_HALF * (a if self.odd else a[..., 1:half])
+        v[..., 1:half] = inner
+        v[..., half + 1:] = -inner[..., ::-1] if self.odd else inner[..., ::-1]
+        if not self.odd:
+            v[..., [0, half]] = a[..., [0, half]]
+        return v
+
+    def restrict(self, v: np.ndarray) -> np.ndarray:
+        """Coordinates of the orthogonal projection onto the block, the transpose of expand."""
+        half = self.n // 2
+        mirror = v[..., :half:-1]
+        if self.odd:
+            return _SQRT_HALF * (v[..., 1:half] - mirror)
+        a = v[..., : half + 1].copy()
+        a[..., 1:half] += mirror
+        a[..., 1:half] *= _SQRT_HALF
+        return a
 
 
 def assemble_L(profile: SolitonProfile, grid: PeriodicGrid) -> OperatorMatrix:
@@ -72,55 +127,106 @@ def assemble_L(profile: SolitonProfile, grid: PeriodicGrid) -> OperatorMatrix:
     # The multiplier is the circulant of its kernel; averaging the kernel with its
     # reflection makes the matrix exactly symmetric and exactly reflection-invariant.
     kernel = np.fft.irfft(symbol, n=grid.n)
-    m = circulant(0.5 * (kernel + kernel[_reflection(grid.n)]))
+    m = _circulant(0.5 * (kernel + kernel[_reflection(grid.n)]))
     m[np.diag_indices(grid.n)] -= phi
     phi_x = sample_dx_on_grid(profile, grid).samples
     return OperatorMatrix(matrix=m, grid=grid, symbol=symbol, phi=phi, phi_x=phi_x)
 
 
-def _lanczos(phase: str, matvec, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest eigenpairs of a symmetric operator, ascending, to machine precision."""
-    # A generic start vector has both parities under x -> -x. From an even one, Lanczos reaches
-    # the odd kernel phi_x only through round-off, and can skip eigenvalues (at n = 2048 it does).
-    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
-    try:
-        vals, vecs = eigsh(LinearOperator((n, n), matvec=matvec, dtype=float), k=k, which="SA", tol=0, v0=v0)
-    except ArpackError as exc:
-        raise SpectralError(phase, f"Lanczos for the {k} lowest eigenpairs failed: {exc}") from exc
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+def _lanczos(phase: str, matvec, dim: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenpairs of a symmetric operator on R^dim, ascending; eigenvectors as rows.
+
+    Lanczos with full reorthogonalization: two classical Gram-Schmidt passes
+    against the whole basis each step (one pass leaves it too far from
+    orthogonal at n = 1024). Every 10 steps, and when the space is exhausted, the
+    Ritz pairs of the tridiagonal T_m are checked; the k lowest stop at residual
+    |beta_m s_mi| <= _LANCZOS_TOL max|theta|. The basis grows with the step count,
+    so memory is O(m dim). The eigenvalues of one parity block are simple, so a
+    random start vector reaches each of them.
+    """
+    rng = np.random.default_rng(_LANCZOS_SEED)
+    v = rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    basis = np.empty((min(dim, 32), dim))
+    alpha: list[float] = []
+    beta: list[float] = []
+    m = 0
+    while True:
+        if m == len(basis):
+            grown = np.empty((min(2 * m, dim), dim))
+            grown[:m] = basis
+            basis = grown
+        basis[m] = v
+        w = matvec(v)
+        alpha.append(float(v @ w))
+        m += 1
+        for _ in range(2):
+            w -= basis[:m].T @ (basis[:m] @ w)
+        b = float(np.linalg.norm(w))
+        if not np.isfinite(b):
+            raise SpectralError(phase, f"Lanczos broke down at step {m}: non-finite beta {b}")
+        exhausted = m == dim or b == 0.0
+        if exhausted or (m >= k and m % 10 == 0):
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            if exhausted or np.all(np.abs(b * s[-1, :k]) <= _LANCZOS_TOL * np.max(np.abs(theta))):
+                break
+        beta.append(b)
+        v = w / b
+    if m < k:
+        raise SpectralError(phase, f"Krylov space exhausted after {m} steps, short of {k} eigenpairs")
+    return theta[:k], s[:, :k].T @ basis[:m]
 
 
 def lowest_eigenpairs(op: OperatorMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest eigenvalues of L, ascending, and their unit eigenvectors as columns (1 <= k <= n - 2)."""
-    if not 1 <= k <= op.grid.n - 2:
-        raise ValueError(f"number of eigenpairs must be in [1, n - 2] = [1, {op.grid.n - 2}], got {k}")
-    return _lanczos("eigen_report", op.apply, op.grid.n, k)
+    """The k lowest eigenvalues of L, ascending, and their unit eigenvectors as columns, from both parity blocks."""
+    vals, vecs = [], []
+    for odd in (False, True):
+        parity = _Parity(op.grid.n, odd)
+        block_vals, coords = _lanczos(
+            "eigen_report", lambda a: parity.restrict(op.apply(parity.expand(a))), parity.dim, min(k, parity.dim)
+        )
+        vals.append(block_vals)
+        vecs.append(parity.expand(coords))
+    vals, vecs = np.concatenate(vals), np.concatenate(vecs)
+    order = np.argsort(vals, kind="stable")[:k]
+    return vals[order], vecs[order].T
 
 
 def _top_eigenvalue(op: OperatorMatrix) -> float:
-    """Largest eigenvalue of L from its even and odd blocks under x -> -x, values only."""
-    half = op.grid.n // 2
-    rows = op.matrix[: half + 1]
-    mirror = _reflection(op.grid.n)[: half + 1]
-    # Even basis: e_j for the fixed nodes j = 0, n/2, (e_j + e_-j)/sqrt2 otherwise;
-    # odd basis: (e_j - e_-j)/sqrt2 for 0 < j < n/2.
-    scale = np.ones(half + 1)
-    scale[[0, half]] = np.sqrt(0.5)
-    even = scale[:, None] * (rows[:, : half + 1] + rows[:, mirror]) * scale
-    odd = rows[1:half, 1:half] - rows[1:half, mirror[1:half]]
-    top_even = eigh(even, eigvals_only=True, subset_by_index=(half, half))[0]
-    top_odd = eigh(odd, eigvals_only=True, subset_by_index=(half - 2, half - 2))[0]
-    return float(max(top_even, top_odd))
+    """Largest eigenvalue of L from its even block under x -> -x, values only, certified against the odd block.
 
-
-def eigen_report(op: OperatorMatrix) -> SpectralReport:
+    top I - odd has a Cholesky factor exactly when the odd block lies below top;
+    only when it fails are the odd block's eigenvalues computed.
+    """
     n = op.grid.n
+    half = n // 2
+    # Row i of a block matrix is row i of L in the block's coordinates, times sqrt2
+    # where coordinate i pairs node i with node -i: L is reflection-invariant.
+    rows = op.matrix[: half + 1]
+    even = _Parity(n, False).restrict(rows)
+    even[1:half] *= np.sqrt(2.0)
+    odd = _Parity(n, True).restrict(rows[1:half])
+    odd *= np.sqrt(2.0)
+    shifted = np.negative(odd)
+    top = float(eigh(even)[-1])
+    shifted[np.diag_indices(half - 1)] += top
+    try:
+        cholesky(shifted)
+    except LinAlgError:
+        top = max(top, float(eigh(odd)[-1]))
+    return top
+
+
+def eigen_report(op: OperatorMatrix, k: int = 4) -> SpectralReport:
+    """Negative, kernel and gap eigenvalues of L, read from its lowest eigenpairs; the first window holds max(k, 4)."""
+    n = op.grid.n
+    if not 1 <= k <= n - 2:
+        raise ValueError(f"number of eigenpairs must be in [1, n - 2] = [1, {n - 2}], got {k}")
     top = _top_eigenvalue(op)
     dphi = op.phi_x / np.linalg.norm(op.phi_x)
     # Widen the window until a positive eigenvalue other than the kernel shows,
     # so that every negative eigenvalue is in it.
-    k = min(4, n - 2)
+    k = max(k, 4)
     while True:
         vals, vecs = lowest_eigenpairs(op, k)
         norm = max(abs(vals[0]), abs(top))
@@ -140,6 +246,8 @@ def eigen_report(op: OperatorMatrix) -> SpectralReport:
         kernel_overlap=float(overlaps[kernel]),
         ess_gap_proxy=float(pos[0]) if len(pos) else 0.0,
         operator_norm=float(norm),
+        eigenvalues=vals,
+        eigenvectors=vecs,
     )
 
 
@@ -147,10 +255,11 @@ def constrained_theta(op: OperatorMatrix) -> float:
     """Minimum eigenvalue of L restricted to the S-orthogonal complement of {phi, phi_x}.
 
     The constraint columns are op.phi and op.phi_x smoothed by (1-d^2)(4-d^2)^-1:
-    L2-orthogonality of y to them is S-orthogonality of y to phi and phi_x.
-    Lanczos on P L P + s Q Q^T, where Q is an orthonormal basis of the
-    constraint columns and P = I - Q Q^T. On range(P) this is the restricted L;
-    on range(Q) it is s, the symbol's maximum, which bounds L from above
+    L2-orthogonality of y to them is S-orthogonality of y to phi and phi_x. The
+    smoothed phi is even and the smoothed phi_x odd, so each parity block carries
+    one constraint column q, and theta is the smaller of the two blocks' minima.
+    Lanczos on P L P + s q q^T with P = I - q q^T: on range(P) this is the
+    restricted L; on q it is s, the symbol's maximum, which bounds L from above
     because phi > 0, so the lowest eigenvalue is the restricted minimum.
     """
     v = np.column_stack([smoothing_operator(Field(op.grid, f)).samples for f in (op.phi, op.phi_x)])
@@ -158,13 +267,18 @@ def constrained_theta(op: OperatorMatrix) -> float:
     cosang = abs(float(v[:, 0] @ v[:, 1])) / (norms[0] * norms[1])
     if cosang > 1.0 - 1e-10:
         raise SpectralError("constrained_theta", f"constraint vectors nearly collinear (cos angle {cosang:.3e})")
-    q, _ = np.linalg.qr(v)
     shift = float(op.symbol.max())
+    theta = np.inf
+    for odd, column in ((False, v[:, 0]), (True, v[:, 1])):
+        parity = _Parity(op.grid.n, odd)
+        q = parity.restrict(column)
+        q /= np.linalg.norm(q)
 
-    def matvec(x):
-        qx = q.T @ x
-        y = op.apply(x - q @ qx)
-        return y - q @ (q.T @ y) + shift * (q @ qx)
+        def matvec(x):
+            qx = q @ x
+            y = parity.restrict(op.apply(parity.expand(x - qx * q)))
+            return y - (q @ y) * q + (shift * qx) * q
 
-    vals, _ = _lanczos("constrained_theta", matvec, op.grid.n, 1)
-    return float(vals[0])
+        vals, _ = _lanczos("constrained_theta", matvec, parity.dim, 1)
+        theta = min(theta, float(vals[0]))
+    return theta

@@ -1,9 +1,9 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh, qr
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.linalg import circulant, eigh, qr
 
 import dpwavelab.linearized as linearized
 from dpwavelab.grid import Field, make_grid, s_inner, smoothing_operator
@@ -42,6 +42,8 @@ def _dense_report(op, prof):
         kernel_overlap=float(overlaps[k]),
         ess_gap_proxy=float(pos[0]),
         operator_norm=norm,
+        eigenvalues=vals,
+        eigenvectors=vecs,
     )
     return report, vals
 
@@ -220,24 +222,69 @@ class TestDenseOracles:
 
     def test_repeated_solves_are_bitwise_identical(self, dense_family):
         _, op, _, _, _ = dense_family[(3.0, 1.0)]
-        assert eigen_report(op) == eigen_report(op)
+        first, second = eigen_report(op), eigen_report(op)
+        assert first == second
+        assert np.array_equal(first.eigenvectors, second.eigenvectors)
         assert constrained_theta(op) == constrained_theta(op)
 
-    def test_start_vector_has_both_parities(self, dense_family, monkeypatch):
-        _, op, _, _, _ = dense_family[(3.0, 1.0)]
-        starts = []
-
-        def spy(*args, **kwargs):
-            starts.append(kwargs["v0"])
-            return eigsh(*args, **kwargs)
-
-        monkeypatch.setattr(linearized, "eigsh", spy)
-        eigen_report(op)
-        constrained_theta(op)
+    def test_parity_blocks_merge_to_the_dense_low_end(self, profiles):
+        op = assemble_L(profiles[(3.0, 1.0)], make_grid(256, 100.0))
+        dense = np.linalg.eigvalsh(op.matrix)
+        norm = np.max(np.abs(dense))
         r = -np.arange(op.grid.n) % op.grid.n
-        for v0 in starts:
-            assert np.linalg.norm(v0 + v0[r]) >= 0.5 * np.linalg.norm(v0)
-            assert np.linalg.norm(v0 - v0[r]) >= 0.5 * np.linalg.norm(v0)
+        for k in range(1, 9):
+            vals, vecs = lowest_eigenpairs(op, k)
+            assert np.max(np.abs(vals - dense[:k])) <= 1e-12 * norm
+            # every pair comes from one block: its eigenvector is exactly even or exactly odd
+            for v in vecs.T:
+                assert np.array_equal(v[r], v) or np.array_equal(v[r], -v)
+
+    def test_circulant_matches_scipy_bitwise(self, dense_family):
+        _, op, _, _, _ = dense_family[(3.0, 1.0)]
+        column = op.matrix[:, 0] + np.linspace(0.0, 1.0, op.grid.n)  # not reflection-symmetric
+        assert np.array_equal(linearized._circulant(column), circulant(column))
+
+    @pytest.mark.parametrize("lift", [0.0, 1.0])
+    def test_top_eigenvalue_certificate_and_fallback(self, dense_family, monkeypatch, lift):
+        # A rank-one odd bump lifts the odd block above the even block's top: the
+        # Cholesky certificate then fails and the odd block is solved as well.
+        _, op, _, _, _ = dense_family[(3.0, 1.0)]
+        n = op.grid.n
+        x = np.random.default_rng(1).standard_normal(n)
+        w = x - x[-np.arange(n) % n]
+        w /= np.linalg.norm(w)
+        lifted = replace(op, matrix=op.matrix + lift * np.outer(w, w))
+        solves = []
+
+        def counted(a):
+            solves.append(len(a))
+            return np.linalg.eigvalsh(a)
+
+        monkeypatch.setattr(linearized, "eigh", counted)
+        top = linearized._top_eigenvalue(lifted)
+        assert solves == ([n // 2 + 1, n // 2 - 1] if lift else [n // 2 + 1])
+        assert top == pytest.approx(np.linalg.eigvalsh(lifted.matrix)[-1], rel=1e-12)
+
+    def test_lanczos_basis_grows_with_the_steps(self):
+        # matrix-free at large n: a basis of (n + 1) x n floats would take 537 MB at n = 8192
+        n = 8192
+        diag = np.concatenate(([-3.0, -2.0, -1.0, 0.0], np.linspace(0.1, 2.0, n - 4)))
+        steps = []
+
+        def matvec(x):
+            steps.append(1)
+            return diag * x
+
+        tracemalloc.start()
+        try:
+            vals, vecs = linearized._lanczos("eigen_report", matvec, n, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vals == pytest.approx([-3.0, -2.0, -1.0, 0.0], abs=1e-12)
+        assert np.abs(vecs[:, :4]) == pytest.approx(np.eye(4), abs=1e-10)
+        assert len(steps) > 64  # the basis has grown past its first capacity
+        assert peak < 3 * len(steps) * n * 8
 
     @pytest.mark.parametrize("scale", [3.0, 4.0])
     def test_window_widens_to_every_negative_eigenvalue(self, dense_family, scale):
@@ -255,13 +302,9 @@ class TestDenseOracles:
 class TestSpectralErrors:
     def test_lanczos_failure_names_phase(self, setup_c3, monkeypatch):
         _, _, op = setup_c3
-
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
-
-        monkeypatch.setattr(linearized, "eigsh", no_convergence)
+        monkeypatch.setattr(linearized.OperatorMatrix, "apply", lambda self, x: np.full_like(x, np.nan))
         for solve, phase in ((eigen_report, "eigen_report"), (constrained_theta, "constrained_theta")):
-            with pytest.raises(SpectralError, match=f"^{phase}: .*No convergence") as info:
+            with pytest.raises(SpectralError, match=f"^{phase}: Lanczos broke down at step 1: non-finite beta") as info:
                 solve(op)
             assert info.value.phase == phase
 
