@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily; load it with this module, not in a run's first transform
 
 from .grid import Field, PeriodicGrid, derivative
 

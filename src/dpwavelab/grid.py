@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily; load it with this module, not in a run's first transform
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -10,6 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it with this module, not in a run
 import scipy
 
 from . import __version__

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily; load it with this module, not in a run's first transform
+import numpy.random  # numpy loads it lazily; load it with this module, not in a run
 from numpy.lib.stride_tricks import as_strided
 from numpy.linalg import LinAlgError, cholesky
 from numpy.linalg import eigvalsh as eigh
@@ -144,8 +146,7 @@ def _lanczos(phase: str, matvec, dim: int, k: int) -> tuple[np.ndarray, np.ndarr
     so memory is O(m dim). The eigenvalues of one parity block are simple, so a
     random start vector reaches each of them.
     """
-    rng = np.random.default_rng(_LANCZOS_SEED)
-    v = rng.standard_normal(dim)
+    v = np.random.default_rng(_LANCZOS_SEED).standard_normal(dim)
     v /= np.linalg.norm(v)
     basis = np.empty((min(dim, 32), dim))
     alpha: list[float] = []
@@ -196,7 +197,7 @@ def _top_eigenvalue(op: OperatorMatrix) -> float:
     """Largest eigenvalue of L from its even block under x -> -x, values only, certified against the odd block.
 
     top I - odd has a Cholesky factor exactly when the odd block lies below top;
-    only when it fails are the odd block's eigenvalues computed.
+    only when it fails are the eigenvalues of top I - odd computed.
     """
     n = op.grid.n
     half = n // 2
@@ -205,15 +206,14 @@ def _top_eigenvalue(op: OperatorMatrix) -> float:
     rows = op.matrix[: half + 1]
     even = _Parity(n, False).restrict(rows)
     even[1:half] *= np.sqrt(2.0)
-    odd = _Parity(n, True).restrict(rows[1:half])
-    odd *= np.sqrt(2.0)
-    shifted = np.negative(odd)
+    shifted = _Parity(n, True).restrict(rows[1:half])
+    shifted *= -np.sqrt(2.0)
     top = float(eigh(even)[-1])
-    shifted[np.diag_indices(half - 1)] += top
+    shifted[np.diag_indices(half - 1)] += top  # top I - odd
     try:
         cholesky(shifted)
     except LinAlgError:
-        top = max(top, float(eigh(odd)[-1]))
+        top -= min(0.0, float(eigh(shifted)[0]))
     return top
 
 

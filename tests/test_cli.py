@@ -132,6 +132,7 @@ def test_spectrum_eigpairs_solves_the_low_end_once(tmp_path, capsys, monkeypatch
 
 def test_cli_and_spectrum_leave_out_scipy_linalg():
     # scipy.linalg and scipy.sparse cost 0.3 s and 24 MB of set-up on every run (2-vCPU Xeon).
+    # numpy.fft and numpy.random, which numpy loads lazily, load with the package and not in a run.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
@@ -140,12 +141,13 @@ def test_cli_and_spectrum_leave_out_scipy_linalg():
         "def loaded(): return sorted(m for m in sys.modules if m.startswith(heavy))\n"
         "import dpwavelab.cli\n"
         "after_import = loaded()\n"
+        "eager = 'numpy.fft' in sys.modules and 'numpy.random' in sys.modules\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    dpwavelab.cli.main(['spectrum', '--c', '3', '--kappa', '1', '--n', '64'])\n"
-        "print(json.dumps([after_import, loaded()]))\n"
+        "print(json.dumps([after_import, loaded(), eager]))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert json.loads(out.stdout) == [[], []]
+    assert json.loads(out.stdout) == [[], [], True]
 
 
 def test_decompose(tmp_path, capsys):
