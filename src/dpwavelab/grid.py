@@ -40,9 +40,11 @@ class PeriodicGrid:
     def h(self) -> float:
         return self.period / self.n
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return -0.5 * self.period + self.h * np.arange(self.n)
+        x = -0.5 * self.period + self.h * np.arange(self.n)
+        x.flags.writeable = False
+        return x
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
@@ -107,6 +109,11 @@ class Field:
             raise ValueError("field samples must be finite")
         object.__setattr__(self, "samples", samples)
 
+    @cached_property
+    def _smoothed(self) -> "Field":
+        """smoothing_operator(self), computed once: s_inner pairs it with each field it is given."""
+        return smoothing_operator(self)
+
     def _check_same_grid(self, other: "Field") -> None:
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
@@ -156,10 +163,11 @@ def smoothing_operator(f: Field) -> Field:
 
 
 def s_inner(u: Field, v: Field) -> float:
-    """Energy pairing (u, (1 - d^2)(4 - d^2)^-1 v) = integrate(u * smoothing_operator(v)).
+    """Energy pairing ((1 - d^2)(4 - d^2)^-1 u, v) = integrate(smoothing_operator(u) * v).
 
     Symmetric and positive definite; the symbol lies in [1/4, 1), so
-    (1/4)||u||^2 <= s_inner(u, u) < ||u||^2.
+    (1/4)||u||^2 <= s_inner(u, u) < ||u||^2. The smoothed u is kept with u, so
+    pairing one field with many smooths it once.
     """
     u._check_same_grid(v)
-    return integrate(Field(u.grid, u.samples * smoothing_operator(v).samples))
+    return integrate(Field(u.grid, u._smoothed.samples * v.samples))

@@ -31,6 +31,7 @@ from .soliton import SolitonProfile, sample_dx_on_grid, sample_on_grid
 
 _LANCZOS_SEED = 0  # seed of the fixed Lanczos start vector: repeated solves are bitwise identical
 _LANCZOS_TOL = 1e-14  # Ritz residual bound |beta_m s_mi|, relative to the largest Ritz value in magnitude
+_LANCZOS_MAX_STEPS = 500  # 2.5 times the most steps a solve has taken (200); past it the solve raises
 _SQRT_HALF = np.sqrt(0.5)
 
 
@@ -142,8 +143,9 @@ def _lanczos(phase: str, matvec, dim: int, k: int) -> tuple[np.ndarray, np.ndarr
     against the whole basis each step (one pass leaves it too far from
     orthogonal at n = 1024). Every 10 steps, and when the space is exhausted, the
     Ritz pairs of the tridiagonal T_m are checked; the k lowest stop at residual
-    |beta_m s_mi| <= _LANCZOS_TOL max|theta|. The basis grows with the step count,
-    so memory is O(m dim). The eigenvalues of one parity block are simple, so a
+    |beta_m s_mi| <= _LANCZOS_TOL max|theta|, and a solve that has not stopped
+    after _LANCZOS_MAX_STEPS raises. The basis grows with the step count, so
+    memory is O(m dim). The eigenvalues of one parity block are simple, so a
     random start vector reaches each of them.
     """
     v = np.random.default_rng(_LANCZOS_SEED).standard_normal(dim)
@@ -171,6 +173,8 @@ def _lanczos(phase: str, matvec, dim: int, k: int) -> tuple[np.ndarray, np.ndarr
             theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
             if exhausted or np.all(np.abs(b * s[-1, :k]) <= _LANCZOS_TOL * np.max(np.abs(theta))):
                 break
+            if m >= _LANCZOS_MAX_STEPS:
+                raise SpectralError(phase, f"Lanczos did not converge in {m} steps")
         beta.append(b)
         v = w / b
     if m < k:

@@ -142,8 +142,12 @@ class SolitonProfile:
         t = xi - self.xs[i]
         y, m, q, r = self._log_cubic[:, i]
         out[inside] = np.exp(y + t * (m + t * (q + t * r)))
-        out[~inside] = self.tail_coeff * np.exp(-self.decay_rate * ax[~inside])
+        out[~inside] = self._far_field(ax[~inside])
         return float(out[0]) if scalar else out
+
+    def _far_field(self, ax):
+        """The far field A exp(-nu |x|) at |x| = ax, the profile beyond the table."""
+        return self.tail_coeff * np.exp(-self.decay_rate * ax)
 
     def evaluate_dx(self, x: np.ndarray) -> np.ndarray:
         """Exact slope from the first integral: phi_x = -sgn(x) phi sqrt((r1-phi)(r2-phi))/(c-phi)."""
@@ -227,27 +231,32 @@ def build_profile(params: SolitonParams, tol: float = 1e-10) -> SolitonProfile:
     )
 
 
+def _images(profile: SolitonProfile, grid: PeriodicGrid, center: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets dx in [-period/2, period/2) of the nodes from center, and phi at the far images dx - period, dx + period.
+
+    The far images lie at |x| >= period/2, so they take the far field: evaluate's
+    own tail once period/2 >= x_tail, the table to within rounding otherwise.
+    """
+    half = 0.5 * grid.period
+    dx = np.mod(grid.nodes - center + half, grid.period) - half
+    return dx, profile._far_field(grid.period - dx), profile._far_field(grid.period + dx)
+
+
 def sample_on_grid(profile: SolitonProfile, grid: PeriodicGrid, center: float = 0.0) -> Field:
-    """Sample phi(x - center) on the periodic grid, summing the two nearest images.
+    """Sample phi(x - center) on the periodic grid: the nearest image plus the two far ones.
 
     Fails when the wrapped tail at half a period exceeds TAIL_BUDGET of the amplitude.
     """
-    half = 0.5 * grid.period
-    wrap = profile.evaluate(half) / profile.amplitude
+    wrap = profile._far_field(0.5 * grid.period) / profile.amplitude
     if wrap > TAIL_BUDGET:
         raise ValueError(
             f"grid period {grid.period} too small: wrapped tail {wrap:.3e} of amplitude exceeds {TAIL_BUDGET:g}"
         )
-    dx = np.mod(grid.nodes - center + half, grid.period) - half
-    samples = profile.evaluate(dx) + profile.evaluate(dx - grid.period) + profile.evaluate(dx + grid.period)
-    return Field(grid, samples)
+    dx, left, right = _images(profile, grid, center)
+    return Field(grid, profile.evaluate(dx) + left + right)
 
 
 def sample_dx_on_grid(profile: SolitonProfile, grid: PeriodicGrid, center: float = 0.0) -> Field:
-    """Sample phi'(x - center) on the periodic grid, same image handling as sample_on_grid."""
-    half = 0.5 * grid.period
-    dx = np.mod(grid.nodes - center + half, grid.period) - half
-    samples = (
-        profile.evaluate_dx(dx) + profile.evaluate_dx(dx - grid.period) + profile.evaluate_dx(dx + grid.period)
-    )
-    return Field(grid, samples)
+    """Sample phi'(x - center) on the periodic grid, same images as sample_on_grid; the far ones take the far field's slope."""
+    dx, left, right = _images(profile, grid, center)
+    return Field(grid, profile.evaluate_dx(dx) + profile.decay_rate * (left - right))

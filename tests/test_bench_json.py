@@ -60,6 +60,40 @@ def test_higher_is_better_and_groups_by_seed():
     assert len(doc["provenance"]["parent"]) == 1
 
 
+def run_s_verdict(parent, change, bound=0.25):
+    runs = [("parent", "sweep", 3, stdout(v)) for v in parent] + [("change", "sweep", 3, stdout(v)) for v in change]
+    return bench_json.collect(runs, DIRECTIONS, {"run_s": bound})["groups"][0]["metrics"]["run_s"]["verdict"]
+
+
+def test_verdict_gain():
+    # 9 of 10 pairs won, median down 0.2 against a parent IQR of about 0.04
+    parent = [1.0, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.0, 1.02, 0.98]
+    change = [0.8, 0.82, 0.78, 0.81, 0.79, 0.83, 0.77, 0.8, 0.82, 1.05]
+    assert run_s_verdict(parent, change) == "gain"
+    assert run_s_verdict(parent, change[:-2] + [1.05, 1.05]) == "unchanged"  # 8 of 10 pairs
+
+
+def test_verdict_regression():
+    assert run_s_verdict([1.0, 1.01, 0.99, 1.0], [1.3, 1.31, 1.29, 1.3]) == "regression"
+    assert run_s_verdict([1.0, 1.01, 0.99, 1.0], [1.2, 1.21, 1.19, 1.2]) == "unchanged"
+
+
+def test_verdict_unresolved():
+    # the parent's IQR (0.5) exceeds the bound (0.25 of its median 1.0)
+    parent = [0.5, 0.75, 1.0, 1.25, 1.5]
+    assert run_s_verdict(parent, [0.9, 1.0, 1.1, 1.05, 0.95]) == "unresolved"
+    assert run_s_verdict(parent, [0.4, 0.45, 0.3, 0.35, 0.42], bound=10.0) == "gain"
+    # every change run beats every parent run, yet the medians differ by less than the IQR (0.75)
+    assert run_s_verdict([0.9, 0.95, 1.3, 1.7, 2.0], [0.85, 0.86, 0.87, 0.88, 0.89]) == "unchanged"
+
+
+def test_verdict_unchanged_and_per_layer_metrics_have_no_bound():
+    assert run_s_verdict([1.0, 1.01, 0.99, 1.0], [1.01, 1.0, 1.0, 0.99]) == "unchanged"
+    runs = [("parent", "train-dense", 3, stdout(1.0, hit_ratio=0.9)), ("change", "train-dense", 3, stdout(1.0, hit_ratio=0.1))]
+    metrics = bench_json.collect(runs, DIRECTIONS, {"run_s": 0.25})["groups"][0]["metrics"]
+    assert metrics["soliton.cache_hit_ratio"]["verdict"] == "unchanged"
+
+
 def test_cli(tmp_path):
     paths = []
     for side, v in (("parent", 0.8), ("change", 0.5)):

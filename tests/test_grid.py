@@ -44,6 +44,12 @@ class TestMakeGrid:
         g = make_grid(64, 20.0)
         assert np.allclose(g.wavenumbers, 2.0 * np.pi * np.arange(33) / 20.0, rtol=1e-15, atol=0.0)
 
+    def test_nodes_one_read_only_array(self):
+        g = make_grid(8, 16.0)
+        assert g.nodes is g.nodes
+        with pytest.raises(ValueError):
+            g.nodes[0] = 1.0
+
 
 class TestField:
     def test_shape_mismatch_rejected(self):

@@ -308,6 +308,15 @@ class TestSpectralErrors:
                 solve(op)
             assert info.value.phase == phase
 
+    def test_lanczos_step_cap(self, monkeypatch):
+        # a bound no residual meets: the solve stops at the cap instead of running to the block dimension
+        op = assemble_L(build_profile(SolitonParams(3.0, 1.0)), make_grid(256, 100.0))
+        monkeypatch.setattr(linearized, "_LANCZOS_MAX_STEPS", 30)
+        monkeypatch.setattr(linearized, "_LANCZOS_TOL", 0.0)
+        with pytest.raises(SpectralError, match="^eigen_report: Lanczos did not converge in 30 steps$") as info:
+            eigen_report(op)
+        assert info.value.phase == "eigen_report"
+
     def test_collinear_constraints(self, setup_c3):
         _, _, op = setup_c3
         with pytest.raises(SpectralError, match="collinear") as info:

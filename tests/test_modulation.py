@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpwavelab.grid as grid_module
 import dpwavelab.modulation as modulation
 from dpwavelab.evolution import EvolutionConfig, evolve
 from dpwavelab.grid import Field, make_grid, s_inner
@@ -166,6 +167,22 @@ class TestOrthogonalityResidual:
         expected = seed_residual(pert, s, p, cache)
         assert np.all(expected != 0.0)
         assert np.array_equal(orthogonality_residual(pert, waves_at(grid, s, p, cache)), expected)
+
+
+    def test_smooths_eps_once(self, three_train, monkeypatch):
+        # 2N pairings, one S-transform: s_inner smooths its first argument, eps, and keeps the result
+        cache, grid, speeds, positions, u = three_train
+        waves = waves_at(grid, speeds, positions, cache)
+        calls = []
+        smoothing = grid_module.smoothing_operator
+
+        def counting(f):
+            calls.append(f)
+            return smoothing(f)
+
+        monkeypatch.setattr(grid_module, "smoothing_operator", counting)
+        orthogonality_residual(u, waves)
+        assert len(calls) == 1
 
 
 class TestInitialGuess:

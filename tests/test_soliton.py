@@ -297,6 +297,35 @@ class TestSampleOnGrid:
         with pytest.raises(ValueError):
             sample_on_grid(prof, make_grid(64, 0.999 * p))
 
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("ratio", [1.01, 1.05, 1.5, 3.0, 10.0])
+    def test_far_images_match_three_evaluates(self, kappa, ratio):
+        # The oracle evaluates all three images through evaluate and evaluate_dx. Once period/2 >= x_tail the
+        # far images lie in evaluate's own tail, so R is bitwise the same; R_x's far images take the tail
+        # model's slope nu*A*exp(-nu|x|), not the first integral's, which agree to rounding there.
+        prof = build_profile(SolitonParams(2.0 * kappa * ratio, kappa))
+        p = min_period(prof.params)
+        bound = 2.0 * np.finfo(float).eps * prof.amplitude
+        for period in (1.001 * p, 1.5 * p, max(300.0, 2.0 * p)):
+            grid = make_grid(512, period)
+            for center in (0.0, 0.37 * period, -0.49 * period, 0.4999 * period):
+                dx = np.mod(grid.nodes - center + 0.5 * period, period) - 0.5 * period
+                images = (dx, dx - period, dx + period)
+                phi = prof.evaluate(images[0]) + prof.evaluate(images[1]) + prof.evaluate(images[2])
+                phi_x = prof.evaluate_dx(images[0]) + prof.evaluate_dx(images[1]) + prof.evaluate_dx(images[2])
+                r = sample_on_grid(prof, grid, center).samples
+                if 0.5 * period >= prof.x_tail:
+                    assert np.array_equal(r, phi)
+                assert np.max(np.abs(r - phi)) <= bound
+                assert np.max(np.abs(sample_dx_on_grid(prof, grid, center).samples - phi_x)) <= bound
+
+    def test_far_images_finite_in_a_wide_box(self, profiles):
+        # nu*period/2 > 709 here: each far image underflows to 0, where 2A exp(-nu P) cosh(nu dx) is 0 * inf
+        grid = make_grid(512, 4000.0)
+        prof = profiles[(3.0, 1.0)]
+        for sample in (sample_on_grid, sample_dx_on_grid):
+            assert np.all(np.isfinite(sample(prof, grid, 13.0).samples))
+
     def test_dx_sampling_consistent(self, profiles):
         prof = profiles[(3.0, 1.0)]
         grid = make_grid(512, 100.0)

@@ -10,9 +10,20 @@ Each argument is SIDE/WORKLOAD/SEED=PATH: PATH holds the stdout of one
 the order given, and the i-th parent value of a metric pairs with the i-th
 change value. For each workload, seed and metric the output holds the median
 and quartiles of each side, the number of pairs the change wins (by the
-metric's direction in BENCHMARK.json), the difference of the medians and the
-parent's interquartile range. Each side's distinct provenance lines (Python,
-numpy and scipy versions, core count, commit) are kept.
+metric's direction in BENCHMARK.json), the difference of the medians, the
+parent's interquartile range and a verdict:
+
+- ``gain``: the change wins at least 0.9 of the pairs, and its median moves
+  the better way by more than the parent's interquartile range;
+- ``regression``: the change's median is worse than the parent's by more
+  than the metric's ``bound``, a fraction of the parent's median;
+- ``unresolved``: the parent's interquartile range exceeds that bound, and
+  not every change run beats every parent run;
+- ``unchanged``: none of these.
+
+Only the end-to-end metrics have a bound, so a per-layer metric is never a
+regression and never unresolved. Each side's distinct provenance lines
+(Python, numpy and scipy versions, core count, commit) are kept.
 
 Stdlib only.
 """
@@ -27,6 +38,7 @@ import sys
 
 SIDES = ("parent", "change")
 PROVENANCE_KEYS = ("python", "numpy", "scipy", "nproc", "cpu_model", "git_commit", "git_dirty")
+GAIN_SHARE = 0.9  # share of the pairs a gain must win
 BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCHMARK.json")
 
 
@@ -64,8 +76,24 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def collect(runs: list[tuple[str, str, int, str]], directions: dict[str, str]) -> dict:
-    """runs: (side, workload, seed, stdout text) in the order given."""
+def verdict(metric: dict, parent: list[float], change: list[float], bound: float | None) -> str:
+    """gain, regression, unresolved or unchanged for one metric's summary and its two sides' runs."""
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    worse_by = sign * metric["median_diff"]
+    if metric["change_wins"] >= GAIN_SHARE * metric["pairs"] and -worse_by > metric["parent_iqr"]:
+        return "gain"
+    if bound is not None:
+        allowed = bound * abs(metric["parent"]["median"])
+        if worse_by > allowed:
+            return "regression"
+        if metric["parent_iqr"] > allowed and max(sign * v for v in change) >= min(sign * v for v in parent):
+            return "unresolved"
+    return "unchanged"
+
+
+def collect(runs: list[tuple[str, str, int, str]], directions: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
+    """runs: (side, workload, seed, stdout text) in the order given; bounds: the end-to-end metrics' bounds."""
+    bounds = bounds or {}
     provenance = {side: [] for side in SIDES}
     groups: dict[tuple[str, int], dict] = {}
     for side, workload, seed, text in runs:
@@ -89,7 +117,7 @@ def collect(runs: list[tuple[str, str, int, str]], directions: dict[str, str]) -
             better = directions.get(name, "lower")
             sign = 1.0 if better == "lower" else -1.0
             p, c = summarize(parent), summarize(change)
-            metrics[name] = {
+            metrics[name] = metric = {
                 "unit": unit,
                 "better": better,
                 "parent": p,
@@ -99,6 +127,7 @@ def collect(runs: list[tuple[str, str, int, str]], directions: dict[str, str]) -
                 "median_diff": c["median"] - p["median"],
                 "parent_iqr": p["q3"] - p["q1"],
             }
+            metric["verdict"] = verdict(metric, parent, change, bounds.get(name))
         out.append({
             "workload": workload,
             "seed": seed,
@@ -116,6 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     with open(BENCHMARK) as fh:
         spec = json.load(fh)
     directions = {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    bounds = {m["name"]: m["bound"] for m in spec.get("end_to_end", []) if "bound" in m}
     runs = []
     for arg in args.runs:
         try:
@@ -125,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             parser.error(f"{arg}: {exc}")
     try:
-        doc = collect(runs, directions)
+        doc = collect(runs, directions, bounds)
     except ValueError as exc:
         parser.error(str(exc))
     with open(args.output, "w") as fh:
