@@ -116,7 +116,7 @@ def test_spectrum_lanczos_step_cap(monkeypatch, capsys):
     monkeypatch.setattr(linearized, "_LANCZOS_MAX_STEPS", 30)
     monkeypatch.setattr(linearized, "_LANCZOS_TOL", 0.0)
     assert main(["spectrum", "--c", "3", "--kappa", "1", "--n", "256"]) == 1
-    assert capsys.readouterr().err.startswith("spectral error: eigen_report: Lanczos did not converge in 30 steps")
+    assert capsys.readouterr().err.startswith("spectral error: eigen_report: Lanczos did not converge in 40 steps")
 
 
 def test_spectrum_eigpairs_solves_the_low_end_once(tmp_path, capsys, monkeypatch):

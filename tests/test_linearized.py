@@ -313,9 +313,18 @@ class TestSpectralErrors:
         op = assemble_L(build_profile(SolitonParams(3.0, 1.0)), make_grid(256, 100.0))
         monkeypatch.setattr(linearized, "_LANCZOS_MAX_STEPS", 30)
         monkeypatch.setattr(linearized, "_LANCZOS_TOL", 0.0)
-        with pytest.raises(SpectralError, match="^eigen_report: Lanczos did not converge in 30 steps$") as info:
+        with pytest.raises(SpectralError, match="^eigen_report: Lanczos did not converge in 40 steps$") as info:
             eigen_report(op)
         assert info.value.phase == "eigen_report"
+
+    def test_step_cap_grows_with_the_window(self, monkeypatch):
+        # at n = 256, 20 and 40 pairs take 90 and 110 steps per block: past a cap of 60, within 60 + 2k
+        op = assemble_L(build_profile(SolitonParams(3.0, 1.0)), make_grid(256, 100.0))
+        monkeypatch.setattr(linearized, "_LANCZOS_MAX_STEPS", 60)
+        dense = np.linalg.eigvalsh(op.matrix)
+        for k in (20, 40):
+            vals, _ = lowest_eigenpairs(op, k)
+            assert np.max(np.abs(vals - dense[:k])) <= 1e-12 * np.max(np.abs(dense))
 
     def test_collinear_constraints(self, setup_c3):
         _, _, op = setup_c3
