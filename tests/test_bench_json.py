@@ -82,7 +82,8 @@ def test_verdict_unresolved():
     # the parent's IQR (0.5) exceeds the bound (0.25 of its median 1.0)
     parent = [0.5, 0.75, 1.0, 1.25, 1.5]
     assert run_s_verdict(parent, [0.9, 1.0, 1.1, 1.05, 0.95]) == "unresolved"
-    assert run_s_verdict(parent, [0.4, 0.45, 0.3, 0.35, 0.42], bound=10.0) == "gain"
+    # beating that spread by more than the IQR on every pair is a gain
+    assert run_s_verdict(parent, [0.4, 0.45, 0.3, 0.35, 0.42]) == "gain"
     # every change run beats every parent run, yet the medians differ by less than the IQR (0.75)
     assert run_s_verdict([0.9, 0.95, 1.3, 1.7, 2.0], [0.85, 0.86, 0.87, 0.88, 0.89]) == "unchanged"
 

@@ -168,7 +168,6 @@ class TestOrthogonalityResidual:
         assert np.all(expected != 0.0)
         assert np.array_equal(orthogonality_residual(pert, waves_at(grid, s, p, cache)), expected)
 
-
     def test_smooths_eps_once(self, three_train, monkeypatch):
         # 2N pairings, one S-transform: s_inner smooths its first argument, eps, and keeps the result
         cache, grid, speeds, positions, u = three_train
