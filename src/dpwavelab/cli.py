@@ -143,6 +143,12 @@ def _cmd_check_psi(args) -> int:
     return 0 if report["ok"] else 1
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dpwavelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -171,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="modulation decomposition of a saved state")
     p.add_argument("--state", required=True)
-    p.add_argument("--n-waves", type=int, required=True)
+    p.add_argument("--n-waves", type=_positive_int, required=True)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_decompose)

@@ -86,16 +86,8 @@ def localized_momentum(u: Field, m: float, B: float) -> float:
     seam at the antipode of m.
     """
     grid = u.grid
-    dx = np.mod(grid.nodes - m + 0.5 * grid.period, grid.period) - 0.5 * grid.period
-    w = weight_psi(dx, B)
+    w = weight_psi(grid.wrap(grid.nodes - m), B)
     return 0.5 * float(grid.h * np.sum(w * momentum_density(u)))
-
-
-def midpoints(positions: np.ndarray, period: float) -> np.ndarray:
-    """m_j = circle midpoint of (x_{j-1}, x_j) for j = 2..N (0-based: entries 1..N-1)."""
-    positions = np.asarray(positions, dtype=float)
-    gaps = np.mod(np.diff(positions), period)
-    return positions[:-1] + 0.5 * gaps
 
 
 def apriori_checks(u_t: Field, u0: Field, f: Field, kappa: float) -> dict:

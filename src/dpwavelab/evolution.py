@@ -36,10 +36,10 @@ class EvolutionConfig:
     def __post_init__(self) -> None:
         if not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.t_end < np.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if not 0 < self.dt <= self.t_end:
+            raise ValueError(f"dt must be positive and at most t_end {self.t_end}, got {self.dt}")
         if self.observer_stride < 1:
             raise ValueError("observer_stride must be >= 1")
 

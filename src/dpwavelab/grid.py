@@ -53,6 +53,14 @@ class PeriodicGrid:
         xi.flags.writeable = False
         return xi
 
+    def wrap(self, x):
+        """x moved by whole periods into [-period/2, period/2]; only rounding, just below -period/2, gives period/2."""
+        return np.mod(x + 0.5 * self.period, self.period) - 0.5 * self.period
+
+    def gaps(self, positions: np.ndarray) -> np.ndarray:
+        """Forward circle gaps in [0, period]: entry j runs from positions[j] to positions[j + 1], the last back to positions[0]."""
+        return np.mod(np.roll(positions, -1) - positions, self.period)
+
     @cached_property
     def _symbols(self) -> dict:
         return {}

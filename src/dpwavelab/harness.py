@@ -14,7 +14,7 @@ import numpy.random  # numpy loads it lazily; load it with this module, not in a
 import scipy
 
 from . import __version__
-from .diagnostics import apriori_checks, localized_momentum, midpoints
+from .diagnostics import apriori_checks, localized_momentum
 from .evolution import BlowUpError, EvolutionConfig, check_w_positivity, evolve, evolve_stack
 from .grid import Field, PeriodicGrid, make_grid
 from .invariants import hamiltonian_H, momentum_S
@@ -50,7 +50,7 @@ class Scenario:
     speeds: tuple[float, ...]
     separation: float
     alpha: float = 0.0
-    perturbation_kind: str = "bump"  # bump | mode | none
+    perturbation_kind: str = "bump"  # bump | mode
     seed: int = 0
     grid_n: int = 1024
     grid_period: float | None = None  # None: auto-sized
@@ -67,20 +67,24 @@ class Scenario:
         object.__setattr__(self, "speeds", speeds)
         if len(speeds) < 1:
             raise ScenarioError("at least one speed required")
+        if not np.all(np.isfinite(speeds)):
+            raise ScenarioError(f"speeds must be finite, got {speeds}")
         if any(b <= a for a, b in zip(speeds, speeds[1:])):
             raise ScenarioError(f"speeds must be strictly increasing, got {speeds}")
         if not speeds[0] > 2.0 * self.kappa > 0.0:
             raise ScenarioError(f"hypothesis 0 < 2*kappa < c_1 violated: kappa={self.kappa}, c_1={speeds[0]}")
-        if self.alpha < 0:
-            raise ScenarioError(f"alpha must be >= 0, got {self.alpha}")
-        if self.perturbation_kind not in ("bump", "mode", "none"):
+        if not 0.0 <= self.alpha < np.inf:
+            raise ScenarioError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if self.perturbation_kind not in ("bump", "mode"):
             raise ScenarioError(f"unknown perturbation kind {self.perturbation_kind!r}")
-        if len(speeds) > 1 and not self.separation > 0:
-            raise ScenarioError(f"separation must be positive, got {self.separation}")
-        if not self.weight_B > 2.0:
-            raise ScenarioError(f"weight scale weight_B must exceed 2, got {self.weight_B}")
-        if self.sigma0 is not None and not self.sigma0 > 0:
-            raise ScenarioError(f"sigma0 must be positive, got {self.sigma0}")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
+        if not np.isfinite(self.separation) or len(speeds) > 1 and not self.separation > 0:
+            raise ScenarioError(f"separation must be finite, and positive for two or more waves, got {self.separation}")
+        if not 2.0 < self.weight_B < np.inf:
+            raise ScenarioError(f"weight scale weight_B must be finite and exceed 2, got {self.weight_B}")
+        if self.sigma0 is not None and not 0 < self.sigma0 < np.inf:
+            raise ScenarioError(f"sigma0 must be positive and finite, got {self.sigma0}")
         try:
             self.grid()
             self.evolution_config()
@@ -107,7 +111,7 @@ class Scenario:
         if self.sigma0 is not None:
             return self.sigma0
         c1 = self.speeds[0]
-        items = [np.sqrt(1.0 - 2.0 * self.kappa / c1), c1 - 2.0 * self.kappa]
+        items = [SolitonParams(c1, self.kappa).nu, c1 - 2.0 * self.kappa]
         items += [b - a for a, b in zip(self.speeds, self.speeds[1:])]
         return 0.5 * float(min(items))
 
@@ -119,7 +123,7 @@ class Scenario:
     def _geometry(self) -> tuple[float, float, float]:
         """Span of the initial train, the fastest wave's gain on the slowest by t_end, and the seam margin
         20/nu_min, twenty decay lengths of the widest tail."""
-        nu_min = np.sqrt(1.0 - 2.0 * self.kappa / self.speeds[0])
+        nu_min = SolitonParams(self.speeds[0], self.kappa).nu
         return (self.n_waves - 1) * self.separation, (self.speeds[-1] - self.speeds[0]) * self.t_end, 20.0 / nu_min
 
     def auto_period(self) -> float:
@@ -175,14 +179,11 @@ def _unit_perturbation(scenario: Scenario, grid: PeriodicGrid) -> np.ndarray:
             center = anchors[i % len(anchors)] + rng.uniform(-6.0, 6.0)
             width = rng.uniform(1.5, 3.0)
             amp = rng.uniform(0.3, 1.0)
-            d = np.mod(x - center + 0.5 * grid.period, grid.period) - 0.5 * grid.period
-            p += amp * np.exp(-((d / width) ** 2))
-    elif scenario.perturbation_kind == "mode":
+            p += amp * np.exp(-((grid.wrap(x - center) / width) ** 2))
+    else:
         p = np.zeros(grid.n)
         for m in range(1, 5):
             p += rng.uniform(0.2, 1.0) * np.cos(2.0 * np.pi * m * x / grid.period + rng.uniform(0, 2 * np.pi))
-    else:
-        return np.zeros(grid.n)
     return p / np.sqrt(grid.h * np.sum(p**2))
 
 
@@ -268,7 +269,7 @@ def _observe(scenario: Scenario, u0: Field, info: dict, traj, cache: ProfileCach
             row[f"c_{j}"] = c
             row[f"x_{j}"] = x
         if scenario.n_waves > 1:
-            ms = midpoints(st.positions, grid.period)
+            ms = st.positions[:-1] + 0.5 * grid.gaps(st.positions)[:-1]
             for j in range(2, scenario.n_waves + 1):
                 row[f"i_{j}"] = localized_momentum(frame, float(ms[j - 2]), scenario.weight_B)
         row.update(flags)
@@ -376,8 +377,8 @@ def run_sweep(base: Scenario, alphas, separations, parallelism: int = 1) -> Swee
     """Stability runs over the (alpha, L) grid; fit sup_error ~ A (alpha + exp(-gamma0 L / 2)).
 
     Runs that share a grid are split into min(parallelism, runs) contiguous
-    chunks, and each chunk evolves as one stack in one worker. Rows are the
-    same whatever the parallelism.
+    chunks, and each chunk evolves as one stack in one worker; the pool has
+    no more workers than chunks. Rows are the same whatever the parallelism.
     """
     alphas = list(alphas)
     separations = list(separations)
@@ -392,7 +393,7 @@ def run_sweep(base: Scenario, alphas, separations, parallelism: int = 1) -> Swee
     workers = max(1, parallelism)
     chunks = [chunk for group in groups.values() for chunk in _split(group, min(workers, len(group)))]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             rows = [row for chunk_rows in pool.map(_sweep_chunk, chunks) for row in chunk_rows]
     else:
         rows = [row for chunk in chunks for row in _sweep_chunk(chunk)]

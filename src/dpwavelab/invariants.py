@@ -50,7 +50,7 @@ def dS_dH_dc_fd(c: float, kappa: float, n: int) -> tuple[float, float]:
     All profiles share one grid: n nodes, period 50/nu with nu taken at c - dc, the slowest speed sampled.
     """
     dc = min(1e-3 * c, 0.1 * (c - 2.0 * kappa))
-    grid = make_grid(n, 50.0 / np.sqrt(1.0 - 2.0 * kappa / (c - dc)))
+    grid = make_grid(n, 50.0 / SolitonParams(c - dc, kappa).nu)
 
     def s_h(cc: float) -> np.ndarray:
         u = sample_on_grid(build_profile(SolitonParams(cc, kappa)), grid)

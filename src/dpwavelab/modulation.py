@@ -168,7 +168,6 @@ def decompose(u: Field, speeds0, positions0, cache: ProfileCache, jacobian: np.n
     raises DecompositionError.
     """
     grid = u.grid
-    period = grid.period
     n_waves = len(speeds0)
     theta = np.empty(2 * n_waves)
     theta[0::2] = np.asarray(speeds0, dtype=float)
@@ -194,8 +193,8 @@ def decompose(u: Field, speeds0, positions0, cache: ProfileCache, jacobian: np.n
 
     def fd_jacobian(th, waves, r):
         speeds, positions = split(th)
-        gaps = np.mod(np.roll(positions, -1) - positions, period)
-        gap_scale = np.min(gaps[gaps > 0]) if n_waves > 1 else period / 4.0
+        gaps = grid.gaps(positions)
+        gap_scale = np.min(gaps[gaps > 0]) if n_waves > 1 else grid.period / 4.0
         jac = np.empty((2 * n_waves, 2 * n_waves))
         for k in range(2 * n_waves):
             step = 1e-6 * speeds[k // 2] if k % 2 == 0 else 1e-6 * gap_scale
@@ -244,7 +243,7 @@ def decompose(u: Field, speeds0, positions0, cache: ProfileCache, jacobian: np.n
         raise DecompositionError(f"Newton did not converge in {MAX_ITER} iterations (|r|_inf={r_max:.3e})", *split(theta))
 
     speeds, positions = split(theta)
-    positions = np.mod(positions + 0.5 * period, period) - 0.5 * period
+    positions = grid.wrap(positions)
     eps = _remainder(u, waves)
     return ModulationState(
         speeds=speeds.copy(),

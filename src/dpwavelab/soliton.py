@@ -48,6 +48,11 @@ class SolitonParams:
         if not (self.c > 2.0 * self.kappa > 0.0):
             raise ValueError(f"soliton parameters require c > 2*kappa > 0, got c={self.c}, kappa={self.kappa}")
 
+    @property
+    def nu(self) -> float:
+        """Decay rate sqrt(1 - 2 kappa/c) of the far field phi ~ A exp(-nu |x|)."""
+        return np.sqrt(1.0 - 2.0 * self.kappa / self.c)
+
 
 def _quadratic_roots(c: float, kappa: float) -> tuple[float, float]:
     """Roots r1 < r2 of F(phi) = phi^2/2 - (c - 2k/3) phi + c^2/2 - k*c.
@@ -66,8 +71,7 @@ def _far_field_ratio(params: SolitonParams) -> float:
     It is 4 r2/(r2 - r1) ((r2 - r1)/(sqrt r1 + sqrt r2)^2)^nu, the phi -> 0 limit of the inverse map.
     """
     r1, r2 = _quadratic_roots(params.c, params.kappa)
-    nu = np.sqrt(1.0 - 2.0 * params.kappa / params.c)
-    return float(4.0 * r2 / (r2 - r1) * ((r2 - r1) / (np.sqrt(r1) + np.sqrt(r2)) ** 2) ** nu)
+    return float(4.0 * r2 / (r2 - r1) * ((r2 - r1) / (np.sqrt(r1) + np.sqrt(r2)) ** 2) ** params.nu)
 
 
 def min_period(params: SolitonParams) -> float:
@@ -75,8 +79,7 @@ def min_period(params: SolitonParams) -> float:
 
     The far-field ratio lies in (1, 4], so the result is at least 2 ln(1/TAIL_BUDGET) / nu.
     """
-    nu = np.sqrt(1.0 - 2.0 * params.kappa / params.c)
-    return float(2.0 * np.log(_far_field_ratio(params) / TAIL_BUDGET) / nu)
+    return float(2.0 * np.log(_far_field_ratio(params) / TAIL_BUDGET) / params.nu)
 
 
 def speed_from_amplitude(a: float, kappa: float) -> float:
@@ -131,10 +134,8 @@ class SolitonProfile:
     def x_tail(self) -> float:
         return float(self.xs[-1])
 
-    def evaluate(self, x) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        ax = np.abs(np.atleast_1d(x))
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        ax = np.abs(np.asarray(x, dtype=float))
         out = np.empty_like(ax)
         inside = ax <= self.x_tail
         xi = ax[inside]
@@ -143,7 +144,7 @@ class SolitonProfile:
         y, m, q, r = self._log_cubic[:, i]
         out[inside] = np.exp(y + t * (m + t * (q + t * r)))
         out[~inside] = self._far_field(ax[~inside])
-        return float(out[0]) if scalar else out
+        return out
 
     def _far_field(self, ax):
         """The far field A exp(-nu |x|) at |x| = ax, the profile beyond the table."""
@@ -202,11 +203,10 @@ def build_profile(params: SolitonParams, tol: float = 1e-10) -> SolitonProfile:
     phi_geo = phi_cut * np.exp(np.linspace(0.0, np.log(tol * r1 / phi_cut), n_geo))
     phis = np.concatenate([phi_peak, phi_geo[1:]])
 
-    nu = np.sqrt(1.0 - 2.0 * kappa / c)
     a = np.sqrt(r1 - phis)
     b = np.sqrt(r2 - phis)
     gap = np.sqrt(r2 - r1)
-    xs = (2.0 / nu) * np.log((np.sqrt(r2) * a + np.sqrt(r1) * b) / (np.sqrt(phis) * gap)) - 2.0 * np.log((a + b) / gap)
+    xs = (2.0 / params.nu) * np.log((np.sqrt(r2) * a + np.sqrt(r1) * b) / (np.sqrt(phis) * gap)) - 2.0 * np.log((a + b) / gap)
 
     if not (np.all(np.diff(xs) > 0) and np.all(np.diff(phis) < 0)):
         raise RuntimeError("profile table is not strictly monotone")
@@ -223,7 +223,7 @@ def build_profile(params: SolitonParams, tol: float = 1e-10) -> SolitonProfile:
     return SolitonProfile(
         params=params,
         amplitude=float(phis[0]),
-        decay_rate=float(nu),
+        decay_rate=float(params.nu),
         xs=xs,
         phis=phis,
         tail_coeff=float(r1 * _far_field_ratio(params)),
@@ -237,8 +237,7 @@ def _images(profile: SolitonProfile, grid: PeriodicGrid, center: float) -> tuple
     The far images lie at |x| >= period/2, so they take the far field: evaluate's
     own tail once period/2 >= x_tail, the table to within rounding otherwise.
     """
-    half = 0.5 * grid.period
-    dx = np.mod(grid.nodes - center + half, grid.period) - half
+    dx = grid.wrap(grid.nodes - center)
     return dx, profile._far_field(grid.period - dx), profile._far_field(grid.period + dx)
 
 

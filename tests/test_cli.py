@@ -170,6 +170,18 @@ def test_decompose(tmp_path, capsys):
     assert doc["positions"] == pytest.approx([-15.0, 15.0], abs=1e-8)
 
 
+@pytest.mark.parametrize("n_waves", ["0", "-2"])
+def test_decompose_rejects_fewer_than_one_wave(capsys, monkeypatch, n_waves):
+    def guessing(*args, **kwargs):
+        raise AssertionError("decomposed into fewer than one wave")
+
+    monkeypatch.setattr(cli, "initial_guess", guessing)
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--state", "state.json", "--n-waves", n_waves, "--kappa", "1"])
+    assert exc.value.code == 2
+    assert f"argument --n-waves: must be >= 1, got {n_waves}" in capsys.readouterr().err
+
+
 def test_check_invariants(capsys):
     assert main(["check-invariants", "--kappa", "1", "--speeds", "3", "--n", "512"]) == 0
     out = capsys.readouterr().out
@@ -201,7 +213,9 @@ def test_stability_decreasing_speeds_rejected(tmp_path, capsys):
     assert main(["stability", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("field, value", [("weight_B", 2.0), ("sigma0", -1.0), ("sigma0", 0.0)])
+@pytest.mark.parametrize(
+    "field, value", [("weight_B", 2.0), ("sigma0", -1.0), ("sigma0", 0.0), ("weight_B", float("inf")), ("sigma0", float("inf"))]
+)
 @pytest.mark.parametrize("command", ["stability", "sweep"])
 def test_bad_weight_rejected_before_evolving(tmp_path, capsys, monkeypatch, command, field, value):
     def evolving(*args, **kwargs):
@@ -220,23 +234,51 @@ def test_bad_weight_rejected_before_evolving(tmp_path, capsys, monkeypatch, comm
     assert field in err
 
 
-@pytest.mark.parametrize(
-    "field, value", [("observer_stride", 0), ("dt", 0.0), ("t_end", -1.0), ("grid_n", 1000), ("grid_period", -5.0)]
-)
-@pytest.mark.parametrize("command", ["stability", "sweep"])
-def test_bad_grid_or_stepping_rejected_on_load(tmp_path, capsys, monkeypatch, command, field, value):
-    def preparing(*args, **kwargs):
-        raise AssertionError("built the initial state of a scenario that fails validation")
+def _preparing(*args, **kwargs):
+    raise AssertionError("built the initial state of a scenario that fails validation")
 
-    monkeypatch.setattr(harness, "build_initial_state", preparing)
+
+def _rejected_on_load(tmp_path, capsys, monkeypatch, command, **edits) -> str:
+    """The command's stderr on the good scenario with edits: exit 2, one line, no initial state built."""
+    monkeypatch.setattr(harness, "build_initial_state", _preparing)
     cfg = tmp_path / "bad.json"
     doc = json.loads(open(write_scenario(tmp_path / "good.json")).read())
-    doc[field] = value
+    doc.update(edits)
     cfg.write_text(json.dumps(doc))
     sweep_args = ["--alphas", "1e-4,1e-3", "--separations", "25,30"] if command == "sweep" else []
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *sweep_args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("observer_stride", 0), ("dt", 0.0), ("t_end", -1.0), ("grid_n", 1000), ("grid_period", -5.0), ("dt", 1e30)],
+)
+@pytest.mark.parametrize("command", ["stability", "sweep"])
+def test_bad_grid_or_stepping_rejected_on_load(tmp_path, capsys, monkeypatch, command, field, value):
+    _rejected_on_load(tmp_path, capsys, monkeypatch, command, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("alpha", float("nan")), ("alpha", float("inf")), ("seed", -1), ("speeds", [3.0, float("nan")]),
+     ("speeds", [3.0, float("inf")])],
+    ids=["alpha-nan", "alpha-inf", "seed-negative", "speeds-nan", "speeds-inf"],
+)
+@pytest.mark.parametrize("command", ["stability", "sweep"])
+def test_bad_perturbation_or_speeds_rejected_on_load(tmp_path, capsys, monkeypatch, command, field, value):
+    # An explicit period: auto-sizing would meet a non-finite speed first, the seam check does not.
+    err = _rejected_on_load(tmp_path, capsys, monkeypatch, command, grid_period=200.0, **{field: value})
+    assert err.startswith(f"configuration error: {field} must be ")
+
+
+def test_sweep_nonfinite_alpha_rejected_before_any_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "build_initial_state", _preparing)
+    cfg = write_scenario(tmp_path / "scenario.json")
+    assert main(["sweep", "--config", cfg, "--alphas", "1e-3,nan,1e-2", "--separations", "25,30"]) == 2
+    assert capsys.readouterr().err == "configuration error: alpha must be finite and >= 0, got nan\n"
 
 
 @pytest.mark.parametrize("command", ["stability", "sweep"])

@@ -4,7 +4,6 @@ import pytest
 from dpwavelab.diagnostics import (
     apriori_checks,
     localized_momentum,
-    midpoints,
     momentum_density,
     psi_derivative_bounds_check,
     weight_psi,
@@ -109,17 +108,6 @@ class TestLocalizedMomentum:
 
     def test_density_nonnegative(self, soliton_state):
         assert np.all(momentum_density(soliton_state) >= 0.0)
-
-
-class TestMidpoints:
-    def test_simple(self):
-        ms = midpoints(np.array([-30.0, 30.0]), 200.0)
-        assert np.allclose(ms, [0.0])
-
-    def test_wrapped(self):
-        ms = midpoints(np.array([80.0, -80.0]), 200.0)
-        # forward gap from 80 to -80 is 40, so the midpoint sits at 100 = -100
-        assert np.allclose(np.mod(ms, 200.0), [100.0])
 
 
 class TestAprioriChecks:

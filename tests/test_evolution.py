@@ -69,6 +69,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             EvolutionConfig(kappa=1.0, t_end=1.0, dt=0.01, observer_stride=0)
 
+    def test_step_within_the_run(self):
+        # dt > t_end would round to zero steps, and an infinite t_end to infinitely many
+        with pytest.raises(ValueError, match="at most t_end"):
+            EvolutionConfig(kappa=1.0, t_end=1.0, dt=1e30)
+        with pytest.raises(ValueError, match="finite"):
+            EvolutionConfig(kappa=1.0, t_end=np.inf, dt=0.01)
+        assert EvolutionConfig(kappa=1.0, t_end=1.0, dt=1.0).dt == 1.0
+
 
 class TestRhs:
     def test_constant_is_equilibrium(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpwavelab.grid import (
@@ -49,6 +49,65 @@ class TestMakeGrid:
         assert g.nodes is g.nodes
         with pytest.raises(ValueError):
             g.nodes[0] = 1.0
+
+
+_periods = st.floats(1e-3, 1e4)
+_coordinates = st.lists(st.floats(-1e5, 1e5), min_size=1, max_size=8).map(np.array)
+
+
+def _old_wrap(x, period):
+    """Oracle: the wrap written out, as the sampling, the weight, the perturbation and decompose computed it by hand."""
+    return np.mod(x + 0.5 * period, period) - 0.5 * period
+
+
+def _midpoints(grid, positions):
+    """Circle midpoint of (x_j, x_{j+1}) for j = 1..N-1, as harness._observe computes it."""
+    return positions[:-1] + 0.5 * grid.gaps(positions)[:-1]
+
+
+class TestPeriodicGeometry:
+    @settings(deadline=None)
+    @given(x=_coordinates, period=_periods)
+    @example(x=np.array([np.nextafter(-50.0, -np.inf), -50.0, 50.0, 150.0]), period=100.0)
+    def test_wrap_lands_in_the_box_congruent_to_x(self, x, period):
+        # [-P/2, P/2] and not [-P/2, P/2): just below -P/2, x + P/2 is a negative number smaller than half
+        # an ulp of P, and np.mod rounds P minus it up to P.
+        w = make_grid(8, period).wrap(x)
+        assert np.all((-0.5 * period <= w) & (w <= 0.5 * period))
+        k = np.round((x - w) / period)
+        assert np.all(np.abs(x - w - k * period) <= 4.0 * np.finfo(float).eps * (np.abs(x) + period))
+
+    def test_wrap_reaches_half_a_period_only_by_rounding(self):
+        g = make_grid(8, 100.0)
+        assert g.wrap(np.nextafter(-50.0, -np.inf)) == 50.0
+        assert g.wrap(-50.0) == -50.0 and g.wrap(50.0) == -50.0
+
+    @settings(deadline=None)
+    @given(x=_coordinates, period=_periods, center=st.floats(-1e4, 1e4))
+    def test_wrap_and_gaps_bitwise_equal_the_old_expressions(self, x, period, center):
+        g = make_grid(8, period)
+        assert np.array_equal(g.wrap(x), _old_wrap(x, period))
+        assert np.array_equal(g.wrap(g.nodes - center), _old_wrap(g.nodes - center, period))
+        # decompose's fd_jacobian wrote the gaps this way
+        assert np.array_equal(g.gaps(x), np.mod(np.roll(x, -1) - x, period))
+
+    @settings(deadline=None)
+    @given(x=_coordinates, period=_periods)
+    def test_first_gaps_are_the_wrapped_differences(self, x, period):
+        # the midpoints read the first N-1 gaps, each the wrapped difference of neighbours; the last closes the circle
+        gaps = make_grid(8, period).gaps(x)
+        assert np.array_equal(gaps[:-1], np.mod(np.diff(x), period))
+        assert gaps[-1] == np.mod(x[0] - x[-1], period)
+        assert np.all((0.0 <= gaps) & (gaps <= period))
+
+    def test_midpoints_simple(self):
+        ms = _midpoints(make_grid(8, 200.0), np.array([-30.0, 30.0]))
+        assert np.allclose(ms, [0.0])
+
+    def test_midpoints_wrapped(self):
+        ms = _midpoints(make_grid(8, 200.0), np.array([80.0, -80.0]))
+        # forward gap from 80 to -80 is 40, so the midpoint sits at 100 = -100
+        assert np.allclose(np.mod(ms, 200.0), [100.0])
 
 
 class TestField:

@@ -19,7 +19,7 @@ from dpwavelab.harness import (
     run_stability,
     run_sweep,
 )
-from dpwavelab.modulation import DecompositionError, ProfileCache
+from dpwavelab.modulation import DecompositionError, ProfileCache, train_field
 
 
 def quick_scenario(**overrides):
@@ -53,8 +53,15 @@ class TestScenarioValidation:
             quick_scenario(alpha=-1e-3)
 
     def test_unknown_perturbation_rejected(self):
-        with pytest.raises(ScenarioError):
-            quick_scenario(perturbation_kind="spike")
+        # "none" is gone: alpha = 0 is the unperturbed train
+        for kind in ("spike", "none"):
+            with pytest.raises(ScenarioError, match="unknown perturbation kind"):
+                quick_scenario(perturbation_kind=kind)
+
+    def test_single_wave_nonfinite_separation_rejected(self):
+        # one wave does not use the separation as a gap, but it still places the wave at 0 * separation
+        with pytest.raises(ScenarioError, match="^separation must be finite"):
+            quick_scenario(speeds=(3.0,), separation=float("inf"), grid_period=200.0)
 
     def test_nonpositive_separation_rejected(self):
         with pytest.raises(ScenarioError):
@@ -132,10 +139,12 @@ class TestBuildInitialState:
         with pytest.raises(ScenarioError, match=r"cannot be made admissible: w0 min -5\.000e-01 at alpha 0\.000e\+00$"):
             build_initial_state(quick_scenario(alpha=0.0))
 
-    def test_none_perturbation_is_exact_train(self):
-        s = quick_scenario(alpha=0.0, perturbation_kind="none")
+    def test_zero_alpha_is_exact_train(self):
+        s = quick_scenario(alpha=0.0)
         u0, info = build_initial_state(s)
         assert info["alpha_used"] == 0.0
+        train = train_field(s.grid(), s.speeds, s.positions0, ProfileCache(s.kappa))
+        assert np.array_equal(u0.samples, train.samples)
 
 
 class TestRunStability:
@@ -245,6 +254,28 @@ class TestRunSweep:
         par = run_sweep(quick_scenario(), [1e-4, 1e-3], [25.0, 30.0], parallelism=2)
         assert seq.rows == par.rows
         assert seq.fitted_amplitude == par.fitted_amplitude
+
+    def test_pool_sized_by_chunks(self, monkeypatch):
+        # Two grids of two runs make four chunks; a pool asked for 64 workers must open four.
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        wide = run_sweep(quick_scenario(), [1e-4, 1e-3], [25.0, 30.0], parallelism=64)
+        assert pools == [4]
+        assert wide.rows == run_sweep(quick_scenario(), [1e-4, 1e-3], [25.0, 30.0], parallelism=1).rows
 
     def test_too_few_runs_for_fit(self):
         with pytest.raises(RuntimeError):

@@ -160,7 +160,7 @@ class TestSpeedFromAmplitude:
 class TestBuildProfile:
     def test_peak_value(self, profiles):
         for (c, kappa), prof in profiles.items():
-            assert prof.evaluate(0.0) == pytest.approx(_quadratic_roots(c, kappa)[0], rel=1e-12)
+            assert prof.evaluate(np.zeros(1))[0] == pytest.approx(_quadratic_roots(c, kappa)[0], rel=1e-12)
             assert prof.amplitude == prof.phis[0]
 
     def test_first_integral_residual(self, profiles):
@@ -172,6 +172,7 @@ class TestBuildProfile:
             nu = np.sqrt(1.0 - 2.0 * kappa / c)
             assert fitted_tail_decay(prof) == pytest.approx(nu, rel=0.01)
             assert prof.decay_rate == pytest.approx(nu, rel=1e-14)
+            assert prof.params.nu == nu  # bitwise, the same expression
 
     def test_table_monotone_and_bounded(self, profiles):
         for (c, kappa), prof in profiles.items():
@@ -210,13 +211,12 @@ class TestEvaluate:
         for (c, kappa), prof in profiles.items():
             x = prof.x_tail + 5.0 / prof.decay_rate
             model = prof.tail_coeff * np.exp(-prof.decay_rate * x)
-            assert prof.evaluate(x) == pytest.approx(model, rel=1e-3)
+            assert prof.evaluate(np.array([x]))[0] == pytest.approx(model, rel=1e-3)
 
     def test_table_continuity_at_tail_join(self, profiles):
         prof = profiles[(3.0, 1.0)]
         eps = 1e-9
-        left = prof.evaluate(prof.x_tail - eps)
-        right = prof.evaluate(prof.x_tail + eps)
+        left, right = prof.evaluate(prof.x_tail + np.array([-eps, eps]))
         assert right == pytest.approx(left, rel=1e-5)
 
     @pytest.mark.parametrize("c", [2.02, 3.0, 5.0, 10.0])
