@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -149,6 +150,13 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dpwavelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -178,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="modulation decomposition of a saved state")
     p.add_argument("--state", required=True)
     p.add_argument("--n-waves", type=_positive_int, required=True)
-    p.add_argument("--kappa", type=float, required=True)
+    p.add_argument("--kappa", type=_positive_float, required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_decompose)
 
@@ -197,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--alphas", required=True, help="comma-separated")
     p.add_argument("--separations", required=True, help="comma-separated")
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--parallelism", type=_positive_int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)
 

@@ -384,16 +384,17 @@ def run_sweep(base: Scenario, alphas, separations, parallelism: int = 1) -> Swee
     separations = list(separations)
     if not alphas or not separations:
         raise ScenarioError("sweep lists must be non-empty")
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     # Runs on one grid evolve as one stack; the evolution config is the base's for every run.
     groups: dict[tuple, list[Scenario]] = {}
     for a in alphas:
         for L in separations:
             scenario = replace(base, alpha=a, separation=L, outputs=None)
             groups.setdefault((scenario.grid_n, scenario.auto_period()), []).append(scenario)
-    workers = max(1, parallelism)
-    chunks = [chunk for group in groups.values() for chunk in _split(group, min(workers, len(group)))]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+    chunks = [chunk for group in groups.values() for chunk in _split(group, min(parallelism, len(group)))]
+    if parallelism > 1:
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(chunks))) as pool:
             rows = [row for chunk_rows in pool.map(_sweep_chunk, chunks) for row in chunk_rows]
     else:
         rows = [row for chunk in chunks for row in _sweep_chunk(chunk)]

@@ -7,10 +7,10 @@ acts on a grid function in O(n log n). phi is even, so L commutes with the
 reflection x -> -x and splits into an even and an odd block. The low end of the
 spectrum and the constrained coercivity constant come from Lanczos with full
 reorthogonalization on each block's action, in half-length coordinates, and the
-two blocks' results are merged. Only the top eigenvalue, which sits in a tight
-cluster that Lanczos does not resolve, uses the dense matrix: it is read, values
-only, from the even block, and a Cholesky factorization certifies that the odd
-block lies below it. The operator carries its phi and phi_x samples: phi_x is
+two blocks' results are merged. The top eigenvalue, which sits in a tight
+cluster that Lanczos does not resolve, comes from a window of Fourier modes
+around the Nyquist mode, widened until its Ritz residual is small. No solve
+reads the dense matrix. The operator carries its phi and phi_x samples: phi_x is
 the kernel direction the report looks for, and the smoothed phi and phi_x are
 the constraint columns of the constrained coercivity constant.
 """
@@ -18,13 +18,13 @@ the constraint columns of the constrained coercivity constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import numpy.fft  # numpy loads it lazily; load it with this module, not in a run's first transform
 import numpy.random  # numpy loads it lazily; load it with this module, not in a run
 from numpy.lib.stride_tricks import as_strided
-from numpy.linalg import LinAlgError, cholesky
-from numpy.linalg import eigvalsh as eigh
+from numpy.linalg import eigh
 
 from .grid import Field, PeriodicGrid, smoothing_operator
 from .soliton import SolitonProfile, sample_dx_on_grid, sample_on_grid
@@ -35,6 +35,11 @@ _LANCZOS_TOL = 1e-14  # Ritz residual bound |beta_m s_mi|, relative to the large
 # 200 steps (down to c = 2.05 kappa at n = 4096), and k up to 600 at n = 2048 at most 1.5k + 140.
 _LANCZOS_MAX_STEPS = 500
 _SQRT_HALF = np.sqrt(0.5)
+# Half-widths m of the top eigenvalue's Fourier window: the first, and the widest tried before it raises.
+# The m needed grows with the period. Measured: 48 for c = 3, kappa = 1 at period 100 up to n = 16384,
+# 192 at period 300, 768 at period 800; c = 4, kappa = 0.5 at period 100 takes 96 to 192.
+_WINDOW_START = 48
+_WINDOW_MAX = 768
 
 
 class SpectralError(RuntimeError):
@@ -47,9 +52,8 @@ class SpectralError(RuntimeError):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """L on one grid: the dense matrix, the multiplier symbol and phi samples that apply it matrix-free, and phi_x."""
+    """L on one grid: the multiplier symbol and phi samples that apply it matrix-free, and phi_x."""
 
-    matrix: np.ndarray
     grid: PeriodicGrid
     symbol: np.ndarray
     phi: np.ndarray
@@ -57,6 +61,18 @@ class OperatorMatrix:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.fft.irfft(self.symbol * np.fft.rfft(x), n=self.grid.n) - self.phi * x
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n matrix of L, built on first read: an oracle for checks, read by no solve.
+
+        The multiplier is the circulant of its kernel; averaging the kernel with its
+        reflection makes the matrix exactly symmetric and exactly reflection-invariant.
+        """
+        kernel = np.fft.irfft(self.symbol, n=self.grid.n)
+        m = _circulant(0.5 * (kernel + kernel[_reflection(self.grid.n)]))
+        m[np.diag_indices(self.grid.n)] -= self.phi
+        return m
 
 
 @dataclass(frozen=True)
@@ -129,13 +145,8 @@ def assemble_L(profile: SolitonProfile, grid: PeriodicGrid) -> OperatorMatrix:
     kappa = profile.params.kappa
     phi = sample_on_grid(profile, grid).samples  # raises if tail wrap too large
     symbol = c * grid.smoothing_symbol - 2.0 * kappa * grid.helmholtz_symbol(4.0)
-    # The multiplier is the circulant of its kernel; averaging the kernel with its
-    # reflection makes the matrix exactly symmetric and exactly reflection-invariant.
-    kernel = np.fft.irfft(symbol, n=grid.n)
-    m = _circulant(0.5 * (kernel + kernel[_reflection(grid.n)]))
-    m[np.diag_indices(grid.n)] -= phi
     phi_x = sample_dx_on_grid(profile, grid).samples
-    return OperatorMatrix(matrix=m, grid=grid, symbol=symbol, phi=phi, phi_x=phi_x)
+    return OperatorMatrix(grid=grid, symbol=symbol, phi=phi, phi_x=phi_x)
 
 
 def _lanczos(phase: str, matvec, dim: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -200,27 +211,41 @@ def lowest_eigenpairs(op: OperatorMatrix, k: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _top_eigenvalue(op: OperatorMatrix) -> float:
-    """Largest eigenvalue of L from its even block under x -> -x, values only, certified against the odd block.
+    """Largest eigenvalue of L from a window of Fourier modes around the Nyquist mode.
 
-    top I - odd has a Cholesky factor exactly when the odd block lies below top;
-    only when it fails are the eigenvalues of top I - odd computed.
+    In the unitary DFT basis L is diag(s_k) - phi_hat_(k-j) / n. phi is
+    reflection-even, so phi_hat is real and every window of modes is a real
+    symmetric matrix. The symbol peaks at the Nyquist mode, where the top
+    eigenvector lives. The window holds the 2m + 1 modes n/2 - m ... n/2 + m, and
+    its top Ritz value theta bounds the top eigenvalue from below (Cauchy
+    interlacing). m doubles from _WINDOW_START until the Kato-Temple-type error
+    estimate |Ly - theta y|^2 / (theta - theta_2), with y the Ritz vector and
+    theta_2 the second Ritz value, is at most eps times the largest |Ritz value|;
+    the residual takes one FFT pair. A window over all n modes is exact, and one
+    still short of the estimate at half-width _WINDOW_MAX raises.
     """
     n = op.grid.n
-    half = n // 2
-    # Row i of a block matrix is row i of L in the block's coordinates, times sqrt2
-    # where coordinate i pairs node i with node -i: L is reflection-invariant.
-    rows = op.matrix[: half + 1]
-    even = _Parity(n, False).restrict(rows)
-    even[1:half] *= np.sqrt(2.0)
-    shifted = _Parity(n, True).restrict(rows[1:half])
-    shifted *= -np.sqrt(2.0)
-    top = float(eigh(even)[-1])
-    shifted[np.diag_indices(half - 1)] += top  # top I - odd
-    try:
-        cholesky(shifted)
-    except LinAlgError:
-        top -= min(0.0, float(eigh(shifted)[0]))
-    return top
+    phi_hat = np.fft.rfft(op.phi).real / n
+    symbol = np.concatenate((op.symbol, op.symbol[-2:0:-1]))  # at every mode k = 0 .. n - 1
+    m = _WINDOW_START
+    while True:
+        modes = np.arange(n) if 2 * m + 1 >= n else n // 2 + np.arange(-m, m + 1)
+        lag = np.abs(modes[:, None] - modes)
+        window = -phi_hat[np.minimum(lag, n - lag)]
+        window[np.diag_indices(len(modes))] += symbol[modes]
+        theta, vecs = eigh(window)
+        top = float(theta[-1])
+        if len(modes) == n:
+            return top
+        y = np.zeros(n, dtype=complex)
+        y[modes] = vecs[:, -1]
+        residual = (symbol - top) * y - np.fft.fft(op.phi * np.fft.ifft(y, norm="ortho"), norm="ortho")
+        bound = np.finfo(float).eps * max(abs(theta[0]), abs(top))
+        if np.linalg.norm(residual) ** 2 <= bound * (top - theta[-2]):
+            return top
+        if m >= _WINDOW_MAX:
+            raise SpectralError("eigen_report", f"top eigenvalue window did not converge at half-width {m}")
+        m *= 2
 
 
 def eigen_report(op: OperatorMatrix, k: int = 4) -> SpectralReport:

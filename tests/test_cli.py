@@ -104,6 +104,15 @@ def test_spectrum_eigpairs_unreachable_k(tmp_path, capsys, k):
     assert not pairs.exists()
 
 
+def test_spectrum_never_reads_the_dense_matrix(tmp_path, monkeypatch, capsys):
+    def dense(self):
+        raise AssertionError("the spectrum command read op.matrix")
+
+    monkeypatch.setattr(linearized.OperatorMatrix, "matrix", property(dense))
+    args = ["spectrum", "--c", "3", "--kappa", "1", "--n", "256", "--period", "100"]
+    assert main(args + ["--eigpairs", str(tmp_path / "pairs.csv"), "--k", "5"]) == 0
+
+
 def test_spectrum_solver_failure(monkeypatch, capsys):
     monkeypatch.setattr(linearized.OperatorMatrix, "apply", lambda self, x: np.full_like(x, np.nan))
     assert main(["spectrum", "--c", "3", "--kappa", "1", "--n", "512"]) == 1
@@ -180,6 +189,18 @@ def test_decompose_rejects_fewer_than_one_wave(capsys, monkeypatch, n_waves):
         main(["decompose", "--state", "state.json", "--n-waves", n_waves, "--kappa", "1"])
     assert exc.value.code == 2
     assert f"argument --n-waves: must be >= 1, got {n_waves}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa", ["-1", "0", "nan", "inf"])
+def test_decompose_rejects_kappa_before_loading(capsys, monkeypatch, kappa):
+    def loading(path):
+        raise AssertionError("loaded the state before checking kappa")
+
+    monkeypatch.setattr(cli, "load_state", loading)
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--state", "state.json", "--n-waves", "2", "--kappa", kappa])
+    assert exc.value.code == 2
+    assert f"argument --kappa: must be finite and > 0, got {kappa}" in capsys.readouterr().err
 
 
 def test_check_invariants(capsys):
@@ -330,6 +351,18 @@ def test_stability_decomposition_failure(tmp_path, capsys, monkeypatch):
     assert main(["stability", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err == "DecompositionError: tracking failed at t=0.0: speed left the admissible family\n"
+
+
+@pytest.mark.parametrize("parallelism", ["0", "-3"])
+def test_sweep_rejects_parallelism_below_one(capsys, monkeypatch, parallelism):
+    def sweeping(*args, **kwargs):
+        raise AssertionError("swept with parallelism below one")
+
+    monkeypatch.setattr(cli, "run_sweep", sweeping)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", "scenario.json", "--alphas", "1e-4", "--separations", "30", "--parallelism", parallelism])
+    assert exc.value.code == 2
+    assert f"argument --parallelism: must be >= 1, got {parallelism}" in capsys.readouterr().err
 
 
 def test_sweep_too_few_runs(tmp_path, capsys):

@@ -241,6 +241,11 @@ class TestRunSweep:
         with pytest.raises(ScenarioError):
             run_sweep(quick_scenario(), [1e-3], [])
 
+    @pytest.mark.parametrize("parallelism", [0, -3])
+    def test_parallelism_below_one_rejected(self, parallelism):
+        with pytest.raises(ValueError, match=f"parallelism must be >= 1, got {parallelism}"):
+            run_sweep(quick_scenario(), [1e-4, 1e-3], [25.0, 30.0], parallelism=parallelism)
+
     def test_grid_and_fit(self):
         sw = run_sweep(quick_scenario(), [1e-4, 1e-3], [25.0, 30.0])
         assert len(sw.rows) == 4

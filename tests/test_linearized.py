@@ -244,27 +244,6 @@ class TestDenseOracles:
         column = op.matrix[:, 0] + np.linspace(0.0, 1.0, op.grid.n)  # not reflection-symmetric
         assert np.array_equal(linearized._circulant(column), circulant(column))
 
-    @pytest.mark.parametrize("lift", [0.0, 1.0])
-    def test_top_eigenvalue_certificate_and_fallback(self, dense_family, monkeypatch, lift):
-        # A rank-one odd bump lifts the odd block above the even block's top: the
-        # Cholesky certificate then fails and the odd block is solved as well.
-        _, op, _, _, _ = dense_family[(3.0, 1.0)]
-        n = op.grid.n
-        x = np.random.default_rng(1).standard_normal(n)
-        w = x - x[-np.arange(n) % n]
-        w /= np.linalg.norm(w)
-        lifted = replace(op, matrix=op.matrix + lift * np.outer(w, w))
-        solves = []
-
-        def counted(a):
-            solves.append(len(a))
-            return np.linalg.eigvalsh(a)
-
-        monkeypatch.setattr(linearized, "eigh", counted)
-        top = linearized._top_eigenvalue(lifted)
-        assert solves == ([n // 2 + 1, n // 2 - 1] if lift else [n // 2 + 1])
-        assert top == pytest.approx(np.linalg.eigvalsh(lifted.matrix)[-1], rel=1e-12)
-
     def test_lanczos_basis_grows_with_the_steps(self):
         # matrix-free at large n: a basis of (n + 1) x n floats would take 537 MB at n = 8192
         n = 8192
@@ -290,13 +269,94 @@ class TestDenseOracles:
     def test_window_widens_to_every_negative_eigenvalue(self, dense_family, scale):
         # phi scaled up binds more states below zero than the first window of 4 holds
         prof, op, _, _, _ = dense_family[(3.0, 1.0)]
-        scaled = replace(op, matrix=op.matrix - (scale - 1.0) * np.diag(op.phi), phi=scale * op.phi)
+        scaled = replace(op, phi=scale * op.phi)
         dense, _ = _dense_report(scaled, prof)
         assert dense.neg_count >= 3
         rep = eigen_report(scaled)
         assert rep.neg_count == dense.neg_count
         assert rep.neg_eigenvalue == pytest.approx(dense.neg_eigenvalue, rel=1e-12)
         assert abs(rep.ess_gap_proxy - dense.ess_gap_proxy) <= 1e-12 * dense.operator_norm
+
+
+def _dense_top(op):
+    """eigvalsh(op.matrix)[-1], from the even and the odd block under x -> -x, each half the size.
+
+    Row i of a block is row i of L in the block's coordinates, times sqrt2 where
+    coordinate i pairs node i with node -i: L is reflection-invariant.
+    """
+    n = op.grid.n
+    half = n // 2
+    rows = op.matrix[: half + 1]
+    even = linearized._Parity(n, False).restrict(rows)
+    even[1:half] *= np.sqrt(2.0)
+    odd = np.sqrt(2.0) * linearized._Parity(n, True).restrict(rows[1:half])
+    return max(np.linalg.eigvalsh(even)[-1], np.linalg.eigvalsh(odd)[-1])
+
+
+def _window_sizes(monkeypatch):
+    """The sizes of the window matrices linearized.eigh solves, in call order."""
+    sizes = []
+
+    def counted(a):
+        sizes.append(len(a))
+        return np.linalg.eigh(a)
+
+    monkeypatch.setattr(linearized, "eigh", counted)
+    return sizes
+
+
+class TestTopEigenvalueWindow:
+    @pytest.mark.parametrize("n", [64, 512, 2048])
+    def test_matches_dense_over_the_family(self, profiles, n):
+        for (c, kappa), prof in profiles.items():
+            op = assemble_L(prof, make_grid(n, _family_grid(c, kappa).period))
+            dense = _dense_top(op)
+            if n <= 512:
+                assert dense == pytest.approx(np.linalg.eigvalsh(op.matrix)[-1], rel=1e-14)
+            assert abs(linearized._top_eigenvalue(op) - dense) <= n * np.finfo(float).eps * abs(dense)
+
+    def test_matches_dense_at_4096(self, profiles):
+        op = assemble_L(profiles[(3.0, 1.0)], make_grid(4096, 100.0))
+        dense = _dense_top(op)
+        assert abs(linearized._top_eigenvalue(op) - dense) <= 4096 * np.finfo(float).eps * abs(dense)
+
+    def test_window_over_every_mode_is_one_exact_solve(self, profiles, monkeypatch):
+        op = assemble_L(profiles[(3.0, 1.0)], make_grid(64, 100.0))
+        sizes = _window_sizes(monkeypatch)
+        top = linearized._top_eigenvalue(op)
+        assert sizes == [64]
+        assert top == pytest.approx(np.linalg.eigvalsh(op.matrix)[-1], rel=1e-14)
+
+    def test_window_widens_until_the_residual_is_small(self, profiles, monkeypatch):
+        # at c = 4, kappa = 0.5, n = 512 the first two windows leave a Ritz residual of 1e-7 and 1e-8
+        op = assemble_L(profiles[(4.0, 0.5)], make_grid(512, 100.0))
+        sizes = _window_sizes(monkeypatch)
+        top = linearized._top_eigenvalue(op)
+        assert sizes == [97, 193, 385]
+        dense = np.linalg.eigvalsh(op.matrix)[-1]
+        assert abs(top - dense) <= 512 * np.finfo(float).eps * abs(dense)
+
+    def test_window_cap_raises(self, profiles, monkeypatch):
+        op = assemble_L(profiles[(4.0, 0.5)], make_grid(512, 100.0))
+        monkeypatch.setattr(linearized, "_WINDOW_MAX", 96)
+        message = "^eigen_report: top eigenvalue window did not converge at half-width 96$"
+        with pytest.raises(SpectralError, match=message) as info:
+            eigen_report(op)
+        assert info.value.phase == "eigen_report"
+
+    def test_no_dense_matrix_on_the_spectrum_path(self, profiles):
+        # op.matrix alone would take 537 MB at n = 8192
+        tracemalloc.start()
+        try:
+            op = assemble_L(profiles[(3.0, 1.0)], make_grid(8192, 100.0))
+            rep = eigen_report(op)
+            theta = constrained_theta(op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        assert "matrix" not in vars(op)
+        assert rep.neg_count == 1 and theta > 0
 
 
 class TestSpectralErrors:
