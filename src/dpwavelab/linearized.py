@@ -9,8 +9,9 @@ spectrum and the constrained coercivity constant come from Lanczos with full
 reorthogonalization on each block's action, in half-length coordinates, and the
 two blocks' results are merged. The top eigenvalue, which sits in a tight
 cluster that Lanczos does not resolve, comes from a window of Fourier modes
-around the Nyquist mode, widened until its Ritz residual is small. No solve
-reads the dense matrix. The operator carries its phi and phi_x samples: phi_x is
+around the Nyquist mode, widened until its Ritz residual is small; only a
+window that has grown to all n modes is an n x n matrix, and its eigenvalues are
+taken without eigenvectors. No solve reads op.matrix. The operator carries its phi and phi_x samples: phi_x is
 the kernel direction the report looks for, and the smoothed phi and phi_x are
 the constraint columns of the constrained coercivity constant.
 """
@@ -24,7 +25,7 @@ import numpy as np
 import numpy.fft  # numpy loads it lazily; load it with this module, not in a run's first transform
 import numpy.random  # numpy loads it lazily; load it with this module, not in a run
 from numpy.lib.stride_tricks import as_strided
-from numpy.linalg import eigh
+from numpy.linalg import eigh, eigvalsh
 
 from .grid import Field, PeriodicGrid, smoothing_operator
 from .soliton import SolitonProfile, sample_dx_on_grid, sample_on_grid
@@ -35,11 +36,10 @@ _LANCZOS_TOL = 1e-14  # Ritz residual bound |beta_m s_mi|, relative to the large
 # 200 steps (down to c = 2.05 kappa at n = 4096), and k up to 600 at n = 2048 at most 1.5k + 140.
 _LANCZOS_MAX_STEPS = 500
 _SQRT_HALF = np.sqrt(0.5)
-# Half-widths m of the top eigenvalue's Fourier window: the first, and the widest tried before it raises.
-# The m needed grows with the period. Measured: 48 for c = 3, kappa = 1 at period 100 up to n = 16384,
-# 192 at period 300, 768 at period 800; c = 4, kappa = 0.5 at period 100 takes 96 to 192.
+# First half-width m of the top eigenvalue's Fourier window. The m needed grows with the period. Measured:
+# 48 for c = 3, kappa = 1 at period 100 up to n = 16384, 192 at period 300, 768 at period 800; c = 4,
+# kappa = 0.5 at period 100 takes 96 to 192.
 _WINDOW_START = 48
-_WINDOW_MAX = 768
 
 
 class SpectralError(RuntimeError):
@@ -92,6 +92,14 @@ class SpectralReport:
 def _reflection(n: int) -> np.ndarray:
     """Node permutation of x -> -x on the grid: node j goes to node -j mod n."""
     return -np.arange(n) % n
+
+
+def _symmetric_toeplitz(c: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix with first column c: entry (i, j) is c[|i - j|]."""
+    n = len(c)
+    ext = np.concatenate((c[:0:-1], c))
+    step = ext.strides[0]
+    return as_strided(ext[n - 1:], shape=(n, n), strides=(-step, step)).copy()
 
 
 def _circulant(c: np.ndarray) -> np.ndarray:
@@ -221,31 +229,32 @@ def _top_eigenvalue(op: OperatorMatrix) -> float:
     interlacing). m doubles from _WINDOW_START until the Kato-Temple-type error
     estimate |Ly - theta y|^2 / (theta - theta_2), with y the Ritz vector and
     theta_2 the second Ritz value, is at most eps times the largest |Ritz value|;
-    the residual takes one FFT pair. A window over all n modes is exact, and one
-    still short of the estimate at half-width _WINDOW_MAX raises.
+    the residual takes one FFT pair. Once 2m + 1 reaches n the window holds every
+    mode, and its top eigenvalue, taken without eigenvectors, is exact.
     """
     n = op.grid.n
     phi_hat = np.fft.rfft(op.phi).real / n
     symbol = np.concatenate((op.symbol, op.symbol[-2:0:-1]))  # at every mode k = 0 .. n - 1
+
+    def window(modes: np.ndarray) -> np.ndarray:
+        lag = np.arange(len(modes))  # contiguous modes: entry (k, j) takes phi_hat at |k - j| wrapped to n
+        matrix = _symmetric_toeplitz(-phi_hat[np.minimum(lag, n - lag)])
+        matrix[np.diag_indices(len(modes))] += symbol[modes]
+        return matrix
+
     m = _WINDOW_START
-    while True:
-        modes = np.arange(n) if 2 * m + 1 >= n else n // 2 + np.arange(-m, m + 1)
-        lag = np.abs(modes[:, None] - modes)
-        window = -phi_hat[np.minimum(lag, n - lag)]
-        window[np.diag_indices(len(modes))] += symbol[modes]
-        theta, vecs = eigh(window)
+    while 2 * m + 1 < n:
+        modes = n // 2 + np.arange(-m, m + 1)
+        theta, vecs = eigh(window(modes))
         top = float(theta[-1])
-        if len(modes) == n:
-            return top
         y = np.zeros(n, dtype=complex)
         y[modes] = vecs[:, -1]
         residual = (symbol - top) * y - np.fft.fft(op.phi * np.fft.ifft(y, norm="ortho"), norm="ortho")
         bound = np.finfo(float).eps * max(abs(theta[0]), abs(top))
         if np.linalg.norm(residual) ** 2 <= bound * (top - theta[-2]):
             return top
-        if m >= _WINDOW_MAX:
-            raise SpectralError("eigen_report", f"top eigenvalue window did not converge at half-width {m}")
         m *= 2
+    return float(eigvalsh(window(np.arange(n)))[-1])
 
 
 def eigen_report(op: OperatorMatrix, k: int = 4) -> SpectralReport:

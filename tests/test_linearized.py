@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import circulant, eigh, qr
+from scipy.linalg import circulant, eigh, qr, toeplitz
 
 import dpwavelab.linearized as linearized
 from dpwavelab.grid import Field, make_grid, s_inner, smoothing_operator
@@ -244,6 +244,11 @@ class TestDenseOracles:
         column = op.matrix[:, 0] + np.linspace(0.0, 1.0, op.grid.n)  # not reflection-symmetric
         assert np.array_equal(linearized._circulant(column), circulant(column))
 
+    def test_symmetric_toeplitz_matches_scipy_bitwise(self, dense_family):
+        _, op, _, _, _ = dense_family[(3.0, 1.0)]
+        column = op.matrix[:97, 0] + np.linspace(0.0, 1.0, 97)
+        assert np.array_equal(linearized._symmetric_toeplitz(column), toeplitz(column))
+
     def test_lanczos_basis_grows_with_the_steps(self):
         # matrix-free at large n: a basis of (n + 1) x n floats would take 537 MB at n = 8192
         n = 8192
@@ -294,14 +299,19 @@ def _dense_top(op):
 
 
 def _window_sizes(monkeypatch):
-    """The sizes of the window matrices linearized.eigh solves, in call order."""
+    """The sizes of the window matrices linearized.eigh solves, in call order; a values-only solve shows as -size."""
     sizes = []
 
     def counted(a):
         sizes.append(len(a))
         return np.linalg.eigh(a)
 
+    def counted_values(a):
+        sizes.append(-len(a))
+        return np.linalg.eigvalsh(a)
+
     monkeypatch.setattr(linearized, "eigh", counted)
+    monkeypatch.setattr(linearized, "eigvalsh", counted_values)
     return sizes
 
 
@@ -324,7 +334,7 @@ class TestTopEigenvalueWindow:
         op = assemble_L(profiles[(3.0, 1.0)], make_grid(64, 100.0))
         sizes = _window_sizes(monkeypatch)
         top = linearized._top_eigenvalue(op)
-        assert sizes == [64]
+        assert sizes == [-64]
         assert top == pytest.approx(np.linalg.eigvalsh(op.matrix)[-1], rel=1e-14)
 
     def test_window_widens_until_the_residual_is_small(self, profiles, monkeypatch):
@@ -336,13 +346,14 @@ class TestTopEigenvalueWindow:
         dense = np.linalg.eigvalsh(op.matrix)[-1]
         assert abs(top - dense) <= 512 * np.finfo(float).eps * abs(dense)
 
-    def test_window_cap_raises(self, profiles, monkeypatch):
-        op = assemble_L(profiles[(4.0, 0.5)], make_grid(512, 100.0))
-        monkeypatch.setattr(linearized, "_WINDOW_MAX", 96)
-        message = "^eigen_report: top eigenvalue window did not converge at half-width 96$"
-        with pytest.raises(SpectralError, match=message) as info:
-            eigen_report(op)
-        assert info.value.phase == "eigen_report"
+    def test_long_period_widens_to_every_mode(self, profiles, monkeypatch):
+        # at period 800 no window short of all 2048 modes meets the estimate
+        op = assemble_L(profiles[(4.0, 0.5)], make_grid(2048, 800.0))
+        sizes = _window_sizes(monkeypatch)
+        top = linearized._top_eigenvalue(op)
+        assert sizes == [97, 193, 385, 769, 1537, -2048]
+        dense = _dense_top(op)
+        assert abs(top - dense) <= 2048 * np.finfo(float).eps * abs(dense)
 
     def test_no_dense_matrix_on_the_spectrum_path(self, profiles):
         # op.matrix alone would take 537 MB at n = 8192
