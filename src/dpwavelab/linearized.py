@@ -9,9 +9,9 @@ spectrum and the constrained coercivity constant come from Lanczos with full
 reorthogonalization on each block's action, in half-length coordinates, and the
 two blocks' results are merged. The top eigenvalue, which sits in a tight
 cluster that Lanczos does not resolve, comes from a window of Fourier modes
-around the Nyquist mode, widened until its Ritz residual is small; only a
-window that has grown to all n modes is an n x n matrix, and its eigenvalues are
-taken without eigenvectors. No solve reads op.matrix. The operator carries its phi and phi_x samples: phi_x is
+around the Nyquist mode, widened until its Ritz residual is small. The window
+splits into two blocks under k -> n - k; once it has grown to all n modes, their
+eigenvalues are taken without eigenvectors. No solve reads op.matrix. The operator carries its phi and phi_x samples: phi_x is
 the kernel direction the report looks for, and the smoothed phi and phi_x are
 the constraint columns of the constrained coercivity constant.
 """
@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import as_strided
 from numpy.linalg import eigh, eigvalsh
 
 from .grid import Field, PeriodicGrid, smoothing_operator
-from .soliton import SolitonProfile, sample_dx_on_grid, sample_on_grid
+from .soliton import SolitonProfile, sample_dx_on_grid
 
 _LANCZOS_SEED = 0  # seed of the fixed Lanczos start vector: repeated solves are bitwise identical
 _LANCZOS_TOL = 1e-14  # Ritz residual bound |beta_m s_mi|, relative to the largest Ritz value in magnitude
@@ -151,10 +151,9 @@ class _Parity:
 def assemble_L(profile: SolitonProfile, grid: PeriodicGrid) -> OperatorMatrix:
     c = profile.params.c
     kappa = profile.params.kappa
-    phi = sample_on_grid(profile, grid).samples  # raises if tail wrap too large
+    phi, phi_x = sample_dx_on_grid(profile, grid)  # raises if tail wrap too large
     symbol = c * grid.smoothing_symbol - 2.0 * kappa * grid.helmholtz_symbol(4.0)
-    phi_x = sample_dx_on_grid(profile, grid).samples
-    return OperatorMatrix(grid=grid, symbol=symbol, phi=phi, phi_x=phi_x)
+    return OperatorMatrix(grid=grid, symbol=symbol, phi=phi.samples, phi_x=phi_x.samples)
 
 
 def _lanczos(phase: str, matvec, dim: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,6 +217,39 @@ def lowest_eigenpairs(op: OperatorMatrix, k: int) -> tuple[np.ndarray, np.ndarra
     return vals[order], vecs[order].T
 
 
+def _hankel(h: np.ndarray, size: int) -> np.ndarray:
+    """A read-only view of the size x size Hankel matrix whose entry (i, j) is h[i + j]."""
+    step = h.strides[0]
+    return as_strided(h, shape=(size, size), strides=(step, step), writeable=False)
+
+
+def _window_blocks(symbol: np.ndarray, phi_hat: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """L on the window of the modes n/2 - m ... n/2 + m, split into its blocks under the reflection k -> n - k.
+
+    symbol and phi_hat are on the rfft half spectrum, phi_hat the real rfft of phi
+    over n, so p(l) = phi_hat[min(l, n - l)]. With the modes n/2 + i, the window's
+    entry (i, j) is s_i delta_ij - p(i - j), and s_i = s_-i. The reflection maps i
+    to -i. The symmetric block (i = 0 ... m) in the basis (e_i + e_-i)/sqrt2, or e_i
+    at the fixed modes i = 0 and i = n/2, has entries s_i delta_ij - p(i - j) - p(i + j),
+    times sqrt(1/2) per fixed index and with s_i doubled on a fixed diagonal; the
+    antisymmetric block (the i that are not fixed) in (e_i - e_-i)/sqrt2 has
+    s_i delta_ij - p(i - j) + p(i + j). At m = n/2 the window holds every mode.
+    """
+    n = 2 * (len(phi_hat) - 1)
+    i = np.arange(m + 1)
+    fixed = (i == 0) | (2 * i == n)
+    lags = np.arange(2 * m + 1)
+    p = phi_hat[np.minimum(lags, n - lags)]
+    diff, plus = _symmetric_toeplitz(p[: m + 1]), _hankel(p, m + 1)
+    s = symbol[n // 2 - i]
+    w = np.where(fixed, _SQRT_HALF, 1.0)
+    even = (np.diag(s * (1.0 + fixed)) - diff - plus) * w[:, None] * w
+    free = np.flatnonzero(~fixed)
+    odd = plus[np.ix_(free, free)] - diff[np.ix_(free, free)]
+    odd[np.diag_indices(len(free))] += s[free]
+    return even, odd
+
+
 def _top_eigenvalue(op: OperatorMatrix) -> float:
     """Largest eigenvalue of L from a window of Fourier modes around the Nyquist mode.
 
@@ -226,35 +258,38 @@ def _top_eigenvalue(op: OperatorMatrix) -> float:
     symmetric matrix. The symbol peaks at the Nyquist mode, where the top
     eigenvector lives. The window holds the 2m + 1 modes n/2 - m ... n/2 + m, and
     its top Ritz value theta bounds the top eigenvalue from below (Cauchy
-    interlacing). m doubles from _WINDOW_START until the Kato-Temple-type error
-    estimate |Ly - theta y|^2 / (theta - theta_2), with y the Ritz vector and
-    theta_2 the second Ritz value, is at most eps times the largest |Ritz value|;
-    the residual takes one FFT pair. Once 2m + 1 reaches n the window holds every
-    mode, and its top eigenvalue, taken without eigenvectors, is exact.
+    interlacing). The window is closed under k -> n - k, so it is solved as its
+    symmetric (m + 1 modes) and antisymmetric (m modes) blocks, whose Ritz values
+    together are the window's. m doubles from _WINDOW_START until the
+    Kato-Temple-type error estimate |Ly - theta y|^2 / (theta - theta_2), with y
+    the Ritz vector and theta_2 the second Ritz value over both blocks, is at most
+    eps times the largest |Ritz value|; the residual takes one FFT pair. Once
+    2m + 1 reaches n the window holds every mode, and its top eigenvalue, taken
+    without eigenvectors, is exact.
     """
     n = op.grid.n
     phi_hat = np.fft.rfft(op.phi).real / n
     symbol = np.concatenate((op.symbol, op.symbol[-2:0:-1]))  # at every mode k = 0 .. n - 1
-
-    def window(modes: np.ndarray) -> np.ndarray:
-        lag = np.arange(len(modes))  # contiguous modes: entry (k, j) takes phi_hat at |k - j| wrapped to n
-        matrix = _symmetric_toeplitz(-phi_hat[np.minimum(lag, n - lag)])
-        matrix[np.diag_indices(len(modes))] += symbol[modes]
-        return matrix
-
     m = _WINDOW_START
     while 2 * m + 1 < n:
-        modes = n // 2 + np.arange(-m, m + 1)
-        theta, vecs = eigh(window(modes))
-        top = float(theta[-1])
+        (even_vals, even_vecs), (odd_vals, odd_vecs) = (eigh(b) for b in _window_blocks(op.symbol, phi_hat, m))
+        odd_top = odd_vals[-1] > even_vals[-1]
+        vals, vec = (odd_vals, odd_vecs[:, -1]) if odd_top else (even_vals, even_vecs[:, -1])
+        top = float(vals[-1])
+        second = max(vals[-2], (even_vals if odd_top else odd_vals)[-1])
+        # The Ritz vector on the modes n/2 +- i, i = 1 ... m; the symmetric block also holds the mode n/2 itself.
+        pairs = n // 2 + np.arange(1, m + 1)
         y = np.zeros(n, dtype=complex)
-        y[modes] = vecs[:, -1]
+        y[pairs] = _SQRT_HALF * vec[-m:]
+        y[n - pairs] = -y[pairs] if odd_top else y[pairs]
+        if not odd_top:
+            y[n // 2] = vec[0]
         residual = (symbol - top) * y - np.fft.fft(op.phi * np.fft.ifft(y, norm="ortho"), norm="ortho")
-        bound = np.finfo(float).eps * max(abs(theta[0]), abs(top))
-        if np.linalg.norm(residual) ** 2 <= bound * (top - theta[-2]):
+        bound = np.finfo(float).eps * max(abs(min(even_vals[0], odd_vals[0])), abs(top))
+        if np.linalg.norm(residual) ** 2 <= bound * (top - second):
             return top
         m *= 2
-    return float(eigvalsh(window(np.arange(n)))[-1])
+    return float(max(eigvalsh(block)[-1] for block in _window_blocks(op.symbol, phi_hat, n // 2)))
 
 
 def eigen_report(op: OperatorMatrix, k: int = 4) -> SpectralReport:

@@ -12,14 +12,13 @@ whole run needs few rebuilds.  Progress and accuracy are measured by the
 correction, in the parameters' own units, and not by max|r|: the position of
 a wave near c = 2*kappa moves r so little that a residual just below
 NEWTON_TOL can leave it 1e-6 off.
-Each iterate samples every wave (R_j, R_j,x) once; a Jacobian column bumps one
-parameter and resamples only its wave.  Positions live on the periodic circle;
-profiles are cached by speed, least recently used evicted first.
+Each iterate samples every wave (R_j, R_j,x) once, in one pass; a Jacobian
+column bumps one parameter and resamples only its wave.  Positions live on the
+periodic circle; profiles are cached by speed while the last two frames use them.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +40,6 @@ NEWTON_TOL = 1e-10
 STEP_TOL = 1e-9
 # A Jacobian is kept while each step shrinks the Newton correction to at most this fraction of the last one.
 CHORD_CONTRACTION = 0.1
-# Profiles a ProfileCache keeps (about 117 KB each).
-PROFILE_CACHE_SIZE = 64
 # Iterations after which a decomposition that has not converged raises DecompositionError.
 MAX_ITER = 30
 
@@ -57,17 +54,23 @@ class DecompositionError(RuntimeError):
 
 
 class ProfileCache:
-    """The PROFILE_CACHE_SIZE most recently used profiles, keyed by speed rounded to 1e-10 (kappa fixed per cache).
+    """Profiles keyed by speed rounded to 1e-10 (kappa fixed per cache), held while recent frames look them up.
 
-    Each profile is built at its key's speed, so the wave sampled for a speed
-    depends only on that speed, not on lookup order or evictions; speeds closer
-    than the 1e-10 granularity share one profile.
+    next_frame ends a frame and drops every profile that neither that frame nor
+    the one before looked up, so the cache holds a run's working set, about 4N
+    profiles of about 117 KB each, whatever the frame count.  A converged speed
+    often returns to a key two frames later, so a frame still finds the profiles
+    of the two frames before it.  Each profile is built at its key's speed, so
+    the wave sampled for a speed depends only on that speed, not on lookup order
+    or evictions; speeds closer than the 1e-10 granularity share one profile.
     """
 
     def __init__(self, kappa: float):
         self.kappa = kappa
         self.builds = 0
-        self._store: OrderedDict[int, SolitonProfile] = OrderedDict()
+        self._frame = 0
+        self._store: dict[int, SolitonProfile] = {}
+        self._last_use: dict[int, int] = {}  # key -> the frame that last looked it up
 
     @property
     def cached(self) -> int:
@@ -77,15 +80,18 @@ class ProfileCache:
     def get(self, c: float) -> SolitonProfile:
         key = int(round(c / 1e-10))
         prof = self._store.get(key)
-        if prof is not None:
-            self._store.move_to_end(key)
-            return prof
-        prof = build_profile(SolitonParams(key / 1e10, self.kappa))
-        self.builds += 1
-        self._store[key] = prof
-        if len(self._store) > PROFILE_CACHE_SIZE:
-            self._store.popitem(last=False)
+        if prof is None:
+            prof = self._store[key] = build_profile(SolitonParams(key / 1e10, self.kappa))
+            self.builds += 1
+        self._last_use[key] = self._frame
         return prof
+
+    def next_frame(self) -> None:
+        """End the current frame: drop every profile that neither it nor the frame before looked up."""
+        stale = [key for key, frame in self._last_use.items() if frame < self._frame - 1]
+        for key in stale:
+            del self._store[key], self._last_use[key]
+        self._frame += 1
 
 
 @dataclass(frozen=True)
@@ -185,8 +191,7 @@ def decompose(u: Field, speeds0, positions0, cache: ProfileCache, jacobian: np.n
         waves = list(waves)
         try:
             for j in js:
-                prof = cache.get(s[j])
-                waves[j] = (sample_on_grid(prof, grid, p[j]), sample_dx_on_grid(prof, grid, p[j]))
+                waves[j] = sample_dx_on_grid(cache.get(s[j]), grid, p[j])
         except ValueError as exc:
             raise DecompositionError(f"iterate left the resolvable family: {exc}", s, p) from exc
         return waves
@@ -263,7 +268,8 @@ def track(trajectory, n_waves: int, cache: ProfileCache) -> list[ModulationState
     Each frame starts its chord iteration from the previous frame's Jacobian.
     Between frames the position guess is advected by the previously tracked
     speeds, so the warm start stays inside the Newton basin even when the
-    frame spacing exceeds the soliton width.
+    frame spacing exceeds the soliton width.  Each decomposition ends a frame
+    of the profile cache.
     """
     states: list[ModulationState] = []
     guess = None
@@ -278,6 +284,7 @@ def track(trajectory, n_waves: int, cache: ProfileCache) -> list[ModulationState
             st = decompose(frame, guess[0], guess[1], cache, jacobian=jacobian)
         except DecompositionError as exc:
             raise DecompositionError(f"tracking failed at t={t}: {exc}", exc.speeds, exc.positions) from exc
+        cache.next_frame()
         states.append(st)
         guess = (st.speeds, st.positions)
         jacobian = st.jacobian

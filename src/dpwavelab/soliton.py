@@ -150,12 +150,12 @@ class SolitonProfile:
         """The far field A exp(-nu |x|) at |x| = ax, the profile beyond the table."""
         return self.tail_coeff * np.exp(-self.decay_rate * ax)
 
-    def evaluate_dx(self, x: np.ndarray) -> np.ndarray:
-        """Exact slope from the first integral: phi_x = -sgn(x) phi sqrt((r1-phi)(r2-phi))/(c-phi)."""
+    def evaluate_with_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """phi(x) and its exact slope from the first integral, phi_x = -sgn(x) phi sqrt((r1-phi)(r2-phi))/(c-phi)."""
         phi = self.evaluate(x)
         r1, r2 = _quadratic_roots(self.params.c, self.params.kappa)
         rad = np.sqrt(np.maximum(r1 - phi, 0.0) * (r2 - phi))
-        return -np.sign(x) * phi * rad / (self.params.c - phi)
+        return phi, -np.sign(x) * phi * rad / (self.params.c - phi)
 
     def first_integral_residual(self) -> float:
         """Max residual of the first integral over the table.
@@ -234,28 +234,30 @@ def build_profile(params: SolitonParams, tol: float = 1e-10) -> SolitonProfile:
 def _images(profile: SolitonProfile, grid: PeriodicGrid, center: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Offsets dx in [-period/2, period/2) of the nodes from center, and phi at the far images dx - period, dx + period.
 
+    Fails when the wrapped tail at half a period exceeds TAIL_BUDGET of the amplitude.
     The far images lie at |x| >= period/2, so they take the far field: evaluate's
     own tail once period/2 >= x_tail, the table to within rounding otherwise.
-    """
-    dx = grid.wrap(grid.nodes - center)
-    return dx, profile._far_field(grid.period - dx), profile._far_field(grid.period + dx)
-
-
-def sample_on_grid(profile: SolitonProfile, grid: PeriodicGrid, center: float = 0.0) -> Field:
-    """Sample phi(x - center) on the periodic grid: the nearest image plus the two far ones.
-
-    Fails when the wrapped tail at half a period exceeds TAIL_BUDGET of the amplitude.
     """
     wrap = profile._far_field(0.5 * grid.period) / profile.amplitude
     if wrap > TAIL_BUDGET:
         raise ValueError(
             f"grid period {grid.period} too small: wrapped tail {wrap:.3e} of amplitude exceeds {TAIL_BUDGET:g}"
         )
+    dx = grid.wrap(grid.nodes - center)
+    return dx, profile._far_field(grid.period - dx), profile._far_field(grid.period + dx)
+
+
+def sample_on_grid(profile: SolitonProfile, grid: PeriodicGrid, center: float = 0.0) -> Field:
+    """Sample phi(x - center) on the periodic grid: the nearest image plus the two far ones."""
     dx, left, right = _images(profile, grid, center)
     return Field(grid, profile.evaluate(dx) + left + right)
 
 
-def sample_dx_on_grid(profile: SolitonProfile, grid: PeriodicGrid, center: float = 0.0) -> Field:
-    """Sample phi'(x - center) on the periodic grid, same images as sample_on_grid; the far ones take the far field's slope."""
+def sample_dx_on_grid(profile: SolitonProfile, grid: PeriodicGrid, center: float = 0.0) -> tuple[Field, Field]:
+    """Sample phi(x - center) and phi'(x - center) on the periodic grid in one pass over the images.
+
+    phi is sample_on_grid's, bitwise; phi' takes the far images from the far field's slope.
+    """
     dx, left, right = _images(profile, grid, center)
-    return Field(grid, profile.evaluate_dx(dx) + profile.decay_rate * (left - right))
+    phi, phi_x = profile.evaluate_with_slope(dx)
+    return Field(grid, phi + left + right), Field(grid, phi_x + profile.decay_rate * (left - right))

@@ -59,7 +59,7 @@ def _public_members() -> list[str]:
 
 def test_members_found():
     members = _public_members()
-    assert "SolitonProfile.evaluate_dx" in members and "Scenario.grid_n" in members
+    assert "SolitonProfile.evaluate_with_slope" in members and "Scenario.grid_n" in members
     assert not any(m.split(".")[1].startswith("_") for m in members)
 
 

@@ -29,7 +29,7 @@ def _dense_report(op, prof):
     """eigen_report from the full dense eigendecomposition, and all the eigenvalues."""
     vals, vecs = eigh(op.matrix)
     norm = float(np.max(np.abs(vals)))
-    dphi = sample_dx_on_grid(prof, op.grid).samples
+    dphi = sample_dx_on_grid(prof, op.grid)[1].samples
     overlaps = np.abs(vecs.T @ dphi) / np.linalg.norm(dphi)
     k = int(np.argmax(overlaps))
     others = np.delete(vals, k)
@@ -109,7 +109,7 @@ class TestSpectrum:
 
     def test_kernel_residual_small(self, setup_c3):
         prof, grid, op = setup_c3
-        dphi = sample_dx_on_grid(prof, grid).samples
+        dphi = sample_dx_on_grid(prof, grid)[1].samples
         res = np.linalg.norm(op.matrix @ dphi) / np.linalg.norm(dphi)
         assert res <= 1e-8
 
@@ -155,7 +155,7 @@ class TestConstrainedTheta:
         # constrained_theta's columns are op.phi and op.phi_x smoothed by (1-d^2)(4-d^2)^-1
         prof, grid, op = setup_c3
         y = Field(grid, np.cos(2.0 * np.pi * 3 * grid.nodes / grid.period))
-        for samples, f in ((op.phi, sample_on_grid(prof, grid)), (op.phi_x, sample_dx_on_grid(prof, grid))):
+        for samples, f in zip((op.phi, op.phi_x), sample_dx_on_grid(prof, grid)):
             column = smoothing_operator(Field(grid, samples)).samples
             assert grid.h * (y.samples @ column) == pytest.approx(s_inner(y, f), rel=1e-10, abs=1e-12)
 
@@ -299,7 +299,7 @@ def _dense_top(op):
 
 
 def _window_sizes(monkeypatch):
-    """The sizes of the window matrices linearized.eigh solves, in call order; a values-only solve shows as -size."""
+    """The sizes of the window blocks linearized.eigh solves, in call order; a values-only solve shows as -size."""
     sizes = []
 
     def counted(a):
@@ -331,18 +331,20 @@ class TestTopEigenvalueWindow:
         assert abs(linearized._top_eigenvalue(op) - dense) <= 4096 * np.finfo(float).eps * abs(dense)
 
     def test_window_over_every_mode_is_one_exact_solve(self, profiles, monkeypatch):
+        # values only, in the blocks of the n/2 + 1 and n/2 - 1 modes symmetric and antisymmetric under k -> n - k
         op = assemble_L(profiles[(3.0, 1.0)], make_grid(64, 100.0))
         sizes = _window_sizes(monkeypatch)
         top = linearized._top_eigenvalue(op)
-        assert sizes == [-64]
+        assert sizes == [-33, -31]
         assert top == pytest.approx(np.linalg.eigvalsh(op.matrix)[-1], rel=1e-14)
 
     def test_window_widens_until_the_residual_is_small(self, profiles, monkeypatch):
-        # at c = 4, kappa = 0.5, n = 512 the first two windows leave a Ritz residual of 1e-7 and 1e-8
+        # at c = 4, kappa = 0.5, n = 512 the first two windows (97 and 193 modes, each solved as its
+        # m + 1 symmetric and m antisymmetric modes) leave a Ritz residual of 1e-7 and 1e-8
         op = assemble_L(profiles[(4.0, 0.5)], make_grid(512, 100.0))
         sizes = _window_sizes(monkeypatch)
         top = linearized._top_eigenvalue(op)
-        assert sizes == [97, 193, 385]
+        assert sizes == [49, 48, 97, 96, 193, 192]
         dense = np.linalg.eigvalsh(op.matrix)[-1]
         assert abs(top - dense) <= 512 * np.finfo(float).eps * abs(dense)
 
@@ -351,9 +353,46 @@ class TestTopEigenvalueWindow:
         op = assemble_L(profiles[(4.0, 0.5)], make_grid(2048, 800.0))
         sizes = _window_sizes(monkeypatch)
         top = linearized._top_eigenvalue(op)
-        assert sizes == [97, 193, 385, 769, 1537, -2048]
+        assert sizes == [49, 48, 97, 96, 193, 192, 385, 384, 769, 768, -1025, -1023]
         dense = _dense_top(op)
         assert abs(top - dense) <= 2048 * np.finfo(float).eps * abs(dense)
+
+    @pytest.mark.parametrize("n, m", [(64, 5), (64, 32), (512, 48), (2048, 96), (2048, 768), (2048, 1024)])
+    def test_split_window_keeps_the_window_eigenvalues(self, profiles, n, m):
+        # Oracle: the unsplit window of the 2m + 1 modes around n/2 (every mode at m = n/2), a symmetric
+        # Toeplitz matrix in the mode index plus the symbol on its diagonal.
+        op = assemble_L(profiles[(4.0, 0.5)], make_grid(n, 100.0))
+        phi_hat = np.fft.rfft(op.phi).real / n
+        symbol = np.concatenate((op.symbol, op.symbol[-2:0:-1]))
+        modes = np.arange(n) if 2 * m == n else n // 2 + np.arange(-m, m + 1)
+        lag = np.arange(len(modes))
+        window = linearized._symmetric_toeplitz(-phi_hat[np.minimum(lag, n - lag)])
+        window[np.diag_indices(len(modes))] += symbol[modes]
+        even, odd = linearized._window_blocks(op.symbol, phi_hat, m)
+        assert (len(even), len(odd)) == ((n // 2 + 1, n // 2 - 1) if 2 * m == n else (m + 1, m))
+        assert np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
+        split = np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))))
+        whole = np.linalg.eigvalsh(window)
+        assert np.max(np.abs(split - whole)) <= len(modes) * np.finfo(float).eps * np.max(np.abs(whole))
+
+    @pytest.mark.parametrize("pair, n, period, sizes", [
+        ((3.0, 1.0), 2048, 100.0, [49, 48]),
+        ((3.0, 1.0), 1024, 300.0, [49, 48, 97, 96, 193, 192]),
+    ])
+    def test_top_in_the_antisymmetric_block(self, profiles, monkeypatch, pair, n, period, sizes):
+        # With the Nyquist mode's symbol lowered by 1 the top eigenvector pairs n/2 - 1 with n/2 + 1, and
+        # the antisymmetric combination is the higher one; the second Ritz value is the symmetric block's top.
+        op = assemble_L(profiles[pair], make_grid(n, period))
+        symbol = op.symbol.copy()
+        symbol[n // 2] -= 1.0
+        op = replace(op, symbol=symbol)
+        even, odd = linearized._window_blocks(op.symbol, np.fft.rfft(op.phi).real / n, linearized._WINDOW_START)
+        assert np.linalg.eigvalsh(odd)[-1] > np.linalg.eigvalsh(even)[-1]
+        solved = _window_sizes(monkeypatch)
+        top = linearized._top_eigenvalue(op)
+        assert solved == sizes
+        dense = np.linalg.eigvalsh(op.matrix)[-1]
+        assert abs(top - dense) <= n * np.finfo(float).eps * abs(dense)
 
     def test_no_dense_matrix_on_the_spectrum_path(self, profiles):
         # op.matrix alone would take 537 MB at n = 8192

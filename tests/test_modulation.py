@@ -46,7 +46,7 @@ def three_train():
 def waves_at(grid, speeds, positions, cache):
     """The per-wave samples (R_j, R_j,x) that orthogonality_residual takes."""
     profs = [cache.get(c) for c in speeds]
-    return [(sample_on_grid(p, grid, x), sample_dx_on_grid(p, grid, x)) for p, x in zip(profs, positions)]
+    return [sample_dx_on_grid(p, grid, x) for p, x in zip(profs, positions)]
 
 
 def seed_residual(u, speeds, positions, cache):
@@ -56,7 +56,7 @@ def seed_residual(u, speeds, positions, cache):
     for j, (c, x) in enumerate(zip(speeds, positions)):
         prof = cache.get(c)
         out[2 * j] = s_inner(eps, sample_on_grid(prof, u.grid, x))
-        out[2 * j + 1] = s_inner(eps, sample_dx_on_grid(prof, u.grid, x))
+        out[2 * j + 1] = s_inner(eps, sample_dx_on_grid(prof, u.grid, x)[1])
     return out
 
 
@@ -88,6 +88,7 @@ def cyclic_error(got, want, period):
 
 class TestProfileCache:
     def test_reuses_profiles(self):
+        # within a frame, a speed looked up again (to the 1e-10 granularity) is not rebuilt
         cache = ProfileCache(1.0)
         a = cache.get(3.0)
         b = cache.get(3.0 + 1e-12)  # below the rounding granularity
@@ -96,33 +97,50 @@ class TestProfileCache:
         assert c is not a
         assert (cache.builds, cache.cached) == (2, 2)
 
-    def test_holds_at_most_its_capacity(self, monkeypatch):
-        monkeypatch.setattr(modulation, "PROFILE_CACHE_SIZE", 3)
+    def test_keeps_the_last_two_frames(self):
+        # a profile that a frame looks up is still found by each of the next two frames
         cache = ProfileCache(1.0)
-        for c in (3.0, 3.1, 3.2, 3.3, 3.4):
-            cache.get(c)
-        assert (cache.builds, cache.cached) == (5, 3)
+        first = cache.get(3.0)
+        cache.next_frame()
+        cache.get(3.1)
+        cache.next_frame()
+        assert cache.get(3.0) is first
+        assert (cache.builds, cache.cached) == (2, 2)
 
-    def test_keeps_recently_used_speeds(self, monkeypatch):
-        monkeypatch.setattr(modulation, "PROFILE_CACHE_SIZE", 3)
+    def test_lookup_keeps_a_profile(self):
+        # each lookup restarts a profile's two frames, so a speed that every frame uses is built once
+        cache = ProfileCache(1.0)
+        first = cache.get(3.0)
+        for _ in range(10):
+            cache.next_frame()
+            assert cache.get(3.0) is first
+        assert cache.builds == 1
+
+    def test_evicts_what_two_frames_did_not_look_up(self):
         cache = ProfileCache(1.0)
         first = cache.get(3.0)
         cache.get(3.1)
-        cache.get(3.2)
-        assert cache.get(3.0) is first  # now the most recently used
-        cache.get(3.3)  # evicts 3.1, the least recently used
-        assert cache.get(3.0) is first
-        assert cache.builds == 4
+        cache.next_frame()
         cache.get(3.1)
-        assert cache.builds == 5
+        cache.next_frame()
+        assert cache.cached == 2  # 3.0 was looked up by the frame before the last one ended
+        cache.next_frame()
+        assert cache.cached == 1  # neither of the last two frames looked 3.0 up
+        again = cache.get(3.0)
+        assert again is not first and cache.builds == 3
+        for _ in range(2):
+            cache.next_frame()
+        assert cache.cached == 1
+        cache.next_frame()
+        assert cache.cached == 0
 
-    def test_profile_depends_only_on_the_speed(self, monkeypatch):
+    def test_profile_depends_only_on_the_speed(self):
         # a key evicted and rebuilt from another speed within the 1e-10 granularity gives the same wave
-        monkeypatch.setattr(modulation, "PROFILE_CACHE_SIZE", 1)
         cache = ProfileCache(1.0)
         grid = make_grid(256, 100.0)
         first = cache.get(3.0)
-        cache.get(4.0)
+        for _ in range(3):
+            cache.next_frame()
         again = cache.get(3.0 + 4e-11)
         assert again is not first
         assert first.params.c == again.params.c == 3.0
@@ -140,7 +158,7 @@ class TestOrthogonalityResidual:
         # delta * (phi_x, phi_x)_S = 2 delta S(phi_x) at leading order
         cache, grid, speeds, positions, u = two_train
         prof = cache.get(3.0)
-        dphi = sample_dx_on_grid(prof, grid, positions[0])
+        _, dphi = sample_dx_on_grid(prof, grid, positions[0])
         delta = 1e-6
         pert = Field(grid, u.samples + delta * dphi.samples)
         r = orthogonality_residual(pert, waves_at(grid, speeds, positions, cache))
@@ -218,7 +236,7 @@ class TestDecompose:
     def test_samples_each_wave_once_per_parameter_value(self, three_train, monkeypatch):
         # the residual is evaluated once for the guess, 2N + 1 times per step with a freshly built
         # Jacobian (its columns, then the step) and once per chord step; every evaluation samples
-        # each wave once, and a Jacobian column resamples only the wave it bumps
+        # each wave once, R and R_x in one call, and a Jacobian column resamples only the wave it bumps
         cache, grid, speeds, positions, u = three_train
         n = len(speeds)
         neighbour = decompose(train_field(grid, speeds + 2e-3, positions + 0.3, cache), speeds, positions, cache=cache)
@@ -237,7 +255,7 @@ class TestDecompose:
             assert steps > st.refreshes
             assert calls["orthogonality_residual"] == 1 + st.refreshes * (2 * n + 1) + (steps - st.refreshes)
             assert calls["sample_dx_on_grid"] == n + st.refreshes * 2 * n + steps * n
-            assert calls["sample_on_grid"] == calls["sample_dx_on_grid"]
+            assert calls["sample_on_grid"] == 0
 
     @pytest.mark.parametrize("scale", [3.0, -1.0, -2e-3, 1e-6])
     def test_stale_jacobian_is_refreshed(self, three_train, scale):

@@ -231,11 +231,11 @@ class TestEvaluate:
 
     def test_slope_zero_at_peak(self, profiles):
         prof = profiles[(3.0, 1.0)]
-        assert prof.evaluate_dx(np.array([0.0])).tolist() == [0.0]
+        assert prof.evaluate_with_slope(np.array([0.0]))[1].tolist() == [0.0]
 
     def test_slope_sign(self, profiles):
         prof = profiles[(5.0, 1.0)]
-        slope = prof.evaluate_dx(np.array([2.0, -2.0]))
+        _, slope = prof.evaluate_with_slope(np.array([2.0, -2.0]))
         assert slope[0] < 0
         assert slope[1] > 0
 
@@ -244,7 +244,12 @@ class TestEvaluate:
         x = np.linspace(0.5, 15.0, 40)
         d = 1e-6
         fd = (prof.evaluate(x + d) - prof.evaluate(x - d)) / (2.0 * d)
-        assert np.allclose(prof.evaluate_dx(x), fd, rtol=1e-4, atol=1e-12)
+        assert np.allclose(prof.evaluate_with_slope(x)[1], fd, rtol=1e-4, atol=1e-12)
+
+    def test_value_is_evaluate(self, profiles):
+        prof = profiles[(4.0, 0.5)]
+        x = np.linspace(-40.0, 40.0, 161)
+        assert np.array_equal(prof.evaluate_with_slope(x)[0], prof.evaluate(x))
 
 
 class TestJsonRoundtrip:
@@ -300,7 +305,7 @@ class TestSampleOnGrid:
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("ratio", [1.01, 1.05, 1.5, 3.0, 10.0])
     def test_far_images_match_three_evaluates(self, kappa, ratio):
-        # The oracle evaluates all three images through evaluate and evaluate_dx. Once period/2 >= x_tail the
+        # The oracle evaluates all three images through evaluate and the first integral's slope. Once period/2 >= x_tail the
         # far images lie in evaluate's own tail, so R is bitwise the same; R_x's far images take the tail
         # model's slope nu*A*exp(-nu|x|), not the first integral's, which agree to rounding there.
         prof = build_profile(SolitonParams(2.0 * kappa * ratio, kappa))
@@ -312,26 +317,57 @@ class TestSampleOnGrid:
                 dx = np.mod(grid.nodes - center + 0.5 * period, period) - 0.5 * period
                 images = (dx, dx - period, dx + period)
                 phi = prof.evaluate(images[0]) + prof.evaluate(images[1]) + prof.evaluate(images[2])
-                phi_x = prof.evaluate_dx(images[0]) + prof.evaluate_dx(images[1]) + prof.evaluate_dx(images[2])
+                phi_x = sum(prof.evaluate_with_slope(image)[1] for image in images)
                 r = sample_on_grid(prof, grid, center).samples
                 if 0.5 * period >= prof.x_tail:
                     assert np.array_equal(r, phi)
                 assert np.max(np.abs(r - phi)) <= bound
-                assert np.max(np.abs(sample_dx_on_grid(prof, grid, center).samples - phi_x)) <= bound
+                assert np.max(np.abs(sample_dx_on_grid(prof, grid, center)[1].samples - phi_x)) <= bound
 
     def test_far_images_finite_in_a_wide_box(self, profiles):
         # nu*period/2 > 709 here: each far image underflows to 0, where 2A exp(-nu P) cosh(nu dx) is 0 * inf
         grid = make_grid(512, 4000.0)
         prof = profiles[(3.0, 1.0)]
-        for sample in (sample_on_grid, sample_dx_on_grid):
-            assert np.all(np.isfinite(sample(prof, grid, 13.0).samples))
+        for field in (sample_on_grid(prof, grid, 13.0), *sample_dx_on_grid(prof, grid, 13.0)):
+            assert np.all(np.isfinite(field.samples))
 
     def test_dx_sampling_consistent(self, profiles):
         prof = profiles[(3.0, 1.0)]
         grid = make_grid(512, 100.0)
-        s = sample_dx_on_grid(prof, grid, center=5.0).samples
-        expected = prof.evaluate_dx(grid.nodes - 5.0)
-        assert np.allclose(s, expected, atol=1e-10)
+        _, s = sample_dx_on_grid(prof, grid, center=5.0)
+        expected = prof.evaluate_with_slope(grid.nodes - 5.0)[1]
+        assert np.allclose(s.samples, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("pair", PARAM_PAIRS)
+    def test_pair_sampler_rejects_the_same_short_periods(self, profiles, pair):
+        # the wrapped-tail budget holds for the pair sampler too, with sample_on_grid's message
+        prof = profiles[pair]
+        p = min_period(prof.params)
+        sample_dx_on_grid(prof, make_grid(64, 1.001 * p))
+        with pytest.raises(ValueError) as single:
+            sample_on_grid(prof, make_grid(64, 0.999 * p))
+        with pytest.raises(ValueError) as both:
+            sample_dx_on_grid(prof, make_grid(64, 0.999 * p))
+        assert str(both.value) == str(single.value)
+
+    @pytest.mark.parametrize("pair", PARAM_PAIRS)
+    def test_pair_sampler_matches_two_calls_bitwise(self, profiles, pair):
+        # Oracle: the two separate samplings the pair replaces, each wrapping the nodes and taking both
+        # far images, and the slope evaluating phi a second time.
+        prof = profiles[pair]
+        grid = make_grid(256, max(300.0, 1.5 * min_period(prof.params)))
+        c, kappa = prof.params.c, prof.params.kappa
+        r1, r2 = _quadratic_roots(c, kappa)
+        for center in (0.0, 3.7, -0.49 * grid.period, 0.4999 * grid.period):
+            dx = np.mod(grid.nodes - center + 0.5 * grid.period, grid.period) - 0.5 * grid.period
+            left = prof.tail_coeff * np.exp(-prof.decay_rate * (grid.period - dx))
+            right = prof.tail_coeff * np.exp(-prof.decay_rate * (grid.period + dx))
+            phi = prof.evaluate(dx)
+            slope = -np.sign(dx) * phi * np.sqrt(np.maximum(r1 - phi, 0.0) * (r2 - phi)) / (c - phi)
+            r, r_x = sample_dx_on_grid(prof, grid, center)
+            assert np.array_equal(r.samples, prof.evaluate(dx) + left + right)
+            assert np.array_equal(r_x.samples, slope + prof.decay_rate * (left - right))
+            assert np.array_equal(r.samples, sample_on_grid(prof, grid, center).samples)
 
 
 def test_cli_import_leaves_out_scipy_interpolate():
