@@ -246,11 +246,6 @@ class TestEvaluate:
         fd = (prof.evaluate(x + d) - prof.evaluate(x - d)) / (2.0 * d)
         assert np.allclose(prof.evaluate_with_slope(x)[1], fd, rtol=1e-4, atol=1e-12)
 
-    def test_value_is_evaluate(self, profiles):
-        prof = profiles[(4.0, 0.5)]
-        x = np.linspace(-40.0, 40.0, 161)
-        assert np.array_equal(prof.evaluate_with_slope(x)[0], prof.evaluate(x))
-
 
 class TestJsonRoundtrip:
     def test_document_matches_profile(self, profiles):
@@ -295,12 +290,17 @@ class TestSampleOnGrid:
 
     @pytest.mark.parametrize("pair", PARAM_PAIRS)
     def test_min_period_is_the_sampling_threshold(self, profiles, pair):
-        # sampling evaluates the profile's tail model, min_period the far-field ratio directly
+        # sampling evaluates the profile's tail model, min_period the far-field ratio directly; the pair
+        # sampler applies the same wrapped-tail check, with the same message
         prof = profiles[pair]
         p = min_period(prof.params)
         sample_on_grid(prof, make_grid(64, 1.001 * p))
-        with pytest.raises(ValueError):
+        sample_dx_on_grid(prof, make_grid(64, 1.001 * p))
+        with pytest.raises(ValueError) as single:
             sample_on_grid(prof, make_grid(64, 0.999 * p))
+        with pytest.raises(ValueError) as both:
+            sample_dx_on_grid(prof, make_grid(64, 0.999 * p))
+        assert str(both.value) == str(single.value)
 
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("ratio", [1.01, 1.05, 1.5, 3.0, 10.0])
@@ -337,18 +337,6 @@ class TestSampleOnGrid:
         _, s = sample_dx_on_grid(prof, grid, center=5.0)
         expected = prof.evaluate_with_slope(grid.nodes - 5.0)[1]
         assert np.allclose(s.samples, expected, atol=1e-10)
-
-    @pytest.mark.parametrize("pair", PARAM_PAIRS)
-    def test_pair_sampler_rejects_the_same_short_periods(self, profiles, pair):
-        # the wrapped-tail budget holds for the pair sampler too, with sample_on_grid's message
-        prof = profiles[pair]
-        p = min_period(prof.params)
-        sample_dx_on_grid(prof, make_grid(64, 1.001 * p))
-        with pytest.raises(ValueError) as single:
-            sample_on_grid(prof, make_grid(64, 0.999 * p))
-        with pytest.raises(ValueError) as both:
-            sample_dx_on_grid(prof, make_grid(64, 0.999 * p))
-        assert str(both.value) == str(single.value)
 
     @pytest.mark.parametrize("pair", PARAM_PAIRS)
     def test_pair_sampler_matches_two_calls_bitwise(self, profiles, pair):
