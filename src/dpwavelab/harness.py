@@ -245,7 +245,7 @@ class StabilityResult:
 def _track_train_errors(scenario: Scenario, traj, cache: ProfileCache) -> tuple[list, list[float]]:
     """Modulation states of every frame, and each frame's L2 distance to the frozen train: the initial
     speeds at the modulated positions."""
-    states = track(traj, scenario.n_waves, cache)
+    states = track(traj, scenario.speeds, scenario.positions0, cache)
     errors = [
         (frame - train_field(frame.grid, scenario.speeds, st.positions, cache)).l2_norm()
         for frame, st in zip(traj.states, states)

@@ -3,17 +3,19 @@
 L = -phi_c - 2 kappa (4 - d^2)^-1 + c (1 - d^2)(4 - d^2)^-1
 
 The nonlocal part is a Fourier multiplier and the local part a diagonal, so L
-acts on a grid function in O(n log n). phi is even, so L commutes with the
-reflection x -> -x and splits into an even and an odd block. The low end of the
-spectrum and the constrained coercivity constant come from Lanczos with full
-reorthogonalization on each block's action, in half-length coordinates, and the
-two blocks' results are merged. The top eigenvalue, which sits in a tight
-cluster that Lanczos does not resolve, comes from a window of Fourier modes
-around the Nyquist mode, widened until its Ritz residual is small. The window
-splits into two blocks under k -> n - k; once it has grown to all n modes, their
-eigenvalues are taken without eigenvectors. No solve reads op.matrix. The operator carries its phi and phi_x samples: phi_x is
-the kernel direction the report looks for, and the smoothed phi and phi_x are
-the constraint columns of the constrained coercivity constant.
+acts on a grid function in O(n log n). In the unitary DFT basis L is
+diag(s_k) - phi_hat_(k-j) / n, and phi is even, so this matrix is real and
+symmetric. Every eigensolve takes a window of it: the modes around mode 0 for
+the low end of the spectrum and the constrained coercivity constant, where the
+symbol is smallest and the low eigenvectors live, and the modes around the
+Nyquist mode for the top eigenvalue, where the symbol peaks. L commutes with
+the reflection x -> -x, which is k -> n - k on the modes, so each window splits
+into a symmetric and an antisymmetric block, and each eigenvector is an even or
+an odd grid function. A window widens until its wanted Ritz pairs meet a
+Kato-Temple-type residual test, and once it holds all n modes its answer is
+exact. No solve reads op.matrix. The operator carries its phi and phi_x
+samples: phi_x is the kernel direction the report looks for, and the smoothed
+phi and phi_x are the constraint columns of the constrained coercivity constant.
 """
 
 from __future__ import annotations
@@ -23,22 +25,16 @@ from functools import cached_property
 
 import numpy as np
 import numpy.fft  # numpy loads it lazily; load it with this module, not in a run's first transform
-import numpy.random  # numpy loads it lazily; load it with this module, not in a run
 from numpy.lib.stride_tricks import as_strided
-from numpy.linalg import eigh, eigvalsh
+from numpy.linalg import eigh
 
 from .grid import Field, PeriodicGrid, smoothing_operator
 from .soliton import SolitonProfile, sample_dx_on_grid
 
-_LANCZOS_SEED = 0  # seed of the fixed Lanczos start vector: repeated solves are bitwise identical
-_LANCZOS_TOL = 1e-14  # Ritz residual bound |beta_m s_mi|, relative to the largest Ritz value in magnitude
-# A solve for k pairs still running after _LANCZOS_MAX_STEPS + 2k steps raises. Measured: k = 4 takes at most
-# 200 steps (down to c = 2.05 kappa at n = 4096), and k up to 600 at n = 2048 at most 1.5k + 140.
-_LANCZOS_MAX_STEPS = 500
 _SQRT_HALF = np.sqrt(0.5)
-# First half-width m of the top eigenvalue's Fourier window. The m needed grows with the period. Measured:
-# 48 for c = 3, kappa = 1 at period 100 up to n = 16384, 192 at period 300, 768 at period 800; c = 4,
-# kappa = 0.5 at period 100 takes 96 to 192.
+# First half-width m of every window. The m needed grows with the period. Measured: the top takes 48 for
+# c = 3, kappa = 1 at period 100 up to n = 16384, 192 at period 300, 768 at period 800, and c = 4, kappa = 0.5
+# at period 100 takes 96 to 192; the low end takes 192 for c = 3, kappa = 1 at period 100.
 _WINDOW_START = 48
 
 
@@ -110,44 +106,6 @@ def _circulant(c: np.ndarray) -> np.ndarray:
     return as_strided(ext[n - 1:], shape=(n, n), strides=(-step, step)).copy()
 
 
-@dataclass(frozen=True)
-class _Parity:
-    """Orthonormal half-length coordinates of the even or the odd grid functions under x -> -x.
-
-    Even basis: e_j for the fixed nodes j = 0, n/2, (e_j + e_-j)/sqrt2 for 0 < j < n/2;
-    odd basis: (e_j - e_-j)/sqrt2 for 0 < j < n/2.
-    """
-
-    n: int
-    odd: bool
-
-    @property
-    def dim(self) -> int:
-        return self.n // 2 - 1 if self.odd else self.n // 2 + 1
-
-    def expand(self, a: np.ndarray) -> np.ndarray:
-        """Grid functions from coordinates along the last axis."""
-        half = self.n // 2
-        v = np.zeros(a.shape[:-1] + (self.n,))
-        inner = _SQRT_HALF * (a if self.odd else a[..., 1:half])
-        v[..., 1:half] = inner
-        v[..., half + 1:] = -inner[..., ::-1] if self.odd else inner[..., ::-1]
-        if not self.odd:
-            v[..., [0, half]] = a[..., [0, half]]
-        return v
-
-    def restrict(self, v: np.ndarray) -> np.ndarray:
-        """Coordinates of the orthogonal projection onto the block, the transpose of expand."""
-        half = self.n // 2
-        mirror = v[..., :half:-1]
-        if self.odd:
-            return _SQRT_HALF * (v[..., 1:half] - mirror)
-        a = v[..., : half + 1].copy()
-        a[..., 1:half] += mirror
-        a[..., 1:half] *= _SQRT_HALF
-        return a
-
-
 def assemble_L(profile: SolitonProfile, grid: PeriodicGrid) -> OperatorMatrix:
     c = profile.params.c
     kappa = profile.params.kappa
@@ -156,84 +114,24 @@ def assemble_L(profile: SolitonProfile, grid: PeriodicGrid) -> OperatorMatrix:
     return OperatorMatrix(grid=grid, symbol=symbol, phi=phi.samples, phi_x=phi_x.samples)
 
 
-def _lanczos(phase: str, matvec, dim: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest eigenpairs of a symmetric operator on R^dim, ascending; eigenvectors as rows.
-
-    Lanczos with full reorthogonalization: two classical Gram-Schmidt passes
-    against the whole basis each step (one pass leaves it too far from
-    orthogonal at n = 1024). Every 10 steps, and when the space is exhausted, the
-    Ritz pairs of the tridiagonal T_m are checked; the k lowest stop at residual
-    |beta_m s_mi| <= _LANCZOS_TOL max|theta|, and a solve that has not stopped
-    after _LANCZOS_MAX_STEPS + 2k steps raises. The basis grows with the step
-    count, so memory is O(m dim). The eigenvalues of one parity block are simple, so a
-    random start vector reaches each of them.
-    """
-    v = np.random.default_rng(_LANCZOS_SEED).standard_normal(dim)
-    v /= np.linalg.norm(v)
-    basis = np.empty((min(dim, 32), dim))
-    alpha: list[float] = []
-    beta: list[float] = []
-    m = 0
-    while True:
-        if m == len(basis):
-            grown = np.empty((min(2 * m, dim), dim))
-            grown[:m] = basis
-            basis = grown
-        basis[m] = v
-        w = matvec(v)
-        alpha.append(float(v @ w))
-        m += 1
-        for _ in range(2):
-            w -= basis[:m].T @ (basis[:m] @ w)
-        b = float(np.linalg.norm(w))
-        if not np.isfinite(b):
-            raise SpectralError(phase, f"Lanczos broke down at step {m}: non-finite beta {b}")
-        exhausted = m == dim or b == 0.0
-        if exhausted or (m >= k and m % 10 == 0):
-            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
-            if exhausted or np.all(np.abs(b * s[-1, :k]) <= _LANCZOS_TOL * np.max(np.abs(theta))):
-                break
-            if m >= _LANCZOS_MAX_STEPS + 2 * k:
-                raise SpectralError(phase, f"Lanczos did not converge in {m} steps")
-        beta.append(b)
-        v = w / b
-    if m < k:
-        raise SpectralError(phase, f"Krylov space exhausted after {m} steps, short of {k} eigenpairs")
-    return theta[:k], s[:, :k].T @ basis[:m]
-
-
-def lowest_eigenpairs(op: OperatorMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest eigenvalues of L, ascending, and their unit eigenvectors as columns, from both parity blocks."""
-    vals, vecs = [], []
-    for odd in (False, True):
-        parity = _Parity(op.grid.n, odd)
-        block_vals, coords = _lanczos(
-            "eigen_report", lambda a: parity.restrict(op.apply(parity.expand(a))), parity.dim, min(k, parity.dim)
-        )
-        vals.append(block_vals)
-        vecs.append(parity.expand(coords))
-    vals, vecs = np.concatenate(vals), np.concatenate(vecs)
-    order = np.argsort(vals, kind="stable")[:k]
-    return vals[order], vecs[order].T
-
-
 def _hankel(h: np.ndarray, size: int) -> np.ndarray:
     """A read-only view of the size x size Hankel matrix whose entry (i, j) is h[i + j]."""
     step = h.strides[0]
     return as_strided(h, shape=(size, size), strides=(step, step), writeable=False)
 
 
-def _window_blocks(symbol: np.ndarray, phi_hat: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """L on the window of the modes n/2 - m ... n/2 + m, split into its blocks under the reflection k -> n - k.
+def _window_blocks(symbol: np.ndarray, phi_hat: np.ndarray, m: int, centre: int) -> tuple[np.ndarray, np.ndarray]:
+    """L on the window of the modes centre - m ... centre + m, centre 0 or n/2, split into its blocks under k -> n - k.
 
     symbol and phi_hat are on the rfft half spectrum, phi_hat the real rfft of phi
-    over n, so p(l) = phi_hat[min(l, n - l)]. With the modes n/2 + i, the window's
-    entry (i, j) is s_i delta_ij - p(i - j), and s_i = s_-i. The reflection maps i
-    to -i. The symmetric block (i = 0 ... m) in the basis (e_i + e_-i)/sqrt2, or e_i
-    at the fixed modes i = 0 and i = n/2, has entries s_i delta_ij - p(i - j) - p(i + j),
-    times sqrt(1/2) per fixed index and with s_i doubled on a fixed diagonal; the
-    antisymmetric block (the i that are not fixed) in (e_i - e_-i)/sqrt2 has
-    s_i delta_ij - p(i - j) + p(i + j). At m = n/2 the window holds every mode.
+    over n, so p(l) = phi_hat[min(l, n - l)]. With the modes centre + i, the
+    window's entry (i, j) is s_i delta_ij - p(i - j), and s_i = symbol[|centre - i|]
+    = s_-i. The reflection maps i to -i. The symmetric block (i = 0 ... m) in the
+    basis (e_i + e_-i)/sqrt2, or e_i at the fixed modes i = 0 and i = n/2, has
+    entries s_i delta_ij - p(i - j) - p(i + j), times sqrt(1/2) per fixed index and
+    with s_i doubled on a fixed diagonal; the antisymmetric block (the i that are
+    not fixed) in (e_i - e_-i)/sqrt2 has s_i delta_ij - p(i - j) + p(i + j). At
+    m = n/2 the window holds every mode.
     """
     n = 2 * (len(phi_hat) - 1)
     i = np.arange(m + 1)
@@ -241,7 +139,7 @@ def _window_blocks(symbol: np.ndarray, phi_hat: np.ndarray, m: int) -> tuple[np.
     lags = np.arange(2 * m + 1)
     p = phi_hat[np.minimum(lags, n - lags)]
     diff, plus = _symmetric_toeplitz(p[: m + 1]), _hankel(p, m + 1)
-    s = symbol[n // 2 - i]
+    s = symbol[np.abs(centre - i)]
     w = np.where(fixed, _SQRT_HALF, 1.0)
     even = (np.diag(s * (1.0 + fixed)) - diff - plus) * w[:, None] * w
     free = np.flatnonzero(~fixed)
@@ -250,57 +148,108 @@ def _window_blocks(symbol: np.ndarray, phi_hat: np.ndarray, m: int) -> tuple[np.
     return even, odd
 
 
-def _top_eigenvalue(op: OperatorMatrix) -> float:
-    """Largest eigenvalue of L from a window of Fourier modes around the Nyquist mode.
+def _window_pairs(
+    op: OperatorMatrix, phase: str, k: int, top: bool = False, columns: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenpairs of L, or with top the k highest, from a window of Fourier modes.
 
-    In the unitary DFT basis L is diag(s_k) - phi_hat_(k-j) / n. phi is
-    reflection-even, so phi_hat is real and every window of modes is a real
-    symmetric matrix. The symbol peaks at the Nyquist mode, where the top
-    eigenvector lives. The window holds the 2m + 1 modes n/2 - m ... n/2 + m, and
-    its top Ritz value theta bounds the top eigenvalue from below (Cauchy
-    interlacing). The window is closed under k -> n - k, so it is solved as its
-    symmetric (m + 1 modes) and antisymmetric (m modes) blocks, whose Ritz values
-    together are the window's. m doubles from _WINDOW_START until the
-    Kato-Temple-type error estimate |Ly - theta y|^2 / (theta - theta_2), with y
-    the Ritz vector and theta_2 the second Ritz value over both blocks, is at most
-    eps times the largest |Ritz value|; the residual takes one FFT pair. Once
-    2m + 1 reaches n the window holds every mode, and its top eigenvalue, taken
-    without eigenvectors, is exact.
+    Returns the eigenvalues, ascending (descending with top), and the unit
+    eigenvectors as grid rows. The window holds the 2m + 1 modes centre - m ...
+    centre + m, with centre 0 for the low end and n/2 for the top, and is solved
+    as its two blocks under k -> n - k (_window_blocks). With columns, an even and
+    an odd unit grid vector, the symmetric block is P B P + s q q^T with q the even
+    column's coordinates on the window, P = I - q q^T and s the symbol's maximum,
+    and the antisymmetric block likewise with the odd column. On range(P) this is
+    B restricted to the complement of q; on q it is s, which bounds L from above
+    because phi > 0, so the lowest eigenvalues are those of L restricted to the
+    complement of both columns. Each window's Ritz values bound the eigenvalues
+    they approximate (Cauchy interlacing). The k extreme Ritz pairs over both
+    blocks are kept; their vectors take one inverse FFT to the grid and are
+    symmetrized there, so each is exactly even or exactly odd. m doubles from
+    _WINDOW_START until every kept pair's Kato-Temple-type estimate
+    |Ly - theta y|^2 / gap is at most eps times the window's largest |Ritz value|:
+    Ly is op.apply(y), projected by P with columns, and gap is the distance from
+    theta to the nearest other Ritz value of its block. Once m = n/2 the window
+    holds every mode, and its pairs are exact.
     """
     n = op.grid.n
+    centre = n // 2 if top else 0
     phi_hat = np.fft.rfft(op.phi).real / n
-    symbol = np.concatenate((op.symbol, op.symbol[-2:0:-1]))  # at every mode k = 0 .. n - 1
+    column_hats = None if columns is None else np.fft.fft(columns, norm="ortho")
     m = _WINDOW_START
-    while 2 * m + 1 < n:
-        (even_vals, even_vecs), (odd_vals, odd_vecs) = (eigh(b) for b in _window_blocks(op.symbol, phi_hat, m))
-        odd_top = odd_vals[-1] > even_vals[-1]
-        vals, vec = (odd_vals, odd_vecs[:, -1]) if odd_top else (even_vals, even_vecs[:, -1])
-        top = float(vals[-1])
-        second = max(vals[-2], (even_vals if odd_top else odd_vals)[-1])
-        # The Ritz vector on the modes n/2 +- i, i = 1 ... m; the symmetric block also holds the mode n/2 itself.
-        pairs = n // 2 + np.arange(1, m + 1)
-        y = np.zeros(n, dtype=complex)
-        y[pairs] = _SQRT_HALF * vec[-m:]
-        y[n - pairs] = -y[pairs] if odd_top else y[pairs]
-        if not odd_top:
-            y[n // 2] = vec[0]
-        residual = (symbol - top) * y - np.fft.fft(op.phi * np.fft.ifft(y, norm="ortho"), norm="ortho")
-        bound = np.finfo(float).eps * max(abs(min(even_vals[0], odd_vals[0])), abs(top))
-        if np.linalg.norm(residual) ** 2 <= bound * (top - second):
-            return top
+    while True:
+        m = min(m, n // 2)
+        i = np.arange(m + 1)
+        fixed = (i == 0) | (2 * i == n)
+        weight = np.where(fixed, 1.0, _SQRT_HALF)  # of a coordinate on each of its modes centre + i and centre - i
+        vals, gaps, modes, parity = [], [], [], []
+        largest = 0.0
+        for odd, block in enumerate(_window_blocks(op.symbol, phi_hat, m, centre)):
+            idx = np.flatnonzero(~fixed) if odd else i
+            plus, minus = (centre + idx) % n, (centre - idx) % n
+            # The unitary DFT of a real even grid vector is real and symmetric; of a real odd one, -1j times
+            # a real antisymmetric one.
+            to_grid = -1j if odd else 1.0
+            if columns is not None:
+                q = (column_hats[odd, plus] / to_grid).real / weight[idx]
+                q /= np.linalg.norm(q)
+                b = block @ q
+                block = block - np.outer(q, b) - np.outer(b, q) + (q @ b + op.symbol.max()) * np.outer(q, q)
+            try:
+                v, vec = eigh(block)
+            except np.linalg.LinAlgError as exc:
+                raise SpectralError(phase, f"window of {2 * m + 1} modes: {exc}") from exc
+            largest = max(largest, abs(v[0]), abs(v[-1]))
+            d = np.diff(v)
+            keep = slice(max(len(v) - k, 0), None) if top else slice(k)
+            vals.append(v[keep])
+            gaps.append(np.minimum(np.append(np.inf, d), np.append(d, np.inf))[keep])
+            coords = to_grid * weight[idx] * vec[:, keep].T
+            a = np.zeros((len(coords), n), dtype=complex)
+            a[:, minus] = -coords if odd else coords
+            a[:, plus] = coords
+            modes.append(a)
+            parity.append(np.full(len(coords), -1.0 if odd else 1.0))
+        vals, gaps, parity = np.concatenate(vals), np.concatenate(gaps), np.concatenate(parity)
+        if len(vals) >= k:
+            order = np.argsort(vals, kind="stable")
+            order = (order[::-1] if top else order)[:k]
+            y = np.fft.ifft(np.concatenate(modes)[order], norm="ortho").real
+            y = 0.5 * (y + parity[order, None] * y[:, _reflection(n)])
+            if 2 * m == n:
+                return vals[order], y
+            ly = op.apply(y)
+            if columns is not None:
+                q = columns[(parity[order] < 0).astype(int)]
+                ly -= np.sum(ly * q, axis=1)[:, None] * q
+            residual = np.sum((ly - vals[order, None] * y) ** 2, axis=1)
+            if not np.all(np.isfinite(residual)):
+                raise SpectralError(phase, f"non-finite Ritz residual in the window of {2 * m + 1} modes")
+            if np.all(residual <= np.finfo(float).eps * largest * gaps[order]):
+                return vals[order], y
         m *= 2
-    return float(max(eigvalsh(block)[-1] for block in _window_blocks(op.symbol, phi_hat, n // 2)))
+
+
+def lowest_eigenpairs(op: OperatorMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenvalues of L, ascending, and their unit eigenvectors as columns, each even or odd."""
+    vals, vecs = _window_pairs(op, "eigen_report", k)
+    return vals, vecs.T
+
+
+def _top_eigenvalue(op: OperatorMatrix) -> float:
+    """Largest eigenvalue of L, from the window around the Nyquist mode, where the top eigenvector lives."""
+    return float(_window_pairs(op, "eigen_report", 1, top=True)[0][0])
 
 
 def eigen_report(op: OperatorMatrix, k: int = 4) -> SpectralReport:
-    """Negative, kernel and gap eigenvalues of L, read from its lowest eigenpairs; the first window holds max(k, 4)."""
+    """Negative, kernel and gap eigenvalues of L, read from its lowest max(k, 4) eigenpairs, or more if needed."""
     n = op.grid.n
     if not 1 <= k <= n - 2:
         raise ValueError(f"number of eigenpairs must be in [1, n - 2] = [1, {n - 2}], got {k}")
     top = _top_eigenvalue(op)
     dphi = op.phi_x / np.linalg.norm(op.phi_x)
-    # Widen the window until a positive eigenvalue other than the kernel shows,
-    # so that every negative eigenvalue is in it.
+    # Take more eigenpairs until a positive eigenvalue other than the kernel shows,
+    # so that every negative eigenvalue is among them.
     k = max(k, 4)
     while True:
         vals, vecs = lowest_eigenpairs(op, k)
@@ -331,29 +280,14 @@ def constrained_theta(op: OperatorMatrix) -> float:
 
     The constraint columns are op.phi and op.phi_x smoothed by (1-d^2)(4-d^2)^-1:
     L2-orthogonality of y to them is S-orthogonality of y to phi and phi_x. The
-    smoothed phi is even and the smoothed phi_x odd, so each parity block carries
-    one constraint column q, and theta is the smaller of the two blocks' minima.
-    Lanczos on P L P + s q q^T with P = I - q q^T: on range(P) this is the
-    restricted L; on q it is s, the symbol's maximum, which bounds L from above
-    because phi > 0, so the lowest eigenvalue is the restricted minimum.
+    smoothed phi is even and the smoothed phi_x odd, so each block of the window
+    around mode 0 carries one of them, and theta is the lowest Ritz value of the
+    projected blocks (_window_pairs).
     """
     v = np.column_stack([smoothing_operator(Field(op.grid, f)).samples for f in (op.phi, op.phi_x)])
     norms = np.linalg.norm(v, axis=0)
     cosang = abs(float(v[:, 0] @ v[:, 1])) / (norms[0] * norms[1])
     if cosang > 1.0 - 1e-10:
         raise SpectralError("constrained_theta", f"constraint vectors nearly collinear (cos angle {cosang:.3e})")
-    shift = float(op.symbol.max())
-    theta = np.inf
-    for odd, column in ((False, v[:, 0]), (True, v[:, 1])):
-        parity = _Parity(op.grid.n, odd)
-        q = parity.restrict(column)
-        q /= np.linalg.norm(q)
-
-        def matvec(x):
-            qx = q @ x
-            y = parity.restrict(op.apply(parity.expand(x - qx * q)))
-            return y - (q @ y) * q + (shift * qx) * q
-
-        vals, _ = _lanczos("constrained_theta", matvec, parity.dim, 1)
-        theta = min(theta, float(vals[0]))
-    return theta
+    vals, _ = _window_pairs(op, "constrained_theta", 1, columns=(v / norms).T)
+    return float(vals[0])

@@ -262,9 +262,11 @@ def decompose(u: Field, speeds0, positions0, cache: ProfileCache, jacobian: np.n
     )
 
 
-def track(trajectory, n_waves: int, cache: ProfileCache) -> list[ModulationState]:
-    """Warm-started decomposition of every stored frame; aborts on first failure.
+def track(trajectory, speeds0, positions0, cache: ProfileCache) -> list[ModulationState]:
+    """Warm-started decomposition of every stored frame from frame 0's guess; aborts on first failure.
 
+    The caller knows frame 0's waves (a run's initial speeds and positions), so
+    no frame is searched for peaks, which would need them period/(4N) apart.
     Each frame starts its chord iteration from the previous frame's Jacobian.
     Between frames the position guess is advected by the previously tracked
     speeds, so the warm start stays inside the Newton basin even when the
@@ -272,14 +274,11 @@ def track(trajectory, n_waves: int, cache: ProfileCache) -> list[ModulationState
     of the profile cache.
     """
     states: list[ModulationState] = []
-    guess = None
+    guess = (np.asarray(speeds0, dtype=float), np.asarray(positions0, dtype=float))
     jacobian = None
-    t_prev = None
+    t_prev = trajectory.times[0]
     for t, frame in zip(trajectory.times, trajectory.states):
-        if guess is None:
-            guess = initial_guess(frame, n_waves, cache.kappa)
-        else:
-            guess = (guess[0], guess[1] + guess[0] * (t - t_prev))
+        guess = (guess[0], guess[1] + guess[0] * (t - t_prev))
         try:
             st = decompose(frame, guess[0], guess[1], cache, jacobian=jacobian)
         except DecompositionError as exc:

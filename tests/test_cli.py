@@ -118,29 +118,47 @@ def test_spectrum_solver_failure(monkeypatch, capsys):
     assert main(["spectrum", "--c", "3", "--kappa", "1", "--n", "512"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("spectral error: eigen_report: ")
-    assert "non-finite beta" in err
+    assert "non-finite Ritz residual" in err
 
 
-def test_spectrum_lanczos_step_cap(monkeypatch, capsys):
-    monkeypatch.setattr(linearized, "_LANCZOS_MAX_STEPS", 30)
-    monkeypatch.setattr(linearized, "_LANCZOS_TOL", 0.0)
-    assert main(["spectrum", "--c", "3", "--kappa", "1", "--n", "256"]) == 1
-    assert capsys.readouterr().err.startswith("spectral error: eigen_report: Lanczos did not converge in 40 steps")
+def test_spectrum_failed_window_solve(monkeypatch, capsys):
+    # numpy's LinAlgError is a ValueError: without the mapping it would exit 2 as a usage error
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(linearized, "eigh", failing)
+    assert main(["spectrum", "--c", "3", "--kappa", "1", "--n", "512"]) == 1
+    assert capsys.readouterr().err == "spectral error: eigen_report: window of 97 modes: Eigenvalues did not converge\n"
+
+
+def test_spectrum_long_period_answers(tmp_path, capsys):
+    # at period 1600 every window widens to all n modes, where its answer is exact
+    out = tmp_path / "spectrum.json"
+    pairs = tmp_path / "pairs.csv"
+    args = ["spectrum", "--c", "3", "--kappa", "1", "--n", "1024", "--period", "1600", "--out", str(out)]
+    assert main(args + ["--eigpairs", str(pairs), "--k", "4"]) == 0
+    assert capsys.readouterr().err == ""
+    with open(pairs, newline="") as fh:
+        low = np.array([float(row[0]) for row in list(csv.reader(fh))[1:]])
+    op = linearized.assemble_L(cli.build_profile(cli.SolitonParams(3.0, 1.0)), make_grid(1024, 1600.0))
+    dense = np.linalg.eigvalsh(op.matrix)
+    assert np.max(np.abs(low - dense[:4])) <= 1024 * np.finfo(float).eps * np.max(np.abs(dense))
+    assert json.loads(out.read_text())["neg_count"] == 1
 
 
 def test_spectrum_eigpairs_solves_the_low_end_once(tmp_path, capsys, monkeypatch):
     phases = []
-    lanczos = linearized._lanczos
+    window_pairs = linearized._window_pairs
 
-    def counted(phase, *args):
+    def counted(op, phase, *args, **kwargs):
         phases.append(phase)
-        return lanczos(phase, *args)
+        return window_pairs(op, phase, *args, **kwargs)
 
-    monkeypatch.setattr(linearized, "_lanczos", counted)
+    monkeypatch.setattr(linearized, "_window_pairs", counted)
     args = ["spectrum", "--c", "3", "--kappa", "1", "--n", "256", "--period", "100"]
     assert main(args + ["--eigpairs", str(tmp_path / "pairs.csv"), "--k", "5"]) == 0
-    # one solve per parity block for the report and its pairs, one per block for theta
-    assert phases == ["eigen_report"] * 2 + ["constrained_theta"] * 2
+    # one window solve for the top, one for the report's low end and its pairs, one for theta
+    assert phases == ["eigen_report"] * 2 + ["constrained_theta"]
     with_pairs = json.loads(capsys.readouterr().out)
     assert main(args) == 0
     assert json.loads(capsys.readouterr().out) == pytest.approx(with_pairs, rel=1e-12, abs=1e-14)
@@ -222,6 +240,22 @@ def test_stability(tmp_path, capsys):
     code = main(["stability", "--config", cfg, "--out", str(out)])
     assert code == 0
     assert (out / "summary.json").exists()
+
+
+def test_stability_tracks_a_close_pair_from_the_scenario(tmp_path, capsys):
+    # The automatic period is 110, so the peaks, 13 apart, are closer than period/(4N) = 13.75: a peak
+    # search could not find frame 0's two waves, and the run's initial speeds and positions do.
+    cfg = write_scenario(tmp_path / "scenario.json", separation=13.0, t_end=20.0, observer_stride=500)
+    assert main(["stability", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["sup_error"] < 1e-2
+
+
+def test_sweep_keeps_a_close_pair(tmp_path, capsys):
+    cfg = write_scenario(tmp_path / "scenario.json", t_end=20.0, observer_stride=500)
+    assert main(["sweep", "--config", cfg, "--alphas", "1e-4,1e-3", "--separations", "13,30"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["alpha"], r["L"]) for r in rows] == [(1e-4, 13.0), (1e-4, 30.0), (1e-3, 13.0), (1e-3, 30.0)]
+    assert not any(r["failed"] for r in rows)
 
 
 def test_stability_decreasing_speeds_rejected(tmp_path, capsys):

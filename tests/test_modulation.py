@@ -346,7 +346,7 @@ class TestTrack:
     def tracked(two_train):
         cache, grid, speeds, positions, u = two_train
         traj = evolve(u, EvolutionConfig(kappa=1.0, t_end=2.0, dt=0.01, observer_stride=50))
-        states = track(traj, 2, cache=cache)
+        states = track(traj, speeds, positions, cache=cache)
         return traj, states
 
     def test_positions_advance_at_speed(self, tracked):
@@ -373,12 +373,12 @@ class TestTrack:
         bump = np.exp(-(((grid.nodes + 27.0) / 2.0) ** 2)) + np.exp(-(((grid.nodes - 33.0) / 2.0) ** 2))
         u0 = Field(grid, u.samples + 1e-3 * bump / np.sqrt(grid.h * np.sum(bump**2)))
         traj = evolve(u0, EvolutionConfig(kappa=1.0, t_end=2.0, dt=0.01, observer_stride=20))
-        states = track(traj, 2, cache=ProfileCache(1.0))
+        states = track(traj, speeds, positions, cache=ProfileCache(1.0))
         assert sum(st.refreshes for st in states) == 1
-        guess, t_prev = None, None
+        guess, t_prev = (speeds, positions), traj.times[0]
         for t, frame, st in zip(traj.times, traj.states, states):
             # the oracle tracks with the same warm starts as track
-            guess = initial_guess(frame, 2, 1.0) if guess is None else (guess[0], guess[1] + guess[0] * (t - t_prev))
+            guess = (guess[0], guess[1] + guess[0] * (t - t_prev))
             guess = fresh_newton(frame, *guess, cache)
             t_prev = t
             # each stops once no parameter would move more than STEP_TOL (chord) or sooner (oracle)
@@ -393,8 +393,8 @@ class TestTrack:
     def test_tracking_deterministic(self, two_train):
         cache, grid, speeds, positions, u = two_train
         traj = evolve(u, EvolutionConfig(kappa=1.0, t_end=0.5, dt=0.01, observer_stride=25))
-        a = track(traj, 2, cache=ProfileCache(1.0))
-        b = track(traj, 2, cache=ProfileCache(1.0))
+        a = track(traj, speeds, positions, cache=ProfileCache(1.0))
+        b = track(traj, speeds, positions, cache=ProfileCache(1.0))
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.speeds, sb.speeds)
             assert np.array_equal(sa.positions, sb.positions)
