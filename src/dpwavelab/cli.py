@@ -15,7 +15,7 @@ import sys
 from .diagnostics import psi_derivative_bounds_check
 from .evolution import BlowUpError, evolve
 from .grid import make_grid
-from .harness import Scenario, ScenarioError, SweepError, build_initial_state, run_stability, run_sweep
+from .harness import EvolveProcessError, Scenario, ScenarioError, SweepError, build_initial_state, run_stability, run_sweep
 from .invariants import dS_dc_closed, dS_dH_dc_fd
 from .io import load_state, save_state, save_trajectory_binary, save_trajectory_csv
 from .linearized import SpectralError, assemble_L, constrained_theta, eigen_report
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
     except SpectralError as exc:
         print(f"spectral error: {exc}", file=sys.stderr)
         return 1
-    except (BlowUpError, DecompositionError, SweepError) as exc:
+    except (BlowUpError, DecompositionError, SweepError, EvolveProcessError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

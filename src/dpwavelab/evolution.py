@@ -8,7 +8,9 @@ on the rfft coefficients u^: each RHS costs 2 FFTs (an irfft for the stage
 samples, an rfft of their square) and each step one more irfft, whose samples
 feed the blow-up guard tied to the a priori sup bound and the stored frames.
 States that share a grid step together as one (m, n) stack, every FFT on the
-last axis, with a guard per state.
+last axis, with a guard per state. One stepping loop produces the stored
+frames and hands each to a consumer as it is stepped to: evolve_stack and
+evolve collect them into Trajectories, or evolve passes them to its caller.
 """
 
 from __future__ import annotations
@@ -43,12 +45,16 @@ class EvolutionConfig:
         if self.observer_stride < 1:
             raise ValueError("observer_stride must be >= 1")
 
+    @property
+    def steps(self) -> int:
+        """The fixed RK4 step count ceil(t_end / dt); each step is t_end / steps long."""
+        return int(np.ceil(self.t_end / self.dt - 1e-12))
+
 
 @dataclass
 class Trajectory:
     times: list[float] = field(default_factory=list)
     states: list[Field] = field(default_factory=list)
-    steps: int = 0
 
 
 def _flux_symbols(grid: PeriodicGrid, kappa: float, dealias: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -112,31 +118,30 @@ def sup_bound(u0_l2: float, kappa: float) -> float:
     return 2.0 * (1.0 + np.sqrt(2.0)) * u0_l2 + 4.0 * kappa / 3.0
 
 
-def evolve_stack(u0s: list[Field], config: EvolutionConfig) -> list[Trajectory | BlowUpError]:
-    """Evolve states that share one grid as a single (m, n) stack; row i of the result belongs to u0s[i].
+def _march(u0s: list[Field], config: EvolutionConfig, on_frame) -> dict[int, BlowUpError]:
+    """The stepping loop: evolve states that share one grid as a single (m, n) stack.
 
-    Each row is a Trajectory storing that state every observer_stride steps, or
-    the BlowUpError it raised: every state keeps its own guard, 10 sup_bound(||u0||_2),
-    and one that breaches it leaves the stack while the others go on. Rows evolve
-    exactly as they would alone. Frames include t = 0 and the final time.
+    Each stored frame of each live row goes to on_frame(i, t, samples), i the
+    row's index in u0s, every observer_stride steps and at t = 0 and the final
+    time; the loop never writes samples afterwards. Every state keeps its own
+    guard, 10 sup_bound(||u0||_2): one that breaches it leaves the stack while
+    the others go on, and the result maps its index to its BlowUpError. Rows
+    evolve exactly as they would alone.
     """
-    if not u0s:
-        return []
     grid = u0s[0].grid
     if any(u0.grid != grid for u0 in u0s):
         raise ValueError("stacked states must share one grid")
-    n_steps = int(np.ceil(config.t_end / config.dt - 1e-12))
+    n_steps = config.steps
     dt = config.t_end / n_steps
     symbols = _flux_symbols(grid, config.kappa, config.dealias)
 
-    out: list[Trajectory | BlowUpError] = [Trajectory(steps=n_steps) for _ in u0s]
+    lost: dict[int, BlowUpError] = {}
     rows = np.arange(len(u0s))  # index in u0s of each stack row
     guard = np.array([10.0 * sup_bound(u0.l2_norm(), config.kappa) for u0 in u0s])
 
     def record(t: float, u: np.ndarray) -> None:
         for i, samples in zip(rows, u.reshape(rows.size, -1)):
-            out[i].times.append(t)
-            out[i].states.append(Field(grid, samples.copy()))
+            on_frame(int(i), t, samples)
 
     u = np.stack([u0.samples for u0 in u0s])
     if len(u0s) == 1:
@@ -148,26 +153,51 @@ def evolve_stack(u0s: list[Field], config: EvolutionConfig) -> list[Trajectory |
         ok = sup <= guard
         if not ok.all():
             for i, s, g in zip(rows[~ok], np.atleast_1d(sup)[~ok], guard[~ok]):
-                out[i] = BlowUpError(f"{_breach(s, g)} at step {step}")
+                lost[int(i)] = BlowUpError(f"{_breach(s, g)} at step {step}")
             rows, guard = rows[ok], guard[ok]
             if not rows.size:
                 break
             u_hat, u = u_hat[ok], u[ok]
         if step % config.observer_stride == 0 or step == n_steps:
             record(step * dt, u)
-    return out
+    return lost
 
 
-def evolve(u0: Field, config: EvolutionConfig) -> Trajectory:
-    """Evolve u0 to t_end, storing states every observer_stride steps: evolve_stack on one state.
+def evolve_stack(u0s: list[Field], config: EvolutionConfig) -> list[Trajectory | BlowUpError]:
+    """Evolve states that share one grid as a single (m, n) stack; row i of the result belongs to u0s[i].
 
-    Frames include t = 0 and the final time. Raises BlowUpError naming the step
-    at which the state breached its guard.
+    Each row is a Trajectory of that state's stored frames, or the BlowUpError
+    it raised (see _march).
     """
-    (traj,) = evolve_stack([u0], config)
-    if isinstance(traj, BlowUpError):
-        raise traj
-    return traj
+    if not u0s:
+        return []
+    out = [Trajectory() for _ in u0s]
+
+    def store(i: int, t: float, samples: np.ndarray) -> None:
+        out[i].times.append(t)
+        out[i].states.append(Field(u0s[i].grid, samples.copy()))
+
+    lost = _march(u0s, config, store)
+    return [lost.get(i, traj) for i, traj in enumerate(out)]
+
+
+def evolve(u0: Field, config: EvolutionConfig, on_frame=None) -> Trajectory:
+    """Evolve u0 to t_end, storing a frame every observer_stride steps and at t = 0 and the final time.
+
+    With on_frame, each stored frame goes to on_frame(t, samples) as soon as
+    it is stepped to, and the returned Trajectory stays empty. Raises
+    BlowUpError naming the step at which the state breached its guard, after
+    the frames before it.
+    """
+    if on_frame is None:
+        (traj,) = evolve_stack([u0], config)
+        if isinstance(traj, BlowUpError):
+            raise traj
+        return traj
+    lost = _march([u0], config, lambda _, t, samples: on_frame(t, samples))
+    if lost:
+        raise lost[0]
+    return Trajectory()
 
 
 def check_w_positivity(u0: Field, kappa: float) -> dict:

@@ -175,7 +175,12 @@ def s_inner(u: Field, v: Field) -> float:
 
     Symmetric and positive definite; the symbol lies in [1/4, 1), so
     (1/4)||u||^2 <= s_inner(u, u) < ||u||^2. The smoothed u is kept with u, so
-    pairing one field with many smooths it once.
+    pairing one field with many smooths it once. The product is integrated as
+    an array, as integrate does; a non-finite product entry makes the sum
+    non-finite, which raises Field's ValueError.
     """
     u._check_same_grid(v)
-    return integrate(Field(u.grid, u._smoothed.samples * v.samples))
+    value = float(u.grid.h * np.sum(u._smoothed.samples * v.samples))
+    if not np.isfinite(value):
+        raise ValueError("field samples must be finite")
+    return value

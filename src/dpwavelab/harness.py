@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
 import os
+import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -18,7 +20,7 @@ from .diagnostics import apriori_checks, localized_momentum
 from .evolution import BlowUpError, EvolutionConfig, check_w_positivity, evolve, evolve_stack
 from .grid import Field, PeriodicGrid, make_grid
 from .invariants import hamiltonian_H, momentum_S
-from .modulation import DecompositionError, ProfileCache, track, train_field
+from .modulation import DecompositionError, ProfileCache, Tracker, track, train_field
 from .soliton import SolitonParams, min_period
 
 
@@ -28,6 +30,10 @@ class ScenarioError(ValueError):
 
 class SweepError(RuntimeError):
     """Too few successful runs for the sweep's least-squares fit."""
+
+
+class EvolveProcessError(RuntimeError):
+    """The process that evolved a stability run ended without its end marker."""
 
 
 def _json_fits(value, annotation: str) -> bool:
@@ -242,33 +248,34 @@ class StabilityResult:
         }
 
 
-def _track_train_errors(scenario: Scenario, traj, cache: ProfileCache) -> tuple[list, list[float]]:
-    """Modulation states of every frame, and each frame's L2 distance to the frozen train: the initial
-    speeds at the modulated positions."""
-    states = track(traj, scenario.speeds, scenario.positions0, cache)
-    errors = [
-        (frame - train_field(frame.grid, scenario.speeds, st.positions, cache)).l2_norm()
-        for frame, st in zip(traj.states, states)
-    ]
-    return states, errors
+def _train_error(scenario: Scenario, frame: Field, st, cache: ProfileCache) -> float:
+    """L2 distance of a frame to the frozen train: the initial speeds at the frame's modulated positions."""
+    return (frame - train_field(frame.grid, scenario.speeds, st.positions, cache)).l2_norm()
 
 
-def _observe(scenario: Scenario, u0: Field, info: dict, traj, cache: ProfileCache) -> StabilityResult:
-    """Track the trajectory of u0 and assemble the full diagnostic record series."""
-    grid = u0.grid
-    states, errors = _track_train_errors(scenario, traj, cache)
+class _Observer:
+    """A stability run's per-frame records, each computed when its frame arrives: track the frame,
+    compare it with the frozen train and diagnose it."""
 
-    s0 = momentum_S(u0)
-    h0 = hamiltonian_H(u0, scenario.kappa)
-    records = []
-    for t, frame, st, err in zip(traj.times, traj.states, states, errors):
-        modulated_train = frame - st.residual
-        flags = apriori_checks(frame, u0, modulated_train, scenario.kappa)
+    def __init__(self, scenario: Scenario, u0: Field, cache: ProfileCache):
+        self.scenario, self.u0, self.cache = scenario, u0, cache
+        self.tracker = Tracker(scenario.speeds, scenario.positions0, cache)
+        self.s0 = momentum_S(u0)
+        self.h0 = hamiltonian_H(u0, scenario.kappa)
+        self.records: list[dict] = []
+        self.newton_steps = self.refreshes = 0
+
+    def __call__(self, t: float, samples: np.ndarray) -> None:
+        scenario, grid = self.scenario, self.u0.grid
+        frame = Field(grid, samples)
+        st = self.tracker.step(t, frame)
+        self.newton_steps += st.iterations - 1
+        self.refreshes += st.refreshes
         row = {
             "t": t,
-            "train_error": err,
-            "s_drift": momentum_S(frame) / s0 - 1.0,
-            "h_drift": hamiltonian_H(frame, scenario.kappa) / h0 - 1.0 if h0 != 0 else 0.0,
+            "train_error": _train_error(scenario, frame, st, self.cache),
+            "s_drift": momentum_S(frame) / self.s0 - 1.0,
+            "h_drift": hamiltonian_H(frame, scenario.kappa) / self.h0 - 1.0 if self.h0 != 0 else 0.0,
             "residual_norm": st.residual_norm,
         }
         for j, (c, x) in enumerate(zip(st.speeds, st.positions), start=1):
@@ -278,30 +285,92 @@ def _observe(scenario: Scenario, u0: Field, info: dict, traj, cache: ProfileCach
             ms = st.positions[:-1] + 0.5 * grid.gaps(st.positions)[:-1]
             for j in range(2, scenario.n_waves + 1):
                 row[f"i_{j}"] = localized_momentum(frame, float(ms[j - 2]), scenario.weight_B)
-        row.update(flags)
-        records.append(row)
+        row.update(apriori_checks(frame, self.u0, frame - st.residual, scenario.kappa))
+        self.records.append(row)
 
-    return StabilityResult(
+
+def _forks() -> bool:
+    """Whether a run evolves in a forked child: the platform forks, this process may run on two or
+    more CPUs, and it is not a daemon (a pool worker), which may not start children."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return (cpus > 1 and "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon)
+
+
+# Leads the child's last message, which no frame can start with: a frame's first 8 bytes are its time.
+_END = np.float64(np.nan).tobytes()
+
+
+def _produce(u0: Field, config: EvolutionConfig, receiver, sender) -> None:
+    """The child of a forked run: evolve u0 and send each stored frame as the float64 bytes of (t, samples),
+    then _END followed by the UTF-8 text of the BlowUpError that stopped the evolution, if any."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt reaches the parent, which kills this child
+    receiver.close()  # so that a send fails, and this child ends, once the parent is gone
+    try:
+        evolve(u0, config, on_frame=lambda t, samples: sender.send_bytes(np.concatenate(([t], samples))))
+    except BlowUpError as exc:
+        sender.send_bytes(_END + str(exc).encode())
+    else:
+        sender.send_bytes(_END)
+
+
+def _evolve_forked(u0: Field, config: EvolutionConfig, on_frame) -> None:
+    """evolve(u0, config, on_frame) with the evolution in a forked child, while this process runs on_frame
+    on each frame as it arrives; the numbers are those of evolving in process.
+
+    The child is killed and reaped however this returns or raises. A child that
+    ends without its end marker raises EvolveProcessError.
+    """
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_produce, args=(u0, config, receiver, sender), daemon=True)
+    child.start()
+    sender.close()
+    try:
+        while True:
+            try:
+                msg = receiver.recv_bytes()
+            except EOFError:
+                child.join()
+                raise EvolveProcessError(f"the evolve phase ended without its end marker: the evolving process "
+                                         f"exited with code {child.exitcode}") from None
+            if msg[:8] == _END:
+                break
+            frame = np.frombuffer(msg)
+            on_frame(float(frame[0]), frame[1:])
+        if len(msg) > 8:
+            raise BlowUpError(msg[8:].decode())
+    finally:
+        child.kill()
+        child.join()
+        receiver.close()
+
+
+def run_stability(scenario: Scenario, outputs: str | None = None) -> StabilityResult:
+    """Prepare the scenario, then evolve it while observing each stored frame as it is produced; persist
+    when an output directory is set. The profile cache is fresh.
+
+    The evolution runs in a forked child (_evolve_forked), or in process, frame
+    by frame, where _forks says no; the records are the same either way.
+    """
+    cache = ProfileCache(scenario.kappa)
+    u0, info = build_initial_state(scenario, cache)
+    config = scenario.evolution_config()
+    observe = _Observer(scenario, u0, cache)
+    (_evolve_forked if _forks() else evolve)(u0, config, on_frame=observe)
+    result = StabilityResult(
         scenario=scenario,
-        records=records,
+        records=observe.records,
         init_info=info,
         counters={
-            "rk4_steps": traj.steps,
-            "rhs_evals": 4 * traj.steps,
-            "newton_steps": sum(st.iterations - 1 for st in states),
-            "jacobian_refreshes": sum(st.refreshes for st in states),
+            "rk4_steps": config.steps,
+            "rhs_evals": 4 * config.steps,
+            "newton_steps": observe.newton_steps,
+            "jacobian_refreshes": observe.refreshes,
             "profile_builds": cache.builds,
             "profiles_cached": cache.cached,
         },
     )
-
-
-def run_stability(scenario: Scenario, outputs: str | None = None) -> StabilityResult:
-    """Prepare, evolve and observe the scenario with a fresh profile cache; persist when an output directory is set."""
-    cache = ProfileCache(scenario.kappa)
-    u0, info = build_initial_state(scenario, cache)
-    traj = evolve(u0, scenario.evolution_config())
-    result = _observe(scenario, u0, info, traj, cache)
     if outputs or scenario.outputs:
         _persist(result, outputs or scenario.outputs)
     return result
@@ -351,10 +420,11 @@ def _sweep_chunk(scenarios: list[Scenario]) -> list[dict]:
             rows[i] = _failed_row(scenario, traj, "evolve")
             continue
         try:
-            _, errors = _track_train_errors(scenario, traj, cache)
+            states = track(traj, scenario.speeds, scenario.positions0, cache)
         except _RUN_FAILURES as exc:
             rows[i] = _failed_row(scenario, exc, "track")
             continue
+        errors = [_train_error(scenario, frame, st, cache) for frame, st in zip(traj.states, states)]
         rows[i] = {
             "alpha": scenario.alpha,
             "L": scenario.separation,

@@ -7,7 +7,7 @@ The parameters (c_j, x_j) solve the 2N orthogonality conditions
 by a chord iteration: Newton's method that keeps its Jacobian J while every
 step shrinks the Newton correction J^{-1} r by CHORD_CONTRACTION, and
 otherwise rebuilds it by finite differences.  The parameters drift slowly
-from frame to frame, so `track` hands each frame's Jacobian to the next and a
+from frame to frame, so a `Tracker` hands each frame's Jacobian to the next and a
 whole run needs few rebuilds.  Progress and accuracy are measured by the
 correction, in the parameters' own units, and not by max|r|: the position of
 a wave near c = 2*kappa moves r so little that a residual just below
@@ -262,8 +262,8 @@ def decompose(u: Field, speeds0, positions0, cache: ProfileCache, jacobian: np.n
     )
 
 
-def track(trajectory, speeds0, positions0, cache: ProfileCache) -> list[ModulationState]:
-    """Warm-started decomposition of every stored frame from frame 0's guess; aborts on first failure.
+class Tracker:
+    """Warm-started decomposition of a run's frames, one at a time in time order, from frame 0's guess.
 
     The caller knows frame 0's waves (a run's initial speeds and positions), so
     no frame is searched for peaks, which would need them period/(4N) apart.
@@ -273,20 +273,28 @@ def track(trajectory, speeds0, positions0, cache: ProfileCache) -> list[Modulati
     frame spacing exceeds the soliton width.  Each decomposition ends a frame
     of the profile cache.
     """
-    states: list[ModulationState] = []
-    guess = (np.asarray(speeds0, dtype=float), np.asarray(positions0, dtype=float))
-    jacobian = None
-    t_prev = trajectory.times[0]
-    for t, frame in zip(trajectory.times, trajectory.states):
-        guess = (guess[0], guess[1] + guess[0] * (t - t_prev))
+
+    def __init__(self, speeds0, positions0, cache: ProfileCache):
+        self._cache = cache
+        self._guess = (np.asarray(speeds0, dtype=float), np.asarray(positions0, dtype=float))
+        self._jacobian = None
+        self._t = None  # time of the last tracked frame
+
+    def step(self, t: float, frame: Field) -> ModulationState:
+        """Decompose the frame at time t, the next after the last one tracked."""
+        speeds, positions = self._guess
+        if self._t is not None:
+            positions = positions + speeds * (t - self._t)
         try:
-            st = decompose(frame, guess[0], guess[1], cache, jacobian=jacobian)
+            st = decompose(frame, speeds, positions, self._cache, jacobian=self._jacobian)
         except DecompositionError as exc:
             raise DecompositionError(f"tracking failed at t={t}: {exc}", exc.speeds, exc.positions) from exc
-        cache.next_frame()
-        states.append(st)
-        guess = (st.speeds, st.positions)
-        jacobian = st.jacobian
-        t_prev = t
-    return states
+        self._cache.next_frame()
+        self._guess, self._jacobian, self._t = (st.speeds, st.positions), st.jacobian, t
+        return st
 
+
+def track(trajectory, speeds0, positions0, cache: ProfileCache) -> list[ModulationState]:
+    """Every stored frame of a trajectory through one Tracker; aborts on the first failure."""
+    tracker = Tracker(speeds0, positions0, cache)
+    return [tracker.step(t, frame) for t, frame in zip(trajectory.times, trajectory.states)]

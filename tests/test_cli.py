@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import dpwavelab.cli as cli
 import dpwavelab.harness as harness
 import dpwavelab.linearized as linearized
+import dpwavelab.modulation as modulation
 from dpwavelab.cli import main
 from dpwavelab.grid import make_grid
 from dpwavelab.harness import Scenario
@@ -378,13 +379,22 @@ def test_stability_blow_up(tmp_path, capsys):
 
 def test_stability_decomposition_failure(tmp_path, capsys, monkeypatch):
     def lost(*args, **kwargs):
-        raise DecompositionError("tracking failed at t=0.0: speed left the admissible family")
+        raise DecompositionError("speed left the admissible family")
 
-    monkeypatch.setattr(harness, "track", lost)
+    monkeypatch.setattr(modulation, "decompose", lost)
     cfg = write_scenario(tmp_path / "scenario.json", t_end=0.1)
     assert main(["stability", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err == "DecompositionError: tracking failed at t=0.0: speed left the admissible family\n"
+
+
+def test_stability_evolving_process_died(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: os._exit(3))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = write_scenario(tmp_path / "scenario.json", t_end=0.1)
+    assert main(["stability", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("EvolveProcessError: the evolve phase ended") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("parallelism", ["0", "-3"])

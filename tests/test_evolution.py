@@ -197,6 +197,27 @@ class TestEvolve:
         assert traj.times[-1] == pytest.approx(0.1)
         assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
 
+    def test_on_frame_gets_the_stored_frames(self):
+        # the frames handed over one by one are the collected trajectory's, bitwise, and none is kept
+        sc = Scenario.from_json(json.dumps(ACCEPT_STATE))
+        u0, _ = build_initial_state(sc)
+        config = EvolutionConfig(kappa=1.0, t_end=1.0, dt=0.01, observer_stride=30)
+        handed = []
+        kept = evolve(u0, config, on_frame=lambda t, samples: handed.append((t, samples.copy())))
+        assert kept.times == [] and kept.states == []
+        traj = evolve(u0, config)
+        assert [t for t, _ in handed] == traj.times
+        assert all(np.array_equal(samples, f.samples) for (_, samples), f in zip(handed, traj.states))
+
+    def test_on_frame_gets_the_frames_before_a_breach(self):
+        g = make_grid(128, 20.0)
+        big = Field(g, 100.0 * np.cos(2.0 * np.pi * g.nodes / g.period))
+        times = []
+        with pytest.raises(BlowUpError, match=r"at step (\d+)$") as err:
+            evolve(big, EvolutionConfig(kappa=0.01, t_end=50.0, dt=0.05), on_frame=lambda t, _: times.append(t))
+        step = int(err.value.args[0].rsplit(" ", 1)[1])
+        assert times == [0.05 * k for k in range(step)]
+
     def test_blow_up_raises(self):
         g = make_grid(128, 20.0)
         big = 100.0 * np.cos(2.0 * np.pi * g.nodes / g.period)
@@ -212,10 +233,11 @@ class TestSpectralState:
     def test_matches_sample_space_oracle(self, dealias):
         sc = Scenario.from_json(json.dumps(dict(ACCEPT_STATE, dealias=dealias)))
         u0, _ = build_initial_state(sc)
-        traj = evolve(u0, sc.evolution_config())
-        assert traj.steps == 2000 and traj.times[-1] == pytest.approx(20.0)
+        config = sc.evolution_config()
+        traj = evolve(u0, config)
+        assert config.steps == 2000 and traj.times[-1] == pytest.approx(20.0)
         u = u0.samples
-        for _ in range(traj.steps):
+        for _ in range(config.steps):
             u = oracle_rk4(u, sc.dt, u0.grid, sc.kappa, dealias)
         assert np.max(np.abs(traj.states[-1].samples - u)) <= 1e-12 * u0.max_norm()
 
@@ -292,7 +314,7 @@ class TestStack:
         traj, err = evolve_stack([u0, wave], config)
 
         alone = evolve(u0, config)
-        assert traj.times == alone.times and traj.steps == alone.steps == 40
+        assert traj.times == alone.times and config.steps == 40
         assert all(np.array_equal(a.samples, b.samples) for a, b in zip(traj.states, alone.states))
         assert isinstance(err, BlowUpError)
         with pytest.raises(BlowUpError) as single:

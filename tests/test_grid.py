@@ -252,6 +252,16 @@ class TestSInner:
         parseval = np.real(np.sum(np.conj(np.fft.fft(u.samples)) * (1.0 + xi2) / (4.0 + xi2) * np.fft.fft(v.samples)))
         assert s_inner(u, v) == pytest.approx(parseval * g.h / g.n, rel=1e-12, abs=1e-14)
 
+    def test_product_integrated_as_integrate_does(self, rng):
+        # bitwise the integral of the product field, and a non-finite product entry is Field's ValueError
+        g = make_grid(128, 25.0)
+        for _ in range(20):
+            u, v = random_field(g, rng), random_field(g, rng)
+            assert s_inner(u, v) == integrate(Field(g, smoothing_operator(u).samples * v.samples))
+        big = Field(g, np.full(g.n, 1e200))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="field samples must be finite"):
+            s_inner(big, big)
+
     def test_bounds_over_many_random_fields(self, rng):
         # (1/4)||u||^2 <= (u,u)_S <= ||u||^2 since the symbol lies in [1/4, 1)
         g = make_grid(128, 40.0)

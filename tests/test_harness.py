@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 from collections import OrderedDict
 from dataclasses import replace
@@ -13,6 +14,7 @@ import dpwavelab.harness as harness
 import dpwavelab.modulation as modulation
 from dpwavelab.evolution import BlowUpError
 from dpwavelab.harness import (
+    EvolveProcessError,
     Scenario,
     ScenarioError,
     SweepError,
@@ -282,6 +284,84 @@ class TestRunStability:
         result = run_stability(quick_scenario(speeds=(c,)))
         assert not any(key.startswith("i_") for key in result.records[0])
         assert not any(key.startswith("I_") for key in result.summary())
+
+
+def set_cpus(monkeypatch, cpus):
+    """Let this process appear to run on cpus CPUs: two or more fork the evolution, one keeps it in process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def quick_summary() -> dict:
+    return run_stability(quick_scenario(seed=3)).summary()
+
+
+class TestForkedRun:
+    """run_stability evolves in a forked child while it observes; evolving in process is the oracle."""
+
+    @pytest.mark.parametrize("speeds", [(3.0,), (3.0, 5.0), (3.0, 4.0, 5.0)])
+    def test_transports_write_the_same_bytes(self, tmp_path, monkeypatch, speeds):
+        scenario = quick_scenario(speeds=speeds, seed=3, observer_stride=20)
+        forked = []
+        evolve_forked = harness._evolve_forked
+
+        def spy(*args, **kwargs):
+            forked.append(True)
+            return evolve_forked(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_evolve_forked", spy)
+        set_cpus(monkeypatch, 2)
+        run_stability(scenario, outputs=str(tmp_path / "forked"))
+        set_cpus(monkeypatch, 1)
+        run_stability(scenario, outputs=str(tmp_path / "in_process"))
+        assert forked == [True]
+        for name in ("records.csv", "summary.json"):
+            assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "in_process" / name).read_bytes()
+        assert multiprocessing.active_children() == []
+
+    def test_breach_in_the_child_names_the_step(self, monkeypatch):
+        scenario = quick_scenario(dt=2.0)
+        messages = []
+        for cpus in (2, 1):
+            set_cpus(monkeypatch, cpus)
+            with pytest.raises(BlowUpError, match="at step 1$") as err:
+                run_stability(scenario)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("error", [DecompositionError, KeyboardInterrupt])
+    def test_failure_in_the_parent_stops_the_child(self, monkeypatch, error):
+        # frame 2 of 101 fails while the child is still evolving; no process is left behind
+        calls = []
+        decompose = modulation.decompose
+
+        def fails_at_frame_2(*args, **kwargs):
+            calls.append(True)
+            if len(calls) == 3:
+                raise error("forced at frame 2")
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(modulation, "decompose", fails_at_frame_2)
+        set_cpus(monkeypatch, 2)
+        with pytest.raises(error, match="forced at frame 2") as err:
+            run_stability(quick_scenario(observer_stride=2))
+        if error is DecompositionError:
+            assert str(err.value) == "tracking failed at t=0.04: forced at frame 2"
+        assert len(calls) == 3
+        assert multiprocessing.active_children() == []
+
+    def test_pool_worker_evolves_in_process(self, monkeypatch):
+        # a multiprocessing.Pool worker is a daemon, which may not start a child of its own
+        set_cpus(monkeypatch, 2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            summary = pool.apply(quick_summary)
+        assert summary == quick_summary()
+
+    def test_child_that_dies_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: os._exit(3))
+        set_cpus(monkeypatch, 2)
+        with pytest.raises(EvolveProcessError, match="evolve phase .* exited with code 3$"):
+            run_stability(quick_scenario())
+        assert multiprocessing.active_children() == []
 
 
 class TestRunSweep:
