@@ -79,7 +79,7 @@ def _cmd_spectrum(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["eigenvalue"] + [f"v_{i}" for i in range(grid.n)])
             for i in range(args.k):
-                writer.writerow([rep.eigenvalues[i]] + rep.eigenvectors[:, i].tolist())
+                writer.writerow([rep.eigenvalues[i]] + rep.eigenvectors[i].tolist())
     ok = rep.neg_count == 1 and rep.kernel_overlap > 0.999 and theta > 0
     return 0 if ok else 1
 

@@ -94,9 +94,9 @@ class Scenario:
         try:
             self.grid()
             self.evolution_config()
+            span, drift, margin = self._geometry()
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
-        span, drift, margin = self._geometry()
         if self.grid_period is not None and self.grid_period - span - drift < margin:
             raise ScenarioError(
                 f"grid_period {self.grid_period} leaves a seam gap of {self.grid_period - span - drift:.4g} "
@@ -297,21 +297,17 @@ def _forks() -> bool:
             and not multiprocessing.current_process().daemon)
 
 
-# Leads the child's last message, which no frame can start with: a frame's first 8 bytes are its time.
-_END = np.float64(np.nan).tobytes()
-
-
 def _produce(u0: Field, config: EvolutionConfig, receiver, sender) -> None:
-    """The child of a forked run: evolve u0 and send each stored frame as the float64 bytes of (t, samples),
-    then _END followed by the UTF-8 text of the BlowUpError that stopped the evolution, if any."""
+    """The child of a forked run: evolve u0 and send each stored frame as (t, samples), then the end marker:
+    None, or the BlowUpError that stopped the evolution."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt reaches the parent, which kills this child
     receiver.close()  # so that a send fails, and this child ends, once the parent is gone
     try:
-        evolve(u0, config, on_frame=lambda t, samples: sender.send_bytes(np.concatenate(([t], samples))))
+        evolve(u0, config, on_frame=lambda t, samples: sender.send((t, samples)))
     except BlowUpError as exc:
-        sender.send_bytes(_END + str(exc).encode())
+        sender.send(exc)
     else:
-        sender.send_bytes(_END)
+        sender.send(None)
 
 
 def _evolve_forked(u0: Field, config: EvolutionConfig, on_frame) -> None:
@@ -329,17 +325,16 @@ def _evolve_forked(u0: Field, config: EvolutionConfig, on_frame) -> None:
     try:
         while True:
             try:
-                msg = receiver.recv_bytes()
+                msg = receiver.recv()
             except EOFError:
                 child.join()
                 raise EvolveProcessError(f"the evolve phase ended without its end marker: the evolving process "
                                          f"exited with code {child.exitcode}") from None
-            if msg[:8] == _END:
+            if not isinstance(msg, tuple):
                 break
-            frame = np.frombuffer(msg)
-            on_frame(float(frame[0]), frame[1:])
-        if len(msg) > 8:
-            raise BlowUpError(msg[8:].decode())
+            on_frame(*msg)
+        if msg is not None:
+            raise msg
     finally:
         child.kill()
         child.join()

@@ -33,8 +33,7 @@ def dH_dc_closed(c: float, kappa: float) -> float:
     Verified against finite differences of hamiltonian_H along the solitary-wave
     family (two independent discretizations agree to 1e-10 relative).
     """
-    if not (c > 2.0 * kappa > 0.0):
-        raise ValueError(f"need c > 2*kappa > 0, got c={c}, kappa={kappa}")
+    SolitonParams(c, kappa)  # raises unless the soliton exists and is representable
     return float(-3.0 * c**2 * (c + kappa) * np.sqrt(c**2 - 2.0 * c * kappa) / (3.0 * c + 2.0 * kappa) ** 2)
 
 

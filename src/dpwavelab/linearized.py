@@ -62,18 +62,19 @@ class OperatorMatrix:
     def matrix(self) -> np.ndarray:
         """The dense n x n matrix of L, built on first read: an oracle for checks, read by no solve.
 
-        The multiplier is the circulant of its kernel; averaging the kernel with its
-        reflection makes the matrix exactly symmetric and exactly reflection-invariant.
+        The multiplier is the circulant of its kernel. Averaging the kernel with its
+        reflection makes the matrix exactly symmetric and exactly reflection-invariant,
+        and the circulant of a reflection-symmetric kernel is its symmetric Toeplitz matrix.
         """
         kernel = np.fft.irfft(self.symbol, n=self.grid.n)
-        m = _circulant(0.5 * (kernel + kernel[_reflection(self.grid.n)]))
+        m = _symmetric_toeplitz(0.5 * (kernel + kernel[_reflection(self.grid.n)]))
         m[np.diag_indices(self.grid.n)] -= self.phi
         return m
 
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """The report, and the lowest eigenpairs it was read from: eigenvalues ascending, unit eigenvectors as columns."""
+    """The report, and the lowest eigenpairs it was read from: eigenvalues ascending, unit eigenvectors as rows."""
 
     neg_eigenvalue: float
     neg_count: int
@@ -94,14 +95,6 @@ def _symmetric_toeplitz(c: np.ndarray) -> np.ndarray:
     """The symmetric Toeplitz matrix with first column c: entry (i, j) is c[|i - j|]."""
     n = len(c)
     ext = np.concatenate((c[:0:-1], c))
-    step = ext.strides[0]
-    return as_strided(ext[n - 1:], shape=(n, n), strides=(-step, step)).copy()
-
-
-def _circulant(c: np.ndarray) -> np.ndarray:
-    """The circulant matrix with first column c: entry (i, j) is c[(i - j) mod n]."""
-    n = len(c)
-    ext = np.concatenate((c[::-1], c[:0:-1]))
     step = ext.strides[0]
     return as_strided(ext[n - 1:], shape=(n, n), strides=(-step, step)).copy()
 
@@ -230,31 +223,20 @@ def _window_pairs(
         m *= 2
 
 
-def lowest_eigenpairs(op: OperatorMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest eigenvalues of L, ascending, and their unit eigenvectors as columns, each even or odd."""
-    vals, vecs = _window_pairs(op, "eigen_report", k)
-    return vals, vecs.T
-
-
-def _top_eigenvalue(op: OperatorMatrix) -> float:
-    """Largest eigenvalue of L, from the window around the Nyquist mode, where the top eigenvector lives."""
-    return float(_window_pairs(op, "eigen_report", 1, top=True)[0][0])
-
-
 def eigen_report(op: OperatorMatrix, k: int = 4) -> SpectralReport:
     """Negative, kernel and gap eigenvalues of L, read from its lowest max(k, 4) eigenpairs, or more if needed."""
     n = op.grid.n
     if not 1 <= k <= n - 2:
         raise ValueError(f"number of eigenpairs must be in [1, n - 2] = [1, {n - 2}], got {k}")
-    top = _top_eigenvalue(op)
+    top = _window_pairs(op, "eigen_report", 1, top=True)[0][0]  # the largest eigenvalue
     dphi = op.phi_x / np.linalg.norm(op.phi_x)
     # Take more eigenpairs until a positive eigenvalue other than the kernel shows,
     # so that every negative eigenvalue is among them.
     k = max(k, 4)
     while True:
-        vals, vecs = lowest_eigenpairs(op, k)
+        vals, vecs = _window_pairs(op, "eigen_report", k)
         norm = max(abs(vals[0]), abs(top))
-        overlaps = np.abs(vecs.T @ dphi)
+        overlaps = np.abs(vecs @ dphi)
         kernel = int(np.argmax(overlaps))
         others = np.delete(vals, kernel)
         if others[-1] > 1e-10 * norm or k == n - 2:

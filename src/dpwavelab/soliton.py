@@ -45,8 +45,12 @@ class SolitonParams:
     kappa: float
 
     def __post_init__(self) -> None:
-        if not (self.c > 2.0 * self.kappa > 0.0):
-            raise ValueError(f"soliton parameters require c > 2*kappa > 0, got c={self.c}, kappa={self.kappa}")
+        if not (np.isfinite(self.c) and self.c > 2.0 * self.kappa > 0.0):
+            raise ValueError(f"soliton parameters require finite c > 2*kappa > 0, got c={self.c}, kappa={self.kappa}")
+        r1, r2 = _quadratic_roots(self.c, self.kappa)
+        if not r1 < self.c < r2:  # F(c) = -kappa c / 3 < 0, so c lies strictly between the roots
+            raise ValueError(f"soliton parameters c={self.c}, kappa={self.kappa} are not representable: "
+                             f"sqrt(2*kappa/(3c)) is below float64 resolution, so the roots of F round onto c")
 
     @property
     def nu(self) -> float:

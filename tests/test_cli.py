@@ -57,6 +57,23 @@ def test_soliton_invalid_params(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["soliton", "--c", "1e100", "--kappa", "1"],
+    ["soliton", "--c", "3", "--kappa", "1e-300"],
+    ["soliton", "--c", "inf", "--kappa", "1"],
+    ["spectrum", "--c", "3", "--kappa", "1e-300", "--n", "64"],
+    ["check-invariants", "--speeds", "inf"],
+])
+def test_unrepresentable_soliton_parameters(tmp_path, capsys, argv):
+    # one error line naming c and kappa, no traceback and no warning
+    out = ["--out", str(tmp_path / "profile.json")] if argv[0] == "soliton" else []
+    assert main([*argv, *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: soliton parameters ") and err.count("\n") == 1
+    assert "c=" in err and "kappa=" in err and "nan" not in err
+
+
 def test_check_psi(capsys):
     assert main(["check-psi", "--B", "4"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -328,6 +345,13 @@ def test_bad_perturbation_or_speeds_rejected_on_load(tmp_path, capsys, monkeypat
     # An explicit period: auto-sizing would meet a non-finite speed first, the seam check does not.
     err = _rejected_on_load(tmp_path, capsys, monkeypatch, command, grid_period=200.0, **{field: value})
     assert err.startswith(f"configuration error: {field} must be ")
+
+
+@pytest.mark.parametrize("grid_period", [None, 200.0])
+@pytest.mark.parametrize("command", ["stability", "sweep"])
+def test_unrepresentable_kappa_rejected_on_load(tmp_path, capsys, monkeypatch, command, grid_period):
+    err = _rejected_on_load(tmp_path, capsys, monkeypatch, command, kappa=1e-300, grid_period=grid_period)
+    assert "c=3.0, kappa=1e-300 are not representable" in err
 
 
 def test_sweep_nonfinite_alpha_rejected_before_any_run(tmp_path, capsys, monkeypatch):

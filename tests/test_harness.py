@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import tracemalloc
 from collections import OrderedDict
 from dataclasses import replace
 
@@ -277,6 +278,20 @@ class TestRunStability:
         run_stability(quick_scenario(), outputs=str(out2))
         for name in ("scenario.json", "records.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_memory_does_not_grow_with_the_frame_count(self, monkeypatch):
+        # one wave at n = 1024: keeping each of the 150 extra frames would add 150 x 8 KB = 1.2 MB to the peak
+        set_cpus(monkeypatch, 1)
+        peaks = []
+        for t_end in (5.0, 20.0):
+            scenario = quick_scenario(speeds=(3.0,), grid_n=1024, grid_period=80.0, t_end=t_end, observer_stride=10)
+            tracemalloc.start()
+            try:
+                assert len(run_stability(scenario).records) == 10 * t_end + 1
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 0.5e6
 
     @pytest.mark.parametrize("c", [2.2, 2.5, 3.0, 5.0])
     def test_single_wave_auto_period(self, c):

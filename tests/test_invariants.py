@@ -103,6 +103,10 @@ class TestClosedFormDerivatives:
             dH_dc_closed(1.9, 1.0)
         with pytest.raises(ValueError):
             dS_dc_closed(3.0, -1.0)
+        with pytest.raises(ValueError, match="not representable"):
+            dH_dc_closed(3.0, 1e-300)
+        with pytest.raises(ValueError, match="finite"):
+            dS_dc_closed(np.inf, 1.0)
 
 
 class TestDerivativesAgainstQuadrature:

@@ -14,7 +14,6 @@ from dpwavelab.linearized import (
     assemble_L,
     constrained_theta,
     eigen_report,
-    lowest_eigenpairs,
 )
 from dpwavelab.soliton import SolitonParams, build_profile, sample_dx_on_grid, sample_on_grid
 
@@ -43,7 +42,7 @@ def _dense_report(op, prof):
         ess_gap_proxy=float(pos[0]),
         operator_norm=norm,
         eigenvalues=vals,
-        eigenvectors=vecs,
+        eigenvectors=vecs.T,
     )
     return report, vals
 
@@ -201,10 +200,10 @@ class TestDenseOracles:
 
     def test_lowest_eigenvalues(self, dense_family):
         for _, op, dense, vals, _ in dense_family.values():
-            low, vecs = lowest_eigenpairs(op, 6)
+            low, vecs = linearized._window_pairs(op, "eigen_report", 6)
             assert np.max(np.abs(low - vals[:6])) <= 1e-12 * dense.operator_norm
-            residual = op.matrix @ vecs - vecs * low
-            assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-12 * dense.operator_norm
+            residual = vecs @ op.matrix - low[:, None] * vecs
+            assert np.max(np.linalg.norm(residual, axis=1)) <= 1e-12 * dense.operator_norm
 
     def test_report(self, dense_family):
         for _, op, dense, _, _ in dense_family.values():
@@ -233,16 +232,20 @@ class TestDenseOracles:
         norm = np.max(np.abs(dense))
         r = -np.arange(op.grid.n) % op.grid.n
         for k in range(1, 9):
-            vals, vecs = lowest_eigenpairs(op, k)
+            vals, vecs = linearized._window_pairs(op, "eigen_report", k)
             assert np.max(np.abs(vals - dense[:k])) <= 1e-12 * norm
             # every pair comes from one block: its eigenvector is exactly even or exactly odd
-            for v in vecs.T:
+            for v in vecs:
                 assert np.array_equal(v[r], v) or np.array_equal(v[r], -v)
 
-    def test_circulant_matches_scipy_bitwise(self, dense_family):
-        _, op, _, _, _ = dense_family[(3.0, 1.0)]
-        column = op.matrix[:, 0] + np.linspace(0.0, 1.0, op.grid.n)  # not reflection-symmetric
-        assert np.array_equal(linearized._circulant(column), circulant(column))
+    def test_circulant_matches_scipy_bitwise(self, profiles):
+        # op.matrix is the circulant of the reflection-averaged kernel minus diag phi, built as the
+        # symmetric Toeplitz matrix that a reflection-symmetric kernel's circulant is
+        for n in (64, 256, 1024, 2048):
+            op = assemble_L(profiles[(3.0, 1.0)], make_grid(n, 100.0))
+            kernel = np.fft.irfft(op.symbol, n=n)
+            oracle = circulant(0.5 * (kernel + kernel[-np.arange(n) % n])) - np.diag(op.phi)
+            assert np.array_equal(op.matrix, oracle)
 
     def test_symmetric_toeplitz_matches_scipy_bitwise(self, dense_family):
         _, op, _, _, _ = dense_family[(3.0, 1.0)]
@@ -285,6 +288,11 @@ def _dense_top(op):
     return max(np.linalg.eigvalsh(even)[-1], np.linalg.eigvalsh(odd)[-1])
 
 
+def _window_top(op):
+    """The largest eigenvalue of L, from the window around the Nyquist mode."""
+    return linearized._window_pairs(op, "eigen_report", 1, top=True)[0][0]
+
+
 def _window_sizes(monkeypatch):
     """The sizes of the window blocks linearized.eigh solves, in call order."""
     sizes = []
@@ -305,18 +313,18 @@ class TestTopEigenvalueWindow:
             dense = _dense_top(op)
             if n <= 512:
                 assert dense == pytest.approx(np.linalg.eigvalsh(op.matrix)[-1], rel=1e-14)
-            assert abs(linearized._top_eigenvalue(op) - dense) <= n * np.finfo(float).eps * abs(dense)
+            assert abs(_window_top(op) - dense) <= n * np.finfo(float).eps * abs(dense)
 
     def test_matches_dense_at_4096(self, profiles):
         op = assemble_L(profiles[(3.0, 1.0)], make_grid(4096, 100.0))
         dense = _dense_top(op)
-        assert abs(linearized._top_eigenvalue(op) - dense) <= 4096 * np.finfo(float).eps * abs(dense)
+        assert abs(_window_top(op) - dense) <= 4096 * np.finfo(float).eps * abs(dense)
 
     def test_window_over_every_mode_is_one_exact_solve(self, profiles, monkeypatch):
         # in the blocks of the n/2 + 1 and n/2 - 1 modes symmetric and antisymmetric under k -> n - k
         op = assemble_L(profiles[(3.0, 1.0)], make_grid(64, 100.0))
         sizes = _window_sizes(monkeypatch)
-        top = linearized._top_eigenvalue(op)
+        top = _window_top(op)
         assert sizes == [33, 31]
         assert top == pytest.approx(np.linalg.eigvalsh(op.matrix)[-1], rel=1e-14)
 
@@ -325,7 +333,7 @@ class TestTopEigenvalueWindow:
         # m + 1 symmetric and m antisymmetric modes) leave a Ritz residual of 1e-7 and 1e-8
         op = assemble_L(profiles[(4.0, 0.5)], make_grid(512, 100.0))
         sizes = _window_sizes(monkeypatch)
-        top = linearized._top_eigenvalue(op)
+        top = _window_top(op)
         assert sizes == [49, 48, 97, 96, 193, 192]
         dense = np.linalg.eigvalsh(op.matrix)[-1]
         assert abs(top - dense) <= 512 * np.finfo(float).eps * abs(dense)
@@ -334,7 +342,7 @@ class TestTopEigenvalueWindow:
         # at period 800 no window short of all 2048 modes meets the estimate
         op = assemble_L(profiles[(4.0, 0.5)], make_grid(2048, 800.0))
         sizes = _window_sizes(monkeypatch)
-        top = linearized._top_eigenvalue(op)
+        top = _window_top(op)
         assert sizes == [49, 48, 97, 96, 193, 192, 385, 384, 769, 768, 1025, 1023]
         dense = _dense_top(op)
         assert abs(top - dense) <= 2048 * np.finfo(float).eps * abs(dense)
@@ -372,7 +380,7 @@ class TestTopEigenvalueWindow:
         even, odd = linearized._window_blocks(op.symbol, np.fft.rfft(op.phi).real / n, linearized._WINDOW_START, n // 2)
         assert np.linalg.eigvalsh(odd)[-1] > np.linalg.eigvalsh(even)[-1]
         solved = _window_sizes(monkeypatch)
-        top = linearized._top_eigenvalue(op)
+        top = _window_top(op)
         assert solved == sizes
         dense = np.linalg.eigvalsh(op.matrix)[-1]
         assert abs(top - dense) <= n * np.finfo(float).eps * abs(dense)
@@ -398,7 +406,7 @@ class TestLowEndWindow:
         # the low eigenvectors live at the modes near 0, whose spacing 2 pi / period does not depend on n
         op = assemble_L(profiles[(3.0, 1.0)], make_grid(n, 100.0))
         sizes = _window_sizes(monkeypatch)
-        lowest_eigenpairs(op, 4)
+        linearized._window_pairs(op, "eigen_report", 4)
         assert sizes == [49, 48, 97, 96, 193, 192]
 
 

@@ -1,6 +1,7 @@
 import decimal
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -83,6 +84,22 @@ class TestParams:
             SolitonParams(3.0, 0.0)
         with pytest.raises(ValueError):
             SolitonParams(3.0, -1.0)
+
+    @pytest.mark.parametrize("c, kappa", [(np.inf, 1.0), (np.nan, 1.0), (3.0, np.inf), (3.0, np.nan)])
+    def test_rejects_nonfinite(self, c, kappa):
+        with pytest.raises(ValueError, match=re.escape(f"got c={c}, kappa={kappa}")):
+            SolitonParams(c, kappa)
+
+    @pytest.mark.parametrize("c, kappa", [(1e100, 1.0), (3.0, 1e-300), (3.0, 1e-32), (1.5619103166241624e31, 1.0)])
+    def test_rejects_roots_that_coincide_in_float64(self, c, kappa):
+        # r1 < c < r2 in exact arithmetic; once sqrt(2 kappa / (3c)) is below float64 resolution they round
+        # together, and at c = 1.5619103166241624e31 r1 rounds to c while r2 stays above it
+        with pytest.raises(ValueError, match=re.escape(f"c={c}, kappa={kappa} are not representable")):
+            SolitonParams(c, kappa)
+
+    @pytest.mark.parametrize("c, kappa", [(3.0, 1e-28), (1e29, 1.0)])
+    def test_builds_near_float64_resolution(self, c, kappa):
+        assert 0.0 < build_profile(SolitonParams(c, kappa)).amplitude < c
 
 
 class TestPeakAmplitude:
