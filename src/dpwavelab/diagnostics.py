@@ -79,15 +79,15 @@ def momentum_density(u: Field) -> np.ndarray:
     return 4.0 * uh.samples**2 + 5.0 * uhx.samples**2 + uhxx.samples**2
 
 
-def localized_momentum(u: Field, m: float, B: float) -> float:
-    """I(m) = (1/2) int psi(x - m) (4 uhat^2 + 5 uhat_x^2 + uhat_xx^2) dx.
+def localized_momentum(u: Field, centers, B: float) -> list[float]:
+    """I(m) = (1/2) int psi(x - m) (4 uhat^2 + 5 uhat_x^2 + uhat_xx^2) dx at each center m, from one S-density.
 
     x - m is wrapped to [-period/2, period/2), placing the weight's far-field
     seam at the antipode of m.
     """
     grid = u.grid
-    w = weight_psi(grid.wrap(grid.nodes - m), B)
-    return 0.5 * float(grid.h * np.sum(w * momentum_density(u)))
+    density = momentum_density(u)
+    return [0.5 * float(grid.h * np.sum(weight_psi(grid.wrap(grid.nodes - m), B) * density)) for m in centers]
 
 
 def apriori_checks(u_t: Field, u0: Field, f: Field, kappa: float) -> dict:

@@ -113,9 +113,14 @@ class Field:
         samples = np.asarray(self.samples, dtype=float)
         if samples.shape != (self.grid.n,):
             raise ValueError(f"samples shape {samples.shape} does not match grid n={self.grid.n}")
-        if not np.all(np.isfinite(samples)):
+        if not np.isfinite(samples).all():
             raise ValueError("field samples must be finite")
         object.__setattr__(self, "samples", samples)
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """rfft of the samples, computed once: every symbol applied to this field multiplies it."""
+        return np.fft.rfft(self.samples)
 
     @cached_property
     def _smoothed(self) -> "Field":
@@ -138,7 +143,8 @@ class Field:
 
 
 def _apply_symbol(f: Field, symbol: np.ndarray) -> Field:
-    return Field(f.grid, np.fft.irfft(symbol * np.fft.rfft(f.samples), n=f.grid.n))
+    """The field whose half spectrum is symbol times f's; f is transformed once, however many symbols it meets."""
+    return Field(f.grid, np.fft.irfft(symbol * f._spectrum, n=f.grid.n))
 
 
 def helmholtz_inverse(f: Field, a: float) -> Field:

@@ -277,14 +277,16 @@ class _Observer:
             "s_drift": momentum_S(frame) / self.s0 - 1.0,
             "h_drift": hamiltonian_H(frame, scenario.kappa) / self.h0 - 1.0 if self.h0 != 0 else 0.0,
             "residual_norm": st.residual_norm,
+            "newton_iters": st.iterations,
+            "ortho_residual_max": float(np.max(np.abs(st.ortho_residual))),
         }
         for j, (c, x) in enumerate(zip(st.speeds, st.positions), start=1):
             row[f"c_{j}"] = c
             row[f"x_{j}"] = x
         if scenario.n_waves > 1:
             ms = st.positions[:-1] + 0.5 * grid.gaps(st.positions)[:-1]
-            for j in range(2, scenario.n_waves + 1):
-                row[f"i_{j}"] = localized_momentum(frame, float(ms[j - 2]), scenario.weight_B)
+            for j, i_j in enumerate(localized_momentum(frame, ms, scenario.weight_B), start=2):
+                row[f"i_{j}"] = i_j
         row.update(apriori_checks(frame, self.u0, frame - st.residual, scenario.kappa))
         self.records.append(row)
 

@@ -14,7 +14,10 @@ a wave near c = 2*kappa moves r so little that a residual just below
 NEWTON_TOL can leave it 1e-6 off.
 Each iterate samples every wave (R_j, R_j,x) once, in one pass; a Jacobian
 column bumps one parameter and resamples only its wave.  Positions live on the
-periodic circle; profiles are cached by speed while the last two frames use them.
+periodic circle.  Each wave is sampled at its speed from its anchor, a profile
+built at a speed within ANCHOR_TOL of it (soliton.sample_dx_on_grid), so a run
+builds about one profile per wave, and the samples depend on the speed alone,
+not on which anchor served them, to within rounding.
 """
 
 from __future__ import annotations
@@ -36,12 +39,15 @@ from .soliton import (
 # The iteration stops when every orthogonality condition is below this fraction of ||u||_2 ...
 NEWTON_TOL = 1e-10
 # ... and the Newton correction moves no parameter further than this, or has stopped contracting
-# (the floor that rounding and the cache's 1e-10 speed granularity set).
+# (the floor that rounding sets).
 STEP_TOL = 1e-9
 # A Jacobian is kept while each step shrinks the Newton correction to at most this fraction of the last one.
 CHORD_CONTRACTION = 0.1
 # Iterations after which a decomposition that has not converged raises DecompositionError.
 MAX_ITER = 30
+# An iterate whose speed is further than this from its wave's anchor re-anchors the wave at that speed;
+# the finite-difference Jacobian's speed bumps, 1e-6 c, keep the anchor.
+ANCHOR_TOL = 1e-6
 
 
 class DecompositionError(RuntimeError):
@@ -54,44 +60,34 @@ class DecompositionError(RuntimeError):
 
 
 class ProfileCache:
-    """Profiles keyed by speed rounded to 1e-10 (kappa fixed per cache), held while recent frames look them up.
+    """The profiles of one kappa: kept by exact speed for get, and built uncached for anchors; builds counts both.
 
-    next_frame ends a frame and drops every profile that neither that frame nor
-    the one before looked up, so the cache holds a run's working set, about 4N
-    profiles of about 117 KB each, whatever the frame count.  A converged speed
-    often returns to a key two frames later, so a frame still finds the profiles
-    of the two frames before it.  Each profile is built at its key's speed, so
-    the wave sampled for a speed depends only on that speed, not on lookup order
-    or evictions; speeds closer than the 1e-10 granularity share one profile.
+    A run looks up only its scenario's N speeds, for its initial state, its
+    frozen train and its first frame's anchors, so the cache keeps N profiles of
+    about 117 KB each, and its waves hold N anchors more, whatever the frame count.
     """
 
     def __init__(self, kappa: float):
         self.kappa = kappa
         self.builds = 0
-        self._frame = 0
-        self._store: dict[int, SolitonProfile] = {}
-        self._last_use: dict[int, int] = {}  # key -> the frame that last looked it up
+        self._store: dict[float, SolitonProfile] = {}
 
     @property
     def cached(self) -> int:
-        """Profiles held now; a truth test on the cache stays true when it is empty."""
+        """Profiles kept now; a truth test on the cache stays true when it is empty."""
         return len(self._store)
 
     def get(self, c: float) -> SolitonProfile:
-        key = int(round(c / 1e-10))
-        prof = self._store.get(key)
+        """The profile at speed c, built at the first lookup of c and kept."""
+        prof = self._store.get(c)
         if prof is None:
-            prof = self._store[key] = build_profile(SolitonParams(key / 1e10, self.kappa))
-            self.builds += 1
-        self._last_use[key] = self._frame
+            prof = self._store[c] = self.anchor(c)
         return prof
 
-    def next_frame(self) -> None:
-        """End the current frame: drop every profile that neither it nor the frame before looked up."""
-        stale = [key for key, frame in self._last_use.items() if frame < self._frame - 1]
-        for key in stale:
-            del self._store[key], self._last_use[key]
-        self._frame += 1
+    def anchor(self, c: float) -> SolitonProfile:
+        """A new profile at speed c, counted in builds and not kept: its wave holds it while it anchors it."""
+        self.builds += 1
+        return build_profile(SolitonParams(c, self.kappa))
 
 
 @dataclass(frozen=True)
@@ -104,6 +100,7 @@ class ModulationState:
     iterations: int
     refreshes: int  # finite-difference Jacobians built by this decomposition
     jacobian: np.ndarray | None  # the last one used, for the next frame's chord
+    anchors: tuple[SolitonProfile, ...]  # each wave's anchor at the end, for the next frame
 
 
 def train_field(grid: PeriodicGrid, speeds, positions, cache: ProfileCache) -> Field:
@@ -162,7 +159,8 @@ def initial_guess(u: Field, n_waves: int, kappa: float) -> tuple[np.ndarray, np.
     return np.asarray(speeds)[order], np.asarray(positions)[order]
 
 
-def decompose(u: Field, speeds0, positions0, cache: ProfileCache, jacobian: np.ndarray | None = None) -> ModulationState:
+def decompose(u: Field, speeds0, positions0, cache: ProfileCache, jacobian: np.ndarray | None = None,
+              anchors=None) -> ModulationState:
     """Solve the orthogonality system from the given guess by a chord iteration; kappa is the cache's.
 
     The given Jacobian (typically the previous frame's) is kept while every
@@ -171,7 +169,9 @@ def decompose(u: Field, speeds0, positions0, cache: ProfileCache, jacobian: np.n
     given, after a step that contracts less, and in place of a chord step that
     leaves the admissible family or does not shrink the correction; such a
     step is undone first.  Only a step taken with a freshly built Jacobian
-    raises DecompositionError.
+    raises DecompositionError.  Each wave starts from its given anchor
+    (typically the previous frame's), or from the cache's profile at its
+    starting speed.
     """
     grid = u.grid
     n_waves = len(speeds0)
@@ -179,24 +179,31 @@ def decompose(u: Field, speeds0, positions0, cache: ProfileCache, jacobian: np.n
     theta[0::2] = np.asarray(speeds0, dtype=float)
     theta[1::2] = np.asarray(positions0, dtype=float)
     target = NEWTON_TOL * u.l2_norm()
+    anchors = [None] * n_waves if anchors is None else anchors
 
     def split(th):
         return th[0::2], th[1::2]
 
-    def resample(th, waves, js):
-        """waves, with wave j resampled at th for each j in js; the whole iterate is guarded first."""
+    def resample(th, waves, anchors, js, reanchor=True):
+        """(waves, anchors), with wave j resampled at th for each j in js from its anchor: the cache's profile
+        at its speed when it has none, a new one when reanchor is set and its speed is further than ANCHOR_TOL
+        from the anchor's. The whole iterate is guarded first."""
         s, p = split(th)
         if np.any(s <= 2.0 * cache.kappa):
             raise DecompositionError(f"speed left the admissible family (min {np.min(s):.6g} <= 2*kappa)", s, p)
-        waves = list(waves)
+        waves, anchors = list(waves), list(anchors)
         try:
             for j in js:
-                waves[j] = sample_dx_on_grid(cache.get(s[j]), grid, p[j])
+                if anchors[j] is None:
+                    anchors[j] = cache.get(s[j])
+                elif reanchor and abs(s[j] - anchors[j].params.c) > ANCHOR_TOL:
+                    anchors[j] = cache.anchor(s[j])
+                waves[j] = sample_dx_on_grid(anchors[j], grid, p[j], s[j])
         except ValueError as exc:
             raise DecompositionError(f"iterate left the resolvable family: {exc}", s, p) from exc
-        return waves
+        return waves, anchors
 
-    def fd_jacobian(th, waves, r):
+    def fd_jacobian(th, waves, anchors, r):
         speeds, positions = split(th)
         gaps = grid.gaps(positions)
         gap_scale = np.min(gaps[gaps > 0]) if n_waves > 1 else grid.period / 4.0
@@ -205,7 +212,8 @@ def decompose(u: Field, speeds0, positions0, cache: ProfileCache, jacobian: np.n
             step = 1e-6 * speeds[k // 2] if k % 2 == 0 else 1e-6 * gap_scale
             bumped = th.copy()
             bumped[k] += step
-            jac[:, k] = (orthogonality_residual(u, resample(bumped, waves, [k // 2])) - r) / step
+            bumped_waves = resample(bumped, waves, anchors, [k // 2], reanchor=False)[0]
+            jac[:, k] = (orthogonality_residual(u, bumped_waves) - r) / step
         return jac
 
     def correction(jac, th, r):
@@ -215,7 +223,7 @@ def decompose(u: Field, speeds0, positions0, cache: ProfileCache, jacobian: np.n
         except np.linalg.LinAlgError as exc:
             raise DecompositionError(f"singular modulation Jacobian: {exc}", *split(th)) from exc
 
-    waves = resample(theta, [None] * n_waves, range(n_waves))
+    waves, anchors = resample(theta, [None] * n_waves, anchors, range(n_waves))
     r = orthogonality_residual(u, waves)
     refreshes = 0
     stale = jacobian is None  # build a Jacobian before the next step
@@ -225,12 +233,12 @@ def decompose(u: Field, speeds0, positions0, cache: ProfileCache, jacobian: np.n
             break
         fresh = stale
         if fresh:
-            jacobian = fd_jacobian(theta, waves, r)
+            jacobian = fd_jacobian(theta, waves, anchors, r)
             refreshes += 1
             delta = correction(jacobian, theta, r)
         trial = theta + delta
         try:
-            trial_waves = resample(trial, waves, range(n_waves))
+            trial_waves, trial_anchors = resample(trial, waves, anchors, range(n_waves))
         except DecompositionError:
             if fresh:
                 raise
@@ -242,7 +250,7 @@ def decompose(u: Field, speeds0, positions0, cache: ProfileCache, jacobian: np.n
         stale = contraction > CHORD_CONTRACTION
         if not fresh and contraction >= 1.0:
             continue  # undo the chord step
-        theta, waves, r, delta = trial, trial_waves, r_trial, delta_trial
+        theta, waves, anchors, r, delta = trial, trial_waves, trial_anchors, r_trial, delta_trial
     else:
         r_max = np.max(np.abs(r))
         raise DecompositionError(f"Newton did not converge in {MAX_ITER} iterations (|r|_inf={r_max:.3e})", *split(theta))
@@ -259,6 +267,7 @@ def decompose(u: Field, speeds0, positions0, cache: ProfileCache, jacobian: np.n
         iterations=iterations,
         refreshes=refreshes,
         jacobian=jacobian,
+        anchors=tuple(anchors),
     )
 
 
@@ -267,17 +276,18 @@ class Tracker:
 
     The caller knows frame 0's waves (a run's initial speeds and positions), so
     no frame is searched for peaks, which would need them period/(4N) apart.
-    Each frame starts its chord iteration from the previous frame's Jacobian.
-    Between frames the position guess is advected by the previously tracked
-    speeds, so the warm start stays inside the Newton basin even when the
-    frame spacing exceeds the soliton width.  Each decomposition ends a frame
-    of the profile cache.
+    Each frame starts its chord iteration from the previous frame's Jacobian
+    and anchors, so a wave re-anchors only when its speed drifts more than
+    ANCHOR_TOL from the speed it was anchored at, which in frame 0 is an
+    iterate near its tracked speed.  Between frames the position guess is
+    advected by the previously tracked speeds, so the warm start stays inside
+    the Newton basin even when the frame spacing exceeds the soliton width.
     """
 
     def __init__(self, speeds0, positions0, cache: ProfileCache):
         self._cache = cache
         self._guess = (np.asarray(speeds0, dtype=float), np.asarray(positions0, dtype=float))
-        self._jacobian = None
+        self._jacobian = self._anchors = None
         self._t = None  # time of the last tracked frame
 
     def step(self, t: float, frame: Field) -> ModulationState:
@@ -286,11 +296,10 @@ class Tracker:
         if self._t is not None:
             positions = positions + speeds * (t - self._t)
         try:
-            st = decompose(frame, speeds, positions, self._cache, jacobian=self._jacobian)
+            st = decompose(frame, speeds, positions, self._cache, jacobian=self._jacobian, anchors=self._anchors)
         except DecompositionError as exc:
             raise DecompositionError(f"tracking failed at t={t}: {exc}", exc.speeds, exc.positions) from exc
-        self._cache.next_frame()
-        self._guess, self._jacobian, self._t = (st.speeds, st.positions), st.jacobian, t
+        self._guess, self._jacobian, self._anchors, self._t = (st.speeds, st.positions), st.jacobian, st.anchors, t
         return st
 
 

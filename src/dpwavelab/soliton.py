@@ -22,6 +22,10 @@ exact log-slopes -sqrt((r1 - phi)(r2 - phi))/(c - phi) of the first integral
 (0 at the peak), so it needs no linear solve.  Beyond the table the profile is
 the exact far field phi ~ A exp(-nu |x|), whose coefficient
 ln A = lim (nu x(phi) + ln phi) as phi -> 0 is also elementary.
+
+A table built at c0 also serves the nearby speeds c: its value at |x| nu(c)/nu(c0),
+scaled to the amplitude r1(c), is the guess for one Newton step of the inverse
+map x(phi; c) = |x| (see sample_dx_on_grid).
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from .grid import Field, PeriodicGrid
 TAIL_BUDGET = 1e-8
 # Points of the finite-difference stencils that check the first integral on the table.
 STENCIL_WIDTH = 7
+# Largest speed whose first-integral terms, of degree 4 in (phi, c, kappa), stay inside float64's range.
+MAX_SPEED = float(np.finfo(float).max ** 0.25)
 
 
 @dataclass(frozen=True)
@@ -47,10 +53,14 @@ class SolitonParams:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.c) and self.c > 2.0 * self.kappa > 0.0):
             raise ValueError(f"soliton parameters require finite c > 2*kappa > 0, got c={self.c}, kappa={self.kappa}")
-        r1, r2 = _quadratic_roots(self.c, self.kappa)
-        if not r1 < self.c < r2:  # F(c) = -kappa c / 3 < 0, so c lies strictly between the roots
-            raise ValueError(f"soliton parameters c={self.c}, kappa={self.kappa} are not representable: "
-                             f"sqrt(2*kappa/(3c)) is below float64 resolution, so the roots of F round onto c")
+        if self.c < MAX_SPEED**2:  # where _quadratic_roots cannot overflow
+            r1, r2 = _quadratic_roots(self.c, self.kappa)
+            if not r1 < self.c < r2:  # F(c) = -kappa c / 3 < 0, so c lies strictly between the roots
+                raise ValueError(f"soliton parameters c={self.c}, kappa={self.kappa} are not representable: "
+                                 f"sqrt(2*kappa/(3c)) is below float64 resolution, so the roots of F round onto c")
+        if not self.c <= MAX_SPEED:
+            raise ValueError(f"soliton parameters c={self.c}, kappa={self.kappa} are out of float64's range: "
+                             f"the first integral's terms, of order c^4, overflow above c = {MAX_SPEED:.6g}")
 
     @property
     def nu(self) -> float:
@@ -62,6 +72,7 @@ def _quadratic_roots(c: float, kappa: float) -> tuple[float, float]:
     """Roots r1 < r2 of F(phi) = phi^2/2 - (c - 2k/3) phi + c^2/2 - k*c.
 
     r1 comes from the product r1 r2 = c (c - 2k), not from b - sqrt(disc), which cancels as c -> 2k.
+    Every intermediate is below c^2, so it is finite for c <= sqrt(float64 max).
     """
     b = c - 2.0 * kappa / 3.0
     disc = (2.0 * kappa / 3.0) * (c + 2.0 * kappa / 3.0)
@@ -138,15 +149,19 @@ class SolitonProfile:
     def x_tail(self) -> float:
         return float(self.xs[-1])
 
+    def _log_pieces(self, ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(y, p) at the table points ax: log(phi) = y + p, y the log at the node below and p the cubic's rise."""
+        i = np.minimum(np.searchsorted(self.xs, ax, side="right") - 1, len(self.xs) - 2)
+        t = ax - self.xs[i]
+        y, m, q, r = self._log_cubic[:, i]
+        return y, t * (m + t * (q + t * r))
+
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         ax = np.abs(np.asarray(x, dtype=float))
         out = np.empty_like(ax)
         inside = ax <= self.x_tail
-        xi = ax[inside]
-        i = np.minimum(np.searchsorted(self.xs, xi, side="right") - 1, len(self.xs) - 2)
-        t = xi - self.xs[i]
-        y, m, q, r = self._log_cubic[:, i]
-        out[inside] = np.exp(y + t * (m + t * (q + t * r)))
+        y, p = self._log_pieces(ax[inside])
+        out[inside] = np.exp(y + p)
         out[~inside] = self._far_field(ax[~inside])
         return out
 
@@ -209,8 +224,7 @@ def build_profile(params: SolitonParams, tol: float = 1e-10) -> SolitonProfile:
 
     a = np.sqrt(r1 - phis)
     b = np.sqrt(r2 - phis)
-    gap = np.sqrt(r2 - r1)
-    xs = (2.0 / params.nu) * np.log((np.sqrt(r2) * a + np.sqrt(r1) * b) / (np.sqrt(phis) * gap)) - 2.0 * np.log((a + b) / gap)
+    xs = _inverse_map(phis, a, b, r1, r2, params.nu)
 
     if not (np.all(np.diff(xs) > 0) and np.all(np.diff(phis) < 0)):
         raise RuntimeError("profile table is not strictly monotone")
@@ -235,33 +249,84 @@ def build_profile(params: SolitonParams, tol: float = 1e-10) -> SolitonProfile:
     )
 
 
-def _images(profile: SolitonProfile, grid: PeriodicGrid, center: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Offsets dx in [-period/2, period/2) of the nodes from center, and phi at the far images dx - period, dx + period.
+def _inverse_map(phi, a, b, r1, r2, nu):
+    """x(phi), the closed form of the module docstring, from a = sqrt(r1 - phi) and b = sqrt(r2 - phi)."""
+    gap = np.sqrt(r2 - r1)
+    return (2.0 / nu) * np.log((np.sqrt(r2) * a + np.sqrt(r1) * b) / (np.sqrt(phi) * gap)) - 2.0 * np.log((a + b) / gap)
+
+
+def _anchored_with_slope(anchor: SolitonProfile, x: np.ndarray, params: SolitonParams,
+                         far) -> tuple[np.ndarray, np.ndarray]:
+    """phi(x) and phi_x(x) of the wave of speed c = params.c, from the table of anchor, built at c0 with the same kappa.
+
+    The guess is the table at |x| nu(c)/nu(c0), scaled to the amplitude r1(c),
+    which matches both the peak and the decay of the far field; one Newton step
+    of c's inverse map x(phi) = |x| corrects it, and phi_x is the first
+    integral's slope at c.  The step carries u = r1 - phi, and the guess's u
+    comes from expm1 of the table's log-ratio, not from a subtraction: at the
+    peak u = 0 and tau = sqrt(u) is exact, with no clamp, and a guess above the
+    peak would give a NaN, which Field rejects.  Beyond the scaled table phi is
+    c's far field far(|x|).
+    """
+    c = params.c
+    r1, r2 = _quadratic_roots(c, params.kappa)
+    ax = np.abs(x)
+    phi = far(ax)
+    u = r1 - phi
+    scaled = ax * (params.nu / anchor.decay_rate)
+    inside = scaled <= anchor.x_tail
+    y, rise = anchor._log_pieces(scaled[inside])
+    log_ratio = (y - anchor._log_cubic[0, 0]) + rise  # log(phi / amplitude) on the table, 0 at the peak
+    guess, guess_u = r1 * np.exp(log_ratio), -r1 * np.expm1(log_ratio)
+    a, b = np.sqrt(guess_u), np.sqrt(r2 - guess)
+    step = (_inverse_map(guess, a, b, r1, r2, params.nu) - ax[inside]) * guess * a * b / (c - guess)
+    phi[inside], u[inside] = guess + step, guess_u - step
+    return phi, -np.sign(x) * phi * np.sqrt(u * (r2 - phi)) / (c - phi)
+
+
+def _images(far, amplitude: float, grid: PeriodicGrid, center: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets dx in [-period/2, period/2) of the nodes from center, and the far field far(|x|) at the far images
+    dx - period, dx + period.
 
     Fails when the wrapped tail at half a period exceeds TAIL_BUDGET of the amplitude.
     The far images lie at |x| >= period/2, so they take the far field: evaluate's
     own tail once period/2 >= x_tail, the table to within rounding otherwise.
     """
-    wrap = profile._far_field(0.5 * grid.period) / profile.amplitude
+    wrap = far(0.5 * grid.period) / amplitude
     if wrap > TAIL_BUDGET:
         raise ValueError(
             f"grid period {grid.period} too small: wrapped tail {wrap:.3e} of amplitude exceeds {TAIL_BUDGET:g}"
         )
     dx = grid.wrap(grid.nodes - center)
-    return dx, profile._far_field(grid.period - dx), profile._far_field(grid.period + dx)
+    return dx, far(grid.period - dx), far(grid.period + dx)
 
 
 def sample_on_grid(profile: SolitonProfile, grid: PeriodicGrid, center: float = 0.0) -> Field:
     """Sample phi(x - center) on the periodic grid: the nearest image plus the two far ones."""
-    dx, left, right = _images(profile, grid, center)
+    dx, left, right = _images(profile._far_field, profile.amplitude, grid, center)
     return Field(grid, profile.evaluate(dx) + left + right)
 
 
-def sample_dx_on_grid(profile: SolitonProfile, grid: PeriodicGrid, center: float = 0.0) -> tuple[Field, Field]:
+def sample_dx_on_grid(profile: SolitonProfile, grid: PeriodicGrid, center: float = 0.0,
+                      c: float | None = None) -> tuple[Field, Field]:
     """Sample phi(x - center) and phi'(x - center) on the periodic grid in one pass over the images.
 
-    phi is sample_on_grid's, bitwise; phi' takes the far images from the far field's slope.
+    Without c, phi is sample_on_grid's, bitwise; phi' takes the far images from the far field's slope.
+    With c, the wave is the one of speed c and the same kappa, and the profile, built at c0, is its
+    anchor (_anchored_with_slope). For c/kappa from 2.02 to 10 the samples are off the root of c's
+    inverse map by at most 5e-14 of the amplitude at |c - c0| = 1e-6 c0, growing as (c - c0)^2 to 5e-12
+    at 1e-5 c0; a table built at c itself is off by its Hermite error, up to 1.5e-10.
     """
-    dx, left, right = _images(profile, grid, center)
-    phi, phi_x = profile.evaluate_with_slope(dx)
-    return Field(grid, phi + left + right), Field(grid, phi_x + profile.decay_rate * (left - right))
+    if c is None:
+        amplitude, nu, far = profile.amplitude, profile.decay_rate, profile._far_field
+    else:
+        params = SolitonParams(c, profile.params.kappa)
+        amplitude, nu = _quadratic_roots(c, params.kappa)[0], params.nu
+        coeff = amplitude * _far_field_ratio(params)
+
+        def far(ax):
+            return coeff * np.exp(-nu * ax)
+
+    dx, left, right = _images(far, amplitude, grid, center)
+    phi, phi_x = profile.evaluate_with_slope(dx) if c is None else _anchored_with_slope(profile, dx, params, far)
+    return Field(grid, phi + left + right), Field(grid, phi_x + nu * (left - right))

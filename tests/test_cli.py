@@ -74,6 +74,16 @@ def test_unrepresentable_soliton_parameters(tmp_path, capsys, argv):
     assert "c=" in err and "kappa=" in err and "nan" not in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c, kappa", [("1e308", "1e307"), ("1e308", "1"), ("2e77", "6e76")])
+def test_soliton_parameters_beyond_float64_range(tmp_path, capsys, c, kappa):
+    # one error line that names the overflow, not float64 resolution, with no warning on the way
+    assert main(["soliton", "--c", c, "--kappa", kappa, "--out", str(tmp_path / "profile.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: soliton parameters c={float(c)}, kappa={float(kappa)} are out of float64's range")
+    assert err.count("\n") == 1 and "resolution" not in err
+
+
 def test_check_psi(capsys):
     assert main(["check-psi", "--B", "4"]) == 0
     report = json.loads(capsys.readouterr().out)

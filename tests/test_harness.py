@@ -3,7 +3,6 @@ import math
 import multiprocessing
 import os
 import tracemalloc
-from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +12,9 @@ import scipy
 import dpwavelab
 import dpwavelab.harness as harness
 import dpwavelab.modulation as modulation
+from dpwavelab.diagnostics import weight_psi
 from dpwavelab.evolution import BlowUpError
+from dpwavelab.grid import Field
 from dpwavelab.harness import (
     EvolveProcessError,
     Scenario,
@@ -23,7 +24,7 @@ from dpwavelab.harness import (
     run_stability,
     run_sweep,
 )
-from dpwavelab.modulation import DecompositionError, ProfileCache, train_field
+from dpwavelab.modulation import NEWTON_TOL, DecompositionError, ProfileCache, train_field
 
 
 def quick_scenario(**overrides):
@@ -196,12 +197,10 @@ class TestRunStability:
         assert doc["provenance"] == {"dpwavelab": dpwavelab.__version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
     def test_counters(self, monkeypatch):
-        # the counters match the profile builds and the decompositions the run made; the cache holds
-        # the profiles looked up in the last two tracked frames or after them (the frozen train)
+        # the counters match the profile builds and the decompositions the run made; the cache keeps
+        # the scenario's profiles alone
         builds, states = [], []
-        frames = [set()]  # speed keys looked up, split where a frame ends
         build_profile, decompose = modulation.build_profile, modulation.decompose
-        get, next_frame = ProfileCache.get, ProfileCache.next_frame
 
         def counted_build(*args, **kwargs):
             builds.append(args[0].c)
@@ -211,66 +210,65 @@ class TestRunStability:
             states.append(decompose(*args, **kwargs))
             return states[-1]
 
-        def logged_get(self, c):
-            frames[-1].add(round(c / 1e-10))
-            return get(self, c)
-
-        def logged_next_frame(self):
-            frames.append(set())
-            next_frame(self)
-
         monkeypatch.setattr(modulation, "build_profile", counted_build)
         monkeypatch.setattr(modulation, "decompose", recorded)
-        monkeypatch.setattr(ProfileCache, "get", logged_get)
-        monkeypatch.setattr(ProfileCache, "next_frame", logged_next_frame)
         scenario = quick_scenario()
         counters = run_stability(scenario).summary()["counters"]
         steps = math.ceil(scenario.t_end / scenario.dt)
-        assert len(frames) == len(states) + 1
         assert counters == {
             "rk4_steps": steps,
             "rhs_evals": 4 * steps,
             "newton_steps": sum(st.iterations - 1 for st in states),
             "jacobian_refreshes": sum(st.refreshes for st in states),
             "profile_builds": len(builds),
-            "profiles_cached": len(set.union(*frames[-3:])),
+            "profiles_cached": scenario.n_waves,
         }
+        assert builds[:scenario.n_waves] == list(scenario.speeds)
         assert counters["jacobian_refreshes"] >= 1
 
     def test_profile_cache_holds_the_working_set(self, monkeypatch):
-        # The dense benchmark run (three waves, 101 frames) at its reference seed 3: the cache ends with
-        # 4N profiles, never holds more than half of the 64 the least-recently-used cache it replaced
-        # held, and rebuilds at most N more than that cache would over the same lookups (288 against 287;
-        # other seeds rebuild up to 7 % more, a converged speed's key returning after more than two frames).
-        keys, held = [], []
-        get = ProfileCache.get
-
-        def logged_get(self, c):
-            keys.append(round(c / 1e-10))
-            prof = get(self, c)
-            held.append(self.cached)
-            return prof
-
-        monkeypatch.setattr(ProfileCache, "get", logged_get)
+        # The dense benchmark run (three waves, 101 frames) at its reference seed 3 builds each wave's
+        # profile at its scenario speed and at one anchor near its tracked speed, plus the re-anchors of
+        # frame 0's iterates: at most 20 builds (6 here), where the frame-aged cache built 295. The cache keeps
+        # the N scenario profiles, and each wave holds one anchor.
         scenario = quick_scenario(
             speeds=(3.0, 4.0, 5.0), separation=60.0, seed=3, grid_n=1024, grid_period=300.0, t_end=20.0,
             observer_stride=20,
         )
+        anchors = []
+        step = modulation.Tracker.step
+
+        def logged_step(self, t, frame):
+            st = step(self, t, frame)
+            anchors.append(st.anchors)
+            return st
+
+        monkeypatch.setattr(modulation.Tracker, "step", logged_step)
         result = run_stability(scenario)
         assert len(result.records) == 101
-        lru, lru_builds = OrderedDict(), 0
-        for key in keys:
-            if key in lru:
-                lru.move_to_end(key)
-                continue
-            lru_builds += 1
-            lru[key] = None
-            if len(lru) > 64:
-                lru.popitem(last=False)
         n = scenario.n_waves
-        assert result.counters["profiles_cached"] <= 4 * n
-        assert max(held) <= 64 // 2
-        assert lru_builds <= result.counters["profile_builds"] <= lru_builds + n
+        assert result.counters["profiles_cached"] == n
+        assert 2 * n <= result.counters["profile_builds"] <= 20
+        assert all(len(held) == n for held in anchors)
+        # after frame 0, every frame keeps its anchors: speeds drift less than ANCHOR_TOL in this run
+        assert all(a is b for held in anchors[1:] for a, b in zip(held, anchors[0]))
+
+    def test_records_carry_solver_health(self, monkeypatch):
+        # each row's Newton iterations and largest orthogonality condition are its decomposition's
+        states, norms = [], []
+        decompose = modulation.decompose
+
+        def recorded(u, *args, **kwargs):
+            norms.append(u.l2_norm())
+            states.append(decompose(u, *args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(modulation, "decompose", recorded)
+        records = run_stability(quick_scenario(speeds=(3.0, 4.0, 5.0), observer_stride=20)).records
+        assert len(records) == len(states) == 11
+        for row, st, norm in zip(records, states, norms):
+            assert row["newton_iters"] == st.iterations >= 1
+            assert row["ortho_residual_max"] == np.max(np.abs(st.ortho_residual)) <= NEWTON_TOL * norm
 
     def test_persistence_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -299,6 +297,69 @@ class TestRunStability:
         result = run_stability(quick_scenario(speeds=(c,)))
         assert not any(key.startswith("i_") for key in result.records[0])
         assert not any(key.startswith("I_") for key in result.summary())
+
+
+class TestObservedFrame:
+    """One frame's S, H, I_j and a priori checks, as _Observer computes them after tracking the frame."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def observed():
+        scenario = quick_scenario(speeds=(3.0, 4.0, 5.0), separation=40.0, grid_n=1024)
+        cache = ProfileCache(scenario.kappa)
+        u0, _ = build_initial_state(scenario, cache)
+        return scenario, u0, harness._Observer(scenario, u0, cache)
+
+    def test_at_most_13_transforms(self, observed, monkeypatch):
+        # the frame is transformed once for S, H, the I_j and u_x; u_hat once for S and once for the I_j
+        scenario, u0, observe = observed
+        calls, counting = [], [False]
+        for name in ("rfft", "irfft"):
+            def counted(*args, _fft=getattr(np.fft, name), _name=name, **kwargs):
+                if counting[0]:
+                    calls.append(_name)
+                return _fft(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        step = observe.tracker.step
+
+        def untracked(*args):
+            counting[0] = False
+            try:
+                return step(*args)
+            finally:
+                counting[0] = True
+
+        monkeypatch.setattr(observe.tracker, "step", untracked)
+        counting[0] = True
+        observe(0.0, u0.samples.copy())
+        counting[0] = False
+        assert len(calls) <= 13
+        assert len(observe.records[-1]) > 0
+
+    def test_values_match_the_transform_per_call_oracle(self, observed):
+        # Oracle: every operator applied as the seed did, rfft then irfft of the field it is given, with no
+        # shared transform; the S, H and I_j of a frame shared by every consumer are bitwise the same.
+        scenario, u0, _ = observed
+        grid = u0.grid
+
+        def apply(samples, symbol):
+            return np.fft.irfft(symbol * np.fft.rfft(samples), n=grid.n)
+
+        frame = Field(grid, u0.samples.copy())
+        positions = scenario.positions0
+        ms = positions[:-1] + 0.5 * grid.gaps(positions)[:-1]
+        got = (harness.momentum_S(frame), harness.hamiltonian_H(frame, scenario.kappa),
+               harness.localized_momentum(frame, ms, scenario.weight_B))
+        uh = apply(u0.samples, grid.helmholtz_symbol(4.0))
+        uhx, uhxx = apply(uh, grid.derivative_symbol(1)), apply(uh, grid.derivative_symbol(2))
+        density = 4.0 * uh**2 + 5.0 * uhx**2 + uhxx**2
+        w = apply(u0.samples, grid.sqrt_helmholtz4_symbol)
+        s_oracle = 0.5 * float(grid.h * np.sum(density))
+        h_oracle = -float(grid.h * np.sum(u0.samples**3 + 6.0 * scenario.kappa * w**2)) / 6.0
+        i_oracle = [0.5 * float(grid.h * np.sum(weight_psi(grid.wrap(grid.nodes - m), scenario.weight_B) * density))
+                    for m in ms]
+        assert got == (s_oracle, h_oracle, i_oracle)
 
 
 def set_cpus(monkeypatch, cpus):

@@ -88,63 +88,69 @@ def cyclic_error(got, want, period):
 
 class TestProfileCache:
     def test_reuses_profiles(self):
-        # within a frame, a speed looked up again (to the 1e-10 granularity) is not rebuilt
+        # a speed looked up again is not rebuilt; any other speed, however close, has its own profile
         cache = ProfileCache(1.0)
         a = cache.get(3.0)
-        b = cache.get(3.0 + 1e-12)  # below the rounding granularity
-        assert a is b
-        c = cache.get(3.1)
-        assert c is not a
-        assert (cache.builds, cache.cached) == (2, 2)
-
-    def test_keeps_the_last_two_frames(self):
-        # a profile that a frame looks up is still found by each of the next two frames
-        cache = ProfileCache(1.0)
-        first = cache.get(3.0)
-        cache.next_frame()
-        cache.get(3.1)
-        cache.next_frame()
-        assert cache.get(3.0) is first
+        assert cache.get(3.0) is a
+        b = cache.get(3.0 + 1e-12)
+        assert b is not a and b.params.c == 3.0 + 1e-12
         assert (cache.builds, cache.cached) == (2, 2)
 
     def test_lookup_keeps_a_profile(self):
-        # each lookup restarts a profile's two frames, so a speed that every frame uses is built once
+        # a speed that every frame looks up (the frozen train's) is built once
         cache = ProfileCache(1.0)
         first = cache.get(3.0)
         for _ in range(10):
-            cache.next_frame()
             assert cache.get(3.0) is first
         assert cache.builds == 1
 
-    def test_evicts_what_two_frames_did_not_look_up(self):
+    def test_anchor_is_counted_and_not_kept(self):
         cache = ProfileCache(1.0)
-        first = cache.get(3.0)
-        cache.get(3.1)
-        cache.next_frame()
-        cache.get(3.1)
-        cache.next_frame()
-        assert cache.cached == 2  # 3.0 was looked up by the frame before the last one ended
-        cache.next_frame()
-        assert cache.cached == 1  # neither of the last two frames looked 3.0 up
-        again = cache.get(3.0)
-        assert again is not first and cache.builds == 3
-        for _ in range(2):
-            cache.next_frame()
-        assert cache.cached == 1
-        cache.next_frame()
-        assert cache.cached == 0
+        kept = cache.get(3.0)
+        anchor = cache.anchor(3.0)
+        assert anchor is not kept and cache.get(3.0) is kept
+        assert (cache.builds, cache.cached) == (2, 1)
 
     def test_profile_depends_only_on_the_speed(self):
-        # a key evicted and rebuilt from another speed within the 1e-10 granularity gives the same wave
+        # a profile kept by get and one built as an anchor at the same speed give the same wave
         cache = ProfileCache(1.0)
         grid = make_grid(256, 100.0)
-        first = cache.get(3.0)
-        for _ in range(3):
-            cache.next_frame()
-        again = cache.get(3.0 + 4e-11)
-        assert again is not first
+        first, again = cache.get(3.0), cache.anchor(3.0)
         assert first.params.c == again.params.c == 3.0
         assert np.array_equal(sample_on_grid(first, grid, 1.3).samples, sample_on_grid(again, grid, 1.3).samples)
+
+
+class TestAnchors:
+    """decompose samples each wave from an anchor within ANCHOR_TOL of its speed."""
+
+    def test_samples_do_not_depend_on_the_anchor(self, three_train):
+        # anchors 6e-7 below the speeds, inside ANCHOR_TOL, recover the exact train to the iteration's own stop
+        cache, grid, speeds, positions, u = three_train
+        first = decompose(u, speeds + 3e-7, positions + 0.05, cache=cache)
+        off = tuple(cache.anchor(c) for c in speeds - 6e-7)
+        moved = decompose(u, speeds + 2e-7, positions, cache=cache, jacobian=first.jacobian, anchors=off)
+        assert all(a is b for a, b in zip(moved.anchors, off))
+        for st in (first, moved):
+            assert np.max(np.abs(st.speeds - speeds)) <= STEP_TOL
+            assert cyclic_error(st.positions, positions, grid.period) <= STEP_TOL
+
+    def test_reanchors_only_past_the_tolerance(self, three_train, monkeypatch):
+        cache, grid, speeds, positions, u = three_train
+        built = []
+        anchor = ProfileCache.anchor
+
+        def counted(self, c):
+            built.append(c)
+            return anchor(self, c)
+
+        monkeypatch.setattr(ProfileCache, "anchor", counted)
+        first = decompose(u, speeds + 1e-3, positions + 0.05, cache=cache)
+        # the speeds start 1e-3 off, so each wave re-anchors, at an iterate within ANCHOR_TOL of its answer
+        assert len(built) >= len(speeds)
+        assert np.all(np.abs([a.params.c for a in first.anchors] - first.speeds) <= modulation.ANCHOR_TOL)
+        built.clear()
+        again = decompose(u, first.speeds, first.positions, cache=cache, jacobian=first.jacobian, anchors=first.anchors)
+        assert built == [] and all(a is b for a, b in zip(again.anchors, first.anchors))
 
 
 class TestOrthogonalityResidual:

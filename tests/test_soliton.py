@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import json
 import os
@@ -373,6 +374,57 @@ class TestSampleOnGrid:
             assert np.array_equal(r.samples, prof.evaluate(dx) + left + right)
             assert np.array_equal(r_x.samples, slope + prof.decay_rate * (left - right))
             assert np.array_equal(r.samples, sample_on_grid(prof, grid, center).samples)
+
+
+class TestAnchoredSampling:
+    """sample_dx_on_grid with a speed c: the wave of speed c from a profile built at a nearby c0, its anchor."""
+
+    @pytest.mark.parametrize("ratio", [2.02, 3.0, 10.0])
+    @pytest.mark.parametrize("delta", [-1e-6, -3e-7, 1e-6])
+    def test_matches_a_fresh_build(self, ratio, delta):
+        # The fresh build at c is sampled at its own speed, so that both sides land on c's inverse map; its
+        # table alone is off by its Hermite error, up to 1.5e-10 of the amplitude at c/kappa = 10. The
+        # independent oracle: the closed form x(phi) of the samples is |x|, to rounding, wherever the far
+        # images are negligible.
+        kappa = 1.0
+        c0 = ratio * kappa
+        c = c0 + delta
+        anchor, fresh = build_profile(SolitonParams(c0, kappa)), build_profile(SolitonParams(c, kappa))
+        grid = make_grid(1024, 1.1 * min_period(SolitonParams(min(c, c0), kappa)))
+        r1, r2 = _quadratic_roots(c, kappa)
+        for center in (0.0, 0.37 * grid.h, 11.3):
+            got = sample_dx_on_grid(anchor, grid, center, c)
+            want = sample_dx_on_grid(fresh, grid, center, c)
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g.samples - w.samples)) <= 1e-10 * fresh.amplitude
+            ax = np.abs(np.mod(grid.nodes - center + 0.5 * grid.period, grid.period) - 0.5 * grid.period)
+            phi = got[0].samples
+            near = (phi > 1e-6 * r1) & (ax > 1e-3)
+            slope = phi[near] * np.sqrt((r1 - phi[near]) * (r2 - phi[near])) / (c - phi[near])
+            miss = (closed_form_xs(SolitonParams(c, kappa), phi[near]) - ax[near]) * slope
+            assert np.max(np.abs(miss)) <= 1e-11 * r1
+
+    @pytest.mark.parametrize("delta", [-1e-6, 0.0, 1e-6])
+    def test_node_on_the_peak(self, delta):
+        # at the peak the step's u = r1 - phi is exactly 0, for speeds below the anchor's too, where r1(c)
+        # is below the anchor's amplitude: phi is r1(c) up to the far images, and the slope is 0
+        anchor = build_profile(SolitonParams(3.0, 1.0))
+        grid = make_grid(1024, 300.0)
+        c = 3.0 + delta
+        peak = int(np.argmin(np.abs(grid.nodes - 7.0)))
+        r, r_x = sample_dx_on_grid(anchor, grid, grid.nodes[peak], c)
+        assert np.all(np.isfinite(r.samples)) and np.all(np.isfinite(r_x.samples))
+        assert r.samples[peak] == pytest.approx(_quadratic_roots(c, 1.0)[0], rel=1e-15)
+        assert r_x.samples[peak] == pytest.approx(0.0, abs=1e-30)
+
+    def test_a_guess_above_the_peak_is_rejected_not_clamped(self):
+        # an anchor whose table rose above its peak would put the guess above r1: its NaN reaches Field
+        anchor = build_profile(SolitonParams(3.0, 1.0))
+        log_cubic = anchor._log_cubic.copy()
+        log_cubic[0, 1:] += 1.0
+        broken = dataclasses.replace(anchor, _log_cubic=log_cubic)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="field samples must be finite"):
+            sample_dx_on_grid(broken, make_grid(1024, 300.0), 0.0, 3.0 + 1e-7)
 
 
 def test_cli_import_leaves_out_scipy_interpolate():
