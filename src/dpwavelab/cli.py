@@ -41,8 +41,8 @@ def _cmd_soliton(args) -> int:
     prof = build_profile(SolitonParams(args.c, args.kappa), args.tol)
     with open(args.out, "w") as fh:
         fh.write(prof.to_json())
-    print(f"profile c={args.c} kappa={args.kappa}: amplitude={prof.amplitude:.6f} "
-          f"decay={prof.decay_rate:.6f} residual={prof.first_integral_residual():.3e}")
+    print(f"profile c={args.c} kappa={args.kappa}: amplitude={prof.params.roots[0]:.6f} "
+          f"decay={prof.params.nu:.6f} residual={prof.first_integral_residual():.3e}")
     return 0
 
 

@@ -10,6 +10,7 @@ import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it with this module, not in a run
@@ -21,7 +22,7 @@ from .evolution import BlowUpError, EvolutionConfig, check_w_positivity, evolve,
 from .grid import Field, PeriodicGrid, make_grid
 from .invariants import hamiltonian_H, momentum_S
 from .modulation import DecompositionError, ProfileCache, Tracker, track, train_field
-from .soliton import SolitonParams, min_period
+from .soliton import SolitonParams, check_period, min_period
 
 
 class ScenarioError(ValueError):
@@ -92,7 +93,9 @@ class Scenario:
         if self.sigma0 is not None and not 0 < self.sigma0 < np.inf:
             raise ScenarioError(f"sigma0 must be positive and finite, got {self.sigma0}")
         try:
-            self.grid()
+            period = self.grid().period
+            for params in self.wave_params:
+                check_period(params, period)
             self.evolution_config()
             span, drift, margin = self._geometry()
         except ValueError as exc:
@@ -107,6 +110,11 @@ class Scenario:
     def n_waves(self) -> int:
         return len(self.speeds)
 
+    @cached_property
+    def wave_params(self) -> tuple[SolitonParams, ...]:
+        """Each wave's SolitonParams, slowest first."""
+        return tuple(SolitonParams(c, self.kappa) for c in self.speeds)
+
     @property
     def positions0(self) -> np.ndarray:
         n = self.n_waves
@@ -117,7 +125,7 @@ class Scenario:
         if self.sigma0 is not None:
             return self.sigma0
         c1 = self.speeds[0]
-        items = [SolitonParams(c1, self.kappa).nu, c1 - 2.0 * self.kappa]
+        items = [self.wave_params[0].nu, c1 - 2.0 * self.kappa]
         items += [b - a for a, b in zip(self.speeds, self.speeds[1:])]
         return 0.5 * float(min(items))
 
@@ -129,7 +137,7 @@ class Scenario:
     def _geometry(self) -> tuple[float, float, float]:
         """Span of the initial train, the fastest wave's gain on the slowest by t_end, and the seam margin
         20/nu_min, twenty decay lengths of the widest tail."""
-        nu_min = SolitonParams(self.speeds[0], self.kappa).nu
+        nu_min = self.wave_params[0].nu
         return (self.n_waves - 1) * self.separation, (self.speeds[-1] - self.speeds[0]) * self.t_end, 20.0 / nu_min
 
     def auto_period(self) -> float:
@@ -137,7 +145,7 @@ class Scenario:
             return self.grid_period
         span, drift, margin = self._geometry()
         # The slowest wave has the widest tail, so its wrapped-tail period bounds the others.
-        p = max(2.0 * span + margin + drift, min_period(SolitonParams(self.speeds[0], self.kappa)))
+        p = max(2.0 * span + margin + drift, min_period(self.wave_params[0]))
         return float(np.ceil(p / 10.0) * 10.0)
 
     def grid(self) -> PeriodicGrid:

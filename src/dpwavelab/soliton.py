@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,8 @@ MAX_SPEED = float(np.finfo(float).max ** 0.25)
 
 @dataclass(frozen=True)
 class SolitonParams:
+    """Speed c and kappa of one wave, with its closed-form constants, each computed once."""
+
     c: float
     kappa: float
 
@@ -54,7 +57,7 @@ class SolitonParams:
         if not (np.isfinite(self.c) and self.c > 2.0 * self.kappa > 0.0):
             raise ValueError(f"soliton parameters require finite c > 2*kappa > 0, got c={self.c}, kappa={self.kappa}")
         if self.c < MAX_SPEED**2:  # where _quadratic_roots cannot overflow
-            r1, r2 = _quadratic_roots(self.c, self.kappa)
+            r1, r2 = self.roots
             if not r1 < self.c < r2:  # F(c) = -kappa c / 3 < 0, so c lies strictly between the roots
                 raise ValueError(f"soliton parameters c={self.c}, kappa={self.kappa} are not representable: "
                                  f"sqrt(2*kappa/(3c)) is below float64 resolution, so the roots of F round onto c")
@@ -62,10 +65,32 @@ class SolitonParams:
             raise ValueError(f"soliton parameters c={self.c}, kappa={self.kappa} are out of float64's range: "
                              f"the first integral's terms, of order c^4, overflow above c = {MAX_SPEED:.6g}")
 
-    @property
+    @cached_property
+    def roots(self) -> tuple[float, float]:
+        """The roots r1 < r2 of F; r1 = phi(0) is the amplitude."""
+        return _quadratic_roots(self.c, self.kappa)
+
+    @cached_property
     def nu(self) -> float:
         """Decay rate sqrt(1 - 2 kappa/c) of the far field phi ~ A exp(-nu |x|)."""
-        return np.sqrt(1.0 - 2.0 * self.kappa / self.c)
+        return float(np.sqrt(1.0 - 2.0 * self.kappa / self.c))
+
+    @cached_property
+    def far_field_ratio(self) -> float:
+        """A / r1 of the far field phi ~ A exp(-nu |x|), in (1, 4].
+
+        It is 4 r2/(r2 - r1) ((r2 - r1)/(sqrt r1 + sqrt r2)^2)^nu, the phi -> 0 limit of the inverse map.
+        """
+        r1, r2 = self.roots
+        return float(4.0 * r2 / (r2 - r1) * ((r2 - r1) / (np.sqrt(r1) + np.sqrt(r2)) ** 2) ** self.nu)
+
+    def far_field(self, ax):
+        """The far field A exp(-nu |x|) at |x| = ax."""
+        return self.roots[0] * self.far_field_ratio * np.exp(-self.nu * ax)
+
+    def slope(self, x, phi, u):
+        """The first integral's slope phi_x = -sgn(x) phi sqrt(u (r2 - phi))/(c - phi) at phi(x) = r1 - u."""
+        return -np.sign(x) * phi * np.sqrt(u * (self.roots[1] - phi)) / (self.c - phi)
 
 
 def _quadratic_roots(c: float, kappa: float) -> tuple[float, float]:
@@ -80,21 +105,21 @@ def _quadratic_roots(c: float, kappa: float) -> tuple[float, float]:
     return c * (c - 2.0 * kappa) / r2, r2
 
 
-def _far_field_ratio(params: SolitonParams) -> float:
-    """A / phi(0) of the far field phi ~ A exp(-nu |x|), in (1, 4].
-
-    It is 4 r2/(r2 - r1) ((r2 - r1)/(sqrt r1 + sqrt r2)^2)^nu, the phi -> 0 limit of the inverse map.
-    """
-    r1, r2 = _quadratic_roots(params.c, params.kappa)
-    return float(4.0 * r2 / (r2 - r1) * ((r2 - r1) / (np.sqrt(r1) + np.sqrt(r2)) ** 2) ** params.nu)
-
-
 def min_period(params: SolitonParams) -> float:
     """Smallest period whose wrapped tail at half a period is TAIL_BUDGET of the amplitude.
 
     The far-field ratio lies in (1, 4], so the result is at least 2 ln(1/TAIL_BUDGET) / nu.
     """
-    return float(2.0 * np.log(_far_field_ratio(params) / TAIL_BUDGET) / params.nu)
+    return float(2.0 * np.log(params.far_field_ratio / TAIL_BUDGET) / params.nu)
+
+
+def check_period(params: SolitonParams, period: float) -> None:
+    """Fail when the wrapped tail at half a period exceeds TAIL_BUDGET of the amplitude."""
+    wrap = params.far_field(0.5 * period) / params.roots[0]
+    if wrap > TAIL_BUDGET:
+        raise ValueError(
+            f"grid period {period} too small: wrapped tail {wrap:.3e} of amplitude exceeds {TAIL_BUDGET:g}"
+        )
 
 
 def speed_from_amplitude(a: float, kappa: float) -> float:
@@ -135,14 +160,11 @@ def _stencil_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolitonProfile:
-    """Tabulated, interpolable half-line profile plus exponential tail model."""
+    """The wave of params, tabulated and interpolable on the half line, with its far field beyond the table."""
 
     params: SolitonParams
-    amplitude: float
-    decay_rate: float
     xs: np.ndarray  # strictly increasing, xs[0] = 0
-    phis: np.ndarray  # strictly decreasing
-    tail_coeff: float
+    phis: np.ndarray  # strictly decreasing, phis[0] = r1
     _log_cubic: np.ndarray  # (4, len(xs) - 1): log(phi) = sum_k _log_cubic[k, i] (x - xs[i])^k on [xs[i], xs[i+1]]
 
     @property
@@ -162,19 +184,13 @@ class SolitonProfile:
         inside = ax <= self.x_tail
         y, p = self._log_pieces(ax[inside])
         out[inside] = np.exp(y + p)
-        out[~inside] = self._far_field(ax[~inside])
+        out[~inside] = self.params.far_field(ax[~inside])
         return out
 
-    def _far_field(self, ax):
-        """The far field A exp(-nu |x|) at |x| = ax, the profile beyond the table."""
-        return self.tail_coeff * np.exp(-self.decay_rate * ax)
-
     def evaluate_with_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """phi(x) and its exact slope from the first integral, phi_x = -sgn(x) phi sqrt((r1-phi)(r2-phi))/(c-phi)."""
+        """phi(x) and its exact slope from the first integral."""
         phi = self.evaluate(x)
-        r1, r2 = _quadratic_roots(self.params.c, self.params.kappa)
-        rad = np.sqrt(np.maximum(r1 - phi, 0.0) * (r2 - phi))
-        return phi, -np.sign(x) * phi * rad / (self.params.c - phi)
+        return phi, self.params.slope(x, phi, np.maximum(self.params.roots[0] - phi, 0.0))
 
     def first_integral_residual(self) -> float:
         """Max residual of the first integral over the table.
@@ -191,13 +207,14 @@ class SolitonProfile:
         return float(np.max(np.abs(res)))
 
     def to_json(self) -> str:
+        params = self.params
         doc = {
-            "c": self.params.c,
-            "kappa": self.params.kappa,
-            "amplitude": self.amplitude,
-            "decay_rate": self.decay_rate,
+            "c": params.c,
+            "kappa": params.kappa,
+            "amplitude": float(params.roots[0]),
+            "decay_rate": params.nu,
             "table": [[float(x), float(p)] for x, p in zip(self.xs, self.phis)],
-            "tail_coeff": self.tail_coeff,
+            "tail_coeff": float(params.far_field(0.0)),
         }
         return json.dumps(doc)
 
@@ -209,8 +226,8 @@ def build_profile(params: SolitonParams, tol: float = 1e-10) -> SolitonProfile:
     """
     if not (0.0 < tol <= 1e-6):
         raise ValueError(f"build tolerance must be in (0, 1e-6], got {tol}")
-    c, kappa = params.c, params.kappa
-    r1, r2 = _quadratic_roots(c, kappa)
+    c = params.c
+    r1, r2 = params.roots
 
     # phi nodes: tau-uniform near the peak (phi >= r1*exp(-1/2)), then
     # geometric down to tol*r1; geometric spacing makes the x-spacing of the
@@ -238,15 +255,7 @@ def build_profile(params: SolitonParams, tol: float = 1e-10) -> SolitonProfile:
     secant = np.diff(logs) / h
     m0, m1 = slopes[:-1], slopes[1:]
     log_cubic = np.array([logs[:-1], m0, (3.0 * secant - 2.0 * m0 - m1) / h, (m0 + m1 - 2.0 * secant) / h**2])
-    return SolitonProfile(
-        params=params,
-        amplitude=float(phis[0]),
-        decay_rate=float(params.nu),
-        xs=xs,
-        phis=phis,
-        tail_coeff=float(r1 * _far_field_ratio(params)),
-        _log_cubic=log_cubic,
-    )
+    return SolitonProfile(params=params, xs=xs, phis=phis, _log_cubic=log_cubic)
 
 
 def _inverse_map(phi, a, b, r1, r2, nu):
@@ -255,8 +264,7 @@ def _inverse_map(phi, a, b, r1, r2, nu):
     return (2.0 / nu) * np.log((np.sqrt(r2) * a + np.sqrt(r1) * b) / (np.sqrt(phi) * gap)) - 2.0 * np.log((a + b) / gap)
 
 
-def _anchored_with_slope(anchor: SolitonProfile, x: np.ndarray, params: SolitonParams,
-                         far) -> tuple[np.ndarray, np.ndarray]:
+def _anchored_with_slope(anchor: SolitonProfile, x: np.ndarray, params: SolitonParams) -> tuple[np.ndarray, np.ndarray]:
     """phi(x) and phi_x(x) of the wave of speed c = params.c, from the table of anchor, built at c0 with the same kappa.
 
     The guess is the table at |x| nu(c)/nu(c0), scaled to the amplitude r1(c),
@@ -266,14 +274,14 @@ def _anchored_with_slope(anchor: SolitonProfile, x: np.ndarray, params: SolitonP
     comes from expm1 of the table's log-ratio, not from a subtraction: at the
     peak u = 0 and tau = sqrt(u) is exact, with no clamp, and a guess above the
     peak would give a NaN, which Field rejects.  Beyond the scaled table phi is
-    c's far field far(|x|).
+    c's far field.
     """
     c = params.c
-    r1, r2 = _quadratic_roots(c, params.kappa)
+    r1, r2 = params.roots
     ax = np.abs(x)
-    phi = far(ax)
+    phi = params.far_field(ax)
     u = r1 - phi
-    scaled = ax * (params.nu / anchor.decay_rate)
+    scaled = ax * (params.nu / anchor.params.nu)
     inside = scaled <= anchor.x_tail
     y, rise = anchor._log_pieces(scaled[inside])
     log_ratio = (y - anchor._log_cubic[0, 0]) + rise  # log(phi / amplitude) on the table, 0 at the peak
@@ -281,29 +289,24 @@ def _anchored_with_slope(anchor: SolitonProfile, x: np.ndarray, params: SolitonP
     a, b = np.sqrt(guess_u), np.sqrt(r2 - guess)
     step = (_inverse_map(guess, a, b, r1, r2, params.nu) - ax[inside]) * guess * a * b / (c - guess)
     phi[inside], u[inside] = guess + step, guess_u - step
-    return phi, -np.sign(x) * phi * np.sqrt(u * (r2 - phi)) / (c - phi)
+    return phi, params.slope(x, phi, u)
 
 
-def _images(far, amplitude: float, grid: PeriodicGrid, center: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Offsets dx in [-period/2, period/2) of the nodes from center, and the far field far(|x|) at the far images
+def _images(params: SolitonParams, grid: PeriodicGrid, center: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets dx in [-period/2, period/2) of the nodes from center, and params' far field at the far images
     dx - period, dx + period.
 
-    Fails when the wrapped tail at half a period exceeds TAIL_BUDGET of the amplitude.
-    The far images lie at |x| >= period/2, so they take the far field: evaluate's
-    own tail once period/2 >= x_tail, the table to within rounding otherwise.
+    Fails as check_period does. The far images lie at |x| >= period/2, so they take the far field:
+    evaluate's own tail once period/2 >= x_tail, the table to within rounding otherwise.
     """
-    wrap = far(0.5 * grid.period) / amplitude
-    if wrap > TAIL_BUDGET:
-        raise ValueError(
-            f"grid period {grid.period} too small: wrapped tail {wrap:.3e} of amplitude exceeds {TAIL_BUDGET:g}"
-        )
+    check_period(params, grid.period)
     dx = grid.wrap(grid.nodes - center)
-    return dx, far(grid.period - dx), far(grid.period + dx)
+    return dx, params.far_field(grid.period - dx), params.far_field(grid.period + dx)
 
 
 def sample_on_grid(profile: SolitonProfile, grid: PeriodicGrid, center: float = 0.0) -> Field:
     """Sample phi(x - center) on the periodic grid: the nearest image plus the two far ones."""
-    dx, left, right = _images(profile._far_field, profile.amplitude, grid, center)
+    dx, left, right = _images(profile.params, grid, center)
     return Field(grid, profile.evaluate(dx) + left + right)
 
 
@@ -317,16 +320,7 @@ def sample_dx_on_grid(profile: SolitonProfile, grid: PeriodicGrid, center: float
     inverse map by at most 5e-14 of the amplitude at |c - c0| = 1e-6 c0, growing as (c - c0)^2 to 5e-12
     at 1e-5 c0; a table built at c itself is off by its Hermite error, up to 1.5e-10.
     """
-    if c is None:
-        amplitude, nu, far = profile.amplitude, profile.decay_rate, profile._far_field
-    else:
-        params = SolitonParams(c, profile.params.kappa)
-        amplitude, nu = _quadratic_roots(c, params.kappa)[0], params.nu
-        coeff = amplitude * _far_field_ratio(params)
-
-        def far(ax):
-            return coeff * np.exp(-nu * ax)
-
-    dx, left, right = _images(far, amplitude, grid, center)
-    phi, phi_x = profile.evaluate_with_slope(dx) if c is None else _anchored_with_slope(profile, dx, params, far)
-    return Field(grid, phi + left + right), Field(grid, phi_x + nu * (left - right))
+    params = profile.params if c is None else SolitonParams(c, profile.params.kappa)
+    dx, left, right = _images(params, grid, center)
+    phi, phi_x = profile.evaluate_with_slope(dx) if c is None else _anchored_with_slope(profile, dx, params)
+    return Field(grid, phi + left + right), Field(grid, phi_x + params.nu * (left - right))

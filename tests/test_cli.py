@@ -22,6 +22,7 @@ from dpwavelab.grid import make_grid
 from dpwavelab.harness import Scenario
 from dpwavelab.io import save_state
 from dpwavelab.modulation import DecompositionError, ProfileCache, train_field
+from dpwavelab.soliton import SolitonParams
 
 
 def write_scenario(path, **overrides):
@@ -48,8 +49,10 @@ def test_soliton_subcommand(tmp_path, capsys):
     code = main(["soliton", "--c", "3", "--kappa", "1", "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["amplitude"] == pytest.approx(0.76984, abs=1e-4)
-    assert "amplitude" in capsys.readouterr().out
+    params = SolitonParams(3.0, 1.0)
+    assert doc["amplitude"] == params.roots[0] == pytest.approx(0.76984, abs=1e-4)
+    assert doc["decay_rate"] == params.nu and doc["tail_coeff"] == params.far_field(0.0)
+    assert f"amplitude={params.roots[0]:.6f} decay={params.nu:.6f} " in capsys.readouterr().out
 
 
 def test_soliton_invalid_params(tmp_path, capsys):
@@ -388,6 +391,28 @@ def test_seam_collision_rejected_on_load(tmp_path, capsys, monkeypatch, command)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *sweep_args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: grid_period 200.0 leaves a seam gap of -20 ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["stability", "sweep"])
+@pytest.mark.parametrize("change, message", [
+    ({"speeds": [3.0, 1e78]}, "soliton parameters c=1e+78, kappa=1.0 are not representable"),
+    ({"speeds": [3.0], "separation": 0.0, "grid_period": 40.0}, "grid period 40.0 too small: wrapped tail "),
+])
+def test_unsampleable_wave_rejected_on_load(tmp_path, capsys, monkeypatch, command, change, message):
+    # a later speed that SolitonParams rejects, or a period below the slowest wave's tail budget
+    # (min_period 67.46 at c = 3), is a configuration error before any set-up
+    def preparing(*args, **kwargs):
+        raise AssertionError("built the initial state of a scenario whose waves cannot be sampled")
+
+    monkeypatch.setattr(harness, "build_initial_state", preparing)
+    doc = json.loads(open(write_scenario(tmp_path / "base.json")).read())
+    doc.update(change)
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(doc))
+    sweep_args = ["--alphas", "1e-4,1e-3", "--separations", "30,60"] if command == "sweep" else []
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *sweep_args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
 
 
 def test_evolve_rejects_inadmissible_data(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,7 @@ import dpwavelab.harness as harness
 import dpwavelab.modulation as modulation
 from dpwavelab.diagnostics import weight_psi
 from dpwavelab.evolution import BlowUpError
-from dpwavelab.grid import Field
+from dpwavelab.grid import Field, make_grid
 from dpwavelab.harness import (
     EvolveProcessError,
     Scenario,
@@ -25,6 +25,7 @@ from dpwavelab.harness import (
     run_sweep,
 )
 from dpwavelab.modulation import NEWTON_TOL, DecompositionError, ProfileCache, train_field
+from dpwavelab.soliton import SolitonParams, build_profile, min_period, sample_on_grid
 
 
 def quick_scenario(**overrides):
@@ -97,6 +98,40 @@ class TestScenarioValidation:
         raw = 2.0 * 30.0 + 20.0 / nu + 2.0 * 2.0
         assert s.auto_period() == pytest.approx(np.ceil(raw / 10.0) * 10.0)
         assert quick_scenario(grid_period=123.0).auto_period() == 123.0
+
+    def test_unrepresentable_later_speed_rejected_on_load(self):
+        # every wave's SolitonParams is built at load, not only the slowest one's
+        with pytest.raises(ScenarioError, match=r"c=1e\+78, kappa=1.0 are not representable"):
+            Scenario(kappa=1.0, speeds=(3.0, 1e78), separation=60.0)
+
+    def test_period_below_tail_budget_rejected_on_load(self):
+        # one wave, so that the seam margin 20/nu = 34.6 does not apply; min_period is 67.46
+        with pytest.raises(ScenarioError, match=r"^grid period 40.0 too small: wrapped tail "):
+            quick_scenario(speeds=(3.0,), separation=0.0, grid_period=40.0)
+
+    def test_period_check_agrees_with_sampling_at_the_boundary(self):
+        # load rejects exactly the periods at which sampling the slowest wave fails
+        params = SolitonParams(3.0, 1.0)
+        prof = build_profile(params)
+        edge = min_period(params)
+        periods = [edge]
+        for _ in range(4):
+            periods = [np.nextafter(periods[0], 0.0), *periods, np.nextafter(periods[-1], np.inf)]
+        verdicts = set()
+        for period in periods:
+            try:
+                sample_on_grid(prof, make_grid(64, period))
+                samples = True
+            except ValueError:
+                samples = False
+            try:
+                quick_scenario(speeds=(3.0,), separation=0.0, grid_n=64, grid_period=period)
+                loads = True
+            except ScenarioError:
+                loads = False
+            assert loads == samples, period
+            verdicts.add(loads)
+        assert verdicts == {True, False}
 
     def test_json_roundtrip(self):
         s = quick_scenario(alpha=3e-4, seed=11)

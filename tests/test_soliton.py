@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import dpwavelab.soliton as soliton
 from dpwavelab.grid import make_grid
 from dpwavelab.soliton import (
     SolitonParams,
@@ -100,7 +101,8 @@ class TestParams:
 
     @pytest.mark.parametrize("c, kappa", [(3.0, 1e-28), (1e29, 1.0)])
     def test_builds_near_float64_resolution(self, c, kappa):
-        assert 0.0 < build_profile(SolitonParams(c, kappa)).amplitude < c
+        prof = build_profile(SolitonParams(c, kappa))
+        assert 0.0 < prof.phis[0] == prof.params.roots[0] < c
 
 
 class TestPeakAmplitude:
@@ -179,7 +181,7 @@ class TestBuildProfile:
     def test_peak_value(self, profiles):
         for (c, kappa), prof in profiles.items():
             assert prof.evaluate(np.zeros(1))[0] == pytest.approx(_quadratic_roots(c, kappa)[0], rel=1e-12)
-            assert prof.amplitude == prof.phis[0]
+            assert prof.params.roots[0] == prof.phis[0]
 
     def test_first_integral_residual(self, profiles):
         for (c, kappa), prof in profiles.items():
@@ -189,7 +191,6 @@ class TestBuildProfile:
         for (c, kappa), prof in profiles.items():
             nu = np.sqrt(1.0 - 2.0 * kappa / c)
             assert fitted_tail_decay(prof) == pytest.approx(nu, rel=0.01)
-            assert prof.decay_rate == pytest.approx(nu, rel=1e-14)
             assert prof.params.nu == nu  # bitwise, the same expression
 
     def test_table_monotone_and_bounded(self, profiles):
@@ -209,8 +210,8 @@ class TestBuildProfile:
     def test_tail_coeff_matches_last_decade_fit(self, ratio, kappa):
         prof = build_profile(SolitonParams(2.0 * kappa * ratio, kappa))
         last = prof.phis <= 10.0 * prof.phis[-1]
-        fit = np.exp(np.mean(np.log(prof.phis[last]) + prof.decay_rate * prof.xs[last]))
-        assert prof.tail_coeff == pytest.approx(fit, rel=1e-9)
+        fit = np.exp(np.mean(np.log(prof.phis[last]) + prof.params.nu * prof.xs[last]))
+        assert prof.params.far_field(0.0) == pytest.approx(fit, rel=1e-9)
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
@@ -227,8 +228,8 @@ class TestEvaluate:
 
     def test_tail_model_consistency(self, profiles):
         for (c, kappa), prof in profiles.items():
-            x = prof.x_tail + 5.0 / prof.decay_rate
-            model = prof.tail_coeff * np.exp(-prof.decay_rate * x)
+            x = prof.x_tail + 5.0 / prof.params.nu
+            model = prof.params.far_field(x)
             assert prof.evaluate(np.array([x]))[0] == pytest.approx(model, rel=1e-3)
 
     def test_table_continuity_at_tail_join(self, profiles):
@@ -245,7 +246,7 @@ class TestEvaluate:
         frac = np.array([0.1, 0.25, 0.5, 0.75, 0.9])[:, None]
         phis = (prof.phis[:-1] * (1.0 - frac) + prof.phis[1:] * frac).ravel()
         xs = closed_form_xs(prof.params, phis)
-        assert np.max(np.abs(prof.evaluate(xs) - phis)) <= 2e-10 * prof.amplitude
+        assert np.max(np.abs(prof.evaluate(xs) - phis)) <= 2e-10 * prof.params.roots[0]
 
     def test_slope_zero_at_peak(self, profiles):
         prof = profiles[(3.0, 1.0)]
@@ -271,9 +272,9 @@ class TestJsonRoundtrip:
         doc = json.loads(prof.to_json())
         table = np.asarray(doc["table"])
         assert np.array_equal(table[:, 0], prof.xs) and np.array_equal(table[:, 1], prof.phis)
-        assert doc["tail_coeff"] == prof.tail_coeff
+        assert doc["tail_coeff"] == prof.params.far_field(0.0)
         assert SolitonParams(doc["c"], doc["kappa"]) == prof.params
-        assert doc["amplitude"] == prof.amplitude and doc["decay_rate"] == prof.decay_rate
+        assert doc["amplitude"] == prof.params.roots[0] == prof.phis[0] and doc["decay_rate"] == prof.params.nu
 
     def test_json_schema(self, profiles):
         doc = json.loads(profiles[(3.0, 1.0)].to_json())
@@ -328,7 +329,7 @@ class TestSampleOnGrid:
         # model's slope nu*A*exp(-nu|x|), not the first integral's, which agree to rounding there.
         prof = build_profile(SolitonParams(2.0 * kappa * ratio, kappa))
         p = min_period(prof.params)
-        bound = 2.0 * np.finfo(float).eps * prof.amplitude
+        bound = 2.0 * np.finfo(float).eps * prof.params.roots[0]
         for period in (1.001 * p, 1.5 * p, max(300.0, 2.0 * p)):
             grid = make_grid(512, period)
             for center in (0.0, 0.37 * period, -0.49 * period, 0.4999 * period):
@@ -364,15 +365,16 @@ class TestSampleOnGrid:
         grid = make_grid(256, max(300.0, 1.5 * min_period(prof.params)))
         c, kappa = prof.params.c, prof.params.kappa
         r1, r2 = _quadratic_roots(c, kappa)
+        coeff, nu = prof.params.far_field(0.0), prof.params.nu
         for center in (0.0, 3.7, -0.49 * grid.period, 0.4999 * grid.period):
             dx = np.mod(grid.nodes - center + 0.5 * grid.period, grid.period) - 0.5 * grid.period
-            left = prof.tail_coeff * np.exp(-prof.decay_rate * (grid.period - dx))
-            right = prof.tail_coeff * np.exp(-prof.decay_rate * (grid.period + dx))
+            left = coeff * np.exp(-nu * (grid.period - dx))
+            right = coeff * np.exp(-nu * (grid.period + dx))
             phi = prof.evaluate(dx)
             slope = -np.sign(dx) * phi * np.sqrt(np.maximum(r1 - phi, 0.0) * (r2 - phi)) / (c - phi)
             r, r_x = sample_dx_on_grid(prof, grid, center)
             assert np.array_equal(r.samples, prof.evaluate(dx) + left + right)
-            assert np.array_equal(r_x.samples, slope + prof.decay_rate * (left - right))
+            assert np.array_equal(r_x.samples, slope + nu * (left - right))
             assert np.array_equal(r.samples, sample_on_grid(prof, grid, center).samples)
 
 
@@ -396,7 +398,7 @@ class TestAnchoredSampling:
             got = sample_dx_on_grid(anchor, grid, center, c)
             want = sample_dx_on_grid(fresh, grid, center, c)
             for g, w in zip(got, want):
-                assert np.max(np.abs(g.samples - w.samples)) <= 1e-10 * fresh.amplitude
+                assert np.max(np.abs(g.samples - w.samples)) <= 1e-10 * fresh.params.roots[0]
             ax = np.abs(np.mod(grid.nodes - center + 0.5 * grid.period, grid.period) - 0.5 * grid.period)
             phi = got[0].samples
             near = (phi > 1e-6 * r1) & (ax > 1e-3)
@@ -425,6 +427,25 @@ class TestAnchoredSampling:
         broken = dataclasses.replace(anchor, _log_cubic=log_cubic)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="field samples must be finite"):
             sample_dx_on_grid(broken, make_grid(1024, 300.0), 0.0, 3.0 + 1e-7)
+
+
+class TestSpeedConstants:
+    """Each wave's closed-form constants are computed once, on its SolitonParams."""
+
+    def test_roots_computed_once_per_speed(self, monkeypatch):
+        anchor = build_profile(SolitonParams(3.0, 1.0))
+        grid = make_grid(1024, 300.0)
+        calls = []
+        roots = soliton._quadratic_roots
+        monkeypatch.setattr(soliton, "_quadratic_roots", lambda c, kappa: calls.append(c) or roots(c, kappa))
+        sample_dx_on_grid(anchor, grid, 2.0, 3.0 + 1e-7)
+        assert calls == [3.0 + 1e-7]
+        calls.clear()
+        sample_dx_on_grid(anchor, grid, 2.0)
+        sample_on_grid(anchor, grid, 2.0)
+        assert calls == []
+        build_profile(SolitonParams(4.0, 1.0))
+        assert calls == [4.0]
 
 
 def test_cli_import_leaves_out_scipy_interpolate():
