@@ -13,9 +13,11 @@ the reflection x -> -x, which is k -> n - k on the modes, so each window splits
 into a symmetric and an antisymmetric block, and each eigenvector is an even or
 an odd grid function. A window widens until its wanted Ritz pairs meet a
 Kato-Temple-type residual test, and once it holds all n modes its answer is
-exact. No solve reads op.matrix. The operator carries its phi and phi_x
-samples: phi_x is the kernel direction the report looks for, and the smoothed
-phi and phi_x are the constraint columns of the constrained coercivity constant.
+exact. No solve reads op.matrix, and each window's blocks are solved once per
+operator. The operator carries its phi and phi_x samples: phi_x is the kernel
+direction the report looks for, and the smoothed phi and phi_x are the
+constraint columns of the constrained coercivity constant, which is read from
+the eigenpairs of the window blocks the report solved, by a secular equation.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ from .grid import Field, PeriodicGrid, smoothing_operator
 from .soliton import SolitonProfile, sample_dx_on_grid
 
 _SQRT_HALF = np.sqrt(0.5)
-# First half-width m of every window. The m needed grows with the period. Measured: the top takes 48 for
-# c = 3, kappa = 1 at period 100 up to n = 16384, 192 at period 300, 768 at period 800, and c = 4, kappa = 0.5
-# at period 100 takes 96 to 192; the low end takes 192 for c = 3, kappa = 1 at period 100.
+# First half-width m of every window but theta's, which starts at the widest window around mode 0 that the
+# operator has solved, after eigen_report the low end's. The m needed grows with the period. Measured: the top
+# takes 48 for c = 3, kappa = 1 at period 100 up to n = 16384, 192 at period 300, 768 at period 800, and
+# c = 4, kappa = 0.5 at period 100 takes 96 to 192; the low end takes 192 for c = 3, kappa = 1 at period 100.
 _WINDOW_START = 48
 
 
@@ -54,6 +57,14 @@ class OperatorMatrix:
     symbol: np.ndarray
     phi: np.ndarray
     phi_x: np.ndarray
+
+    @cached_property
+    def _windows(self) -> dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]]:
+        """The eigenpairs (eigh) of the symmetric and antisymmetric blocks of each window solved, keyed by (centre, m).
+
+        Not a field, so that dataclasses.replace starts an empty one.
+        """
+        return {}
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.fft.irfft(self.symbol * np.fft.rfft(x), n=self.grid.n) - self.phi * x
@@ -141,6 +152,66 @@ def _window_blocks(symbol: np.ndarray, phi_hat: np.ndarray, m: int, centre: int)
     return even, odd
 
 
+def _secular_root(pole: np.ndarray, weight: np.ndarray, j: int) -> tuple[float, float]:
+    """The root of f(theta) = sum weight / (pole - theta) between pole[j] and pole[j + 1], as origin + offset.
+
+    pole is ascending and weight positive, so f rises from -inf to +inf between
+    the two poles. The origin is the pole nearer the root, and the offset is
+    bisected with every pole - theta taken as (pole - origin) - offset, so an
+    offset far below the poles' spacing keeps its relative accuracy.
+    """
+    half = 0.5 * (pole[j + 1] - pole[j])
+    lower = (weight / ((pole - pole[j]) - half)).sum() >= 0.0
+    origin = pole[j] if lower else pole[j + 1]
+    diffs = pole - origin
+    near, far = 0.0, half if lower else -half  # the root lies between the origin (near) and far
+    while True:
+        mid = 0.5 * (near + far)
+        if mid in (near, far):
+            return origin, far
+        if ((weight / (diffs - mid)).sum() >= 0.0) == lower:
+            far = mid
+        else:
+            near = mid
+
+
+def _constrained_lowest(lam: np.ndarray, c: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """The two lowest eigenvalues of diag(lam) restricted to the complement of the unit vector c, and the first's unit eigenvector.
+
+    lam is ascending. An eigenvalue theta of the restriction that is no lam_i is a
+    root of the secular equation sum c_i^2 / (lam_i - theta) = 0, one between each
+    two neighbouring poles, with eigenvector c / (lam - theta) (Golub, SIAM Rev. 15,
+    1973; Gander, Golub & von Matt, LAA 114/115, 1989). Deflation: a coordinate
+    with |c_i| <= eps, as small as the rounding of c itself, is no pole, and its
+    lam_i is an eigenvalue with eigenvector e_i; the lam_i within eps max|lam| of
+    each other are one pole of weight sum c_i^2, and that lam is an eigenvalue once
+    less often than it repeats, with an eigenvector in its eigenspace orthogonal to c.
+    """
+    eps = np.finfo(float).eps
+    c = np.where(np.abs(c) > eps, c, 0.0)
+    start = np.flatnonzero(np.append(True, np.diff(lam) > eps * np.max(np.abs(lam))))
+    size = np.diff(np.append(start, len(lam)))
+    pole, weight = lam[start], np.add.reduceat(c * c, start)
+    live = weight > 0.0
+    kept = np.repeat(np.arange(len(start)), size - live)  # the group of each deflated eigenvalue, ascending
+    roots = [_secular_root(pole[live], weight[live], j) for j in range(min(2, np.count_nonzero(live) - 1))]
+    lowest = np.sort(np.concatenate((pole[kept[:2]], [o + t for o, t in roots])))
+    theta = lowest[0]
+    if roots and theta == roots[0][0] + roots[0][1]:
+        origin, offset = roots[0]
+        diffs = np.repeat(pole - origin, size) - offset
+        y = np.divide(c, diffs, out=np.zeros_like(c), where=c != 0.0)
+    else:
+        g = kept[0]
+        group = slice(start[g], start[g] + size[g])
+        j = group.start + int(np.argmin(np.abs(c[group])))
+        y = np.zeros_like(c)
+        if weight[g] > 0.0:
+            y[group] = -c[j] / weight[g] * c[group]
+        y[j] += 1.0
+    return float(theta), float(lowest[1]) if len(lowest) > 1 else np.inf, y / np.linalg.norm(y)
+
+
 def _window_pairs(
     op: OperatorMatrix, phase: str, k: int, top: bool = False, columns: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -149,55 +220,66 @@ def _window_pairs(
     Returns the eigenvalues, ascending (descending with top), and the unit
     eigenvectors as grid rows. The window holds the 2m + 1 modes centre - m ...
     centre + m, with centre 0 for the low end and n/2 for the top, and is solved
-    as its two blocks under k -> n - k (_window_blocks). With columns, an even and
-    an odd unit grid vector, the symmetric block is P B P + s q q^T with q the even
-    column's coordinates on the window, P = I - q q^T and s the symbol's maximum,
-    and the antisymmetric block likewise with the odd column. On range(P) this is
-    B restricted to the complement of q; on q it is s, which bounds L from above
-    because phi > 0, so the lowest eigenvalues are those of L restricted to the
-    complement of both columns. Each window's Ritz values bound the eigenvalues
-    they approximate (Cauchy interlacing). The k extreme Ritz pairs over both
-    blocks are kept; their vectors take one inverse FFT to the grid and are
-    symmetrized there, so each is exactly even or exactly odd. m doubles from
-    _WINDOW_START until every kept pair's Kato-Temple-type estimate
-    |Ly - theta y|^2 / gap is at most eps times the window's largest |Ritz value|:
-    Ly is op.apply(y), projected by P with columns, and gap is the distance from
-    theta to the nearest other Ritz value of its block. Once m = n/2 the window
-    holds every mode, and its pairs are exact.
+    as its two blocks under k -> n - k (_window_blocks), once per operator
+    (op._windows). With columns, an even and an odd unit grid vector, k is 1 and
+    the pair is the lowest of L restricted to the complement of both columns: the
+    symmetric block restricted to the complement of q, the even column's unit
+    coordinates on the window, and the antisymmetric block likewise with the odd
+    column, each read from its block's eigenpairs (V, lambda) through c = V^T q
+    (_constrained_lowest); it starts at the widest window around mode 0 already
+    solved. Each window's Ritz values bound the eigenvalues they approximate
+    (Cauchy interlacing). The k extreme Ritz pairs over both blocks are kept;
+    their vectors take one inverse FFT to the grid and are symmetrized there, so
+    each is exactly even or exactly odd. m doubles until every kept pair's
+    Kato-Temple-type estimate |Ly - theta y|^2 / gap is at most eps times the
+    window's largest |Ritz value|: Ly is op.apply(y), projected off the column of
+    y's parity with columns, gap is the distance from theta to the nearest other
+    Ritz value of its block, and with columns the largest |Ritz value| is the
+    symbol's maximum (which bounds L from above, because phi > 0) or a larger
+    |theta|. Once m = n/2 the window holds every mode, and its pairs are exact.
     """
     n = op.grid.n
     centre = n // 2 if top else 0
-    phi_hat = np.fft.rfft(op.phi).real / n
     column_hats = None if columns is None else np.fft.fft(columns, norm="ortho")
     m = _WINDOW_START
+    if columns is not None:
+        m = max((width for at, width in op._windows if at == centre), default=m)
     while True:
         m = min(m, n // 2)
         i = np.arange(m + 1)
         fixed = (i == 0) | (2 * i == n)
         weight = np.where(fixed, 1.0, _SQRT_HALF)  # of a coordinate on each of its modes centre + i and centre - i
+        pairs = op._windows.get((centre, m))
+        if pairs is None:
+            phi_hat = np.fft.rfft(op.phi).real / n
+            try:
+                pairs = [eigh(block) for block in _window_blocks(op.symbol, phi_hat, m, centre)]
+            except np.linalg.LinAlgError as exc:
+                raise SpectralError(phase, f"window of {2 * m + 1} modes: {exc}") from exc
+            op._windows[(centre, m)] = pairs
         vals, gaps, modes, parity = [], [], [], []
         largest = 0.0
-        for odd, block in enumerate(_window_blocks(op.symbol, phi_hat, m, centre)):
+        for odd, (v, vec) in enumerate(pairs):
             idx = np.flatnonzero(~fixed) if odd else i
             plus, minus = (centre + idx) % n, (centre - idx) % n
             # The unitary DFT of a real even grid vector is real and symmetric; of a real odd one, -1j times
             # a real antisymmetric one.
             to_grid = -1j if odd else 1.0
-            if columns is not None:
+            if columns is None:
+                largest = max(largest, abs(v[0]), abs(v[-1]))
+                d = np.diff(v)
+                keep = slice(max(len(v) - k, 0), None) if top else slice(k)
+                vals.append(v[keep])
+                gaps.append(np.minimum(np.append(np.inf, d), np.append(d, np.inf))[keep])
+                vec = vec[:, keep]
+            else:
                 q = (column_hats[odd, plus] / to_grid).real / weight[idx]
-                q /= np.linalg.norm(q)
-                b = block @ q
-                block = block - np.outer(q, b) - np.outer(b, q) + (q @ b + op.symbol.max()) * np.outer(q, q)
-            try:
-                v, vec = eigh(block)
-            except np.linalg.LinAlgError as exc:
-                raise SpectralError(phase, f"window of {2 * m + 1} modes: {exc}") from exc
-            largest = max(largest, abs(v[0]), abs(v[-1]))
-            d = np.diff(v)
-            keep = slice(max(len(v) - k, 0), None) if top else slice(k)
-            vals.append(v[keep])
-            gaps.append(np.minimum(np.append(np.inf, d), np.append(d, np.inf))[keep])
-            coords = to_grid * weight[idx] * vec[:, keep].T
+                theta, second, y = _constrained_lowest(v, vec.T @ q / np.linalg.norm(q))
+                largest = max(largest, op.symbol.max(), abs(theta))
+                vals.append([theta])
+                gaps.append([second - theta])
+                vec = (vec @ y)[:, None]
+            coords = to_grid * weight[idx] * vec.T
             a = np.zeros((len(coords), n), dtype=complex)
             a[:, minus] = -coords if odd else coords
             a[:, plus] = coords
@@ -228,8 +310,11 @@ def eigen_report(op: OperatorMatrix, k: int = 4) -> SpectralReport:
     n = op.grid.n
     if not 1 <= k <= n - 2:
         raise ValueError(f"number of eigenpairs must be in [1, n - 2] = [1, {n - 2}], got {k}")
+    dphi_norm = np.linalg.norm(op.phi_x)
+    if not dphi_norm > 0.0:
+        raise SpectralError("eigen_report", f"phi_x has norm {dphi_norm}, so it gives no kernel direction")
     top = _window_pairs(op, "eigen_report", 1, top=True)[0][0]  # the largest eigenvalue
-    dphi = op.phi_x / np.linalg.norm(op.phi_x)
+    dphi = op.phi_x / dphi_norm
     # Take more eigenpairs until a positive eigenvalue other than the kernel shows,
     # so that every negative eigenvalue is among them.
     k = max(k, 4)
@@ -264,10 +349,14 @@ def constrained_theta(op: OperatorMatrix) -> float:
     L2-orthogonality of y to them is S-orthogonality of y to phi and phi_x. The
     smoothed phi is even and the smoothed phi_x odd, so each block of the window
     around mode 0 carries one of them, and theta is the lowest Ritz value of the
-    projected blocks (_window_pairs).
+    blocks restricted to the complement of their column, read from the blocks'
+    eigenpairs (_window_pairs). It starts at the widest window around mode 0 that
+    op has solved, so after eigen_report it solves no window unless it must widen.
     """
     v = np.column_stack([smoothing_operator(Field(op.grid, f)).samples for f in (op.phi, op.phi_x)])
     norms = np.linalg.norm(v, axis=0)
+    if not np.all(norms > 0.0):
+        raise SpectralError("constrained_theta", f"constraint columns have norms {norms[0]} and {norms[1]}")
     cosang = abs(float(v[:, 0] @ v[:, 1])) / (norms[0] * norms[1])
     if cosang > 1.0 - 1e-10:
         raise SpectralError("constrained_theta", f"constraint vectors nearly collinear (cos angle {cosang:.3e})")

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import circulant, eigh, qr, toeplitz
 
+import dpwavelab.cli as cli
 import dpwavelab.linearized as linearized
 from dpwavelab.grid import Field, make_grid, s_inner, smoothing_operator
 from dpwavelab.invariants import dS_dc_closed
@@ -409,21 +411,92 @@ class TestLowEndWindow:
         linearized._window_pairs(op, "eigen_report", 4)
         assert sizes == [49, 48, 97, 96, 193, 192]
 
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_spectrum_solves_each_window_once(self, monkeypatch, capsys, n):
+        # the top, then the low end; theta reads the low end's widest window and solves none
+        sizes = _window_sizes(monkeypatch)
+        assert cli.main(["spectrum", "--c", "3", "--kappa", "1", "--period", "100", "--n", str(n)]) == 0
+        assert sizes == [49, 48] + [49, 48, 97, 96, 193, 192]
+        assert json.loads(capsys.readouterr().out)["theta"] > 0
+
+    def test_theta_alone_solves_its_own_windows(self, profiles, monkeypatch):
+        op = assemble_L(profiles[(3.0, 1.0)], make_grid(1024, 100.0))
+        sizes = _window_sizes(monkeypatch)
+        theta = constrained_theta(op)
+        assert sizes == [49, 48, 97, 96, 193, 192]
+        assert eigen_report(op).ess_gap_proxy > theta > 0
+        assert sizes == [49, 48, 97, 96, 193, 192] + [49, 48]
+
+    def test_solved_window_is_not_rebuilt(self, profiles, monkeypatch):
+        op = assemble_L(profiles[(3.0, 1.0)], make_grid(1024, 100.0))
+        first = eigen_report(op)
+        built = []
+        window_blocks = linearized._window_blocks
+        monkeypatch.setattr(linearized, "_window_blocks", lambda *args: built.append(args) or window_blocks(*args))
+        sizes = _window_sizes(monkeypatch)
+        assert eigen_report(op) == first
+        assert built == [] and sizes == []
+        assert replace(op)._windows == {}
+
+
+def _restricted_oracle(lam, c):
+    """Eigenpairs of diag(lam) restricted to the complement of the unit vector c, by eigh in a full QR basis of it."""
+    basis = qr(c[:, None], mode="full")[0][:, 1:]
+    vals, vecs = eigh(basis.T @ np.diag(lam) @ basis)
+    return vals, basis @ vecs
+
+
+def _secular_cases():
+    rng = np.random.default_rng(7)
+    lam = np.sort(rng.uniform(-1.0, 3.0, 40))
+    c = rng.standard_normal(40)
+    cases = {"generic": (lam, c)}
+    cases["c1 zero"] = (lam, np.where(np.arange(40) == 0, 0.0, c))
+    cases["c1 below eps"] = (lam, np.where(np.arange(40) == 0, 1e-20, c))
+    cases["c1 small"] = (lam, np.where(np.arange(40) == 0, 1e-6, c))
+    cases["lambda1 repeated"] = (np.concatenate(([lam[1]], lam[1:])), c)
+    cases["lambda2 repeated"] = (np.concatenate((lam[:2], [lam[2]], lam[2:-1])), c)
+    cases["lambda1 three times"] = (np.concatenate(([lam[2]] * 2, lam[2:])), c)
+    cases["lambda1 repeated, c zero on it"] = (np.concatenate(([lam[1]], lam[1:])), np.where(np.arange(40) < 2, 0.0, c))
+    return {name: (lam, c / np.linalg.norm(c)) for name, (lam, c) in cases.items()}
+
+
+SECULAR_CASES = _secular_cases()
+
+
+class TestSecularEquation:
+    @pytest.mark.parametrize("case", list(SECULAR_CASES))
+    def test_matches_projected_eigh(self, case):
+        lam, c = SECULAR_CASES[case]
+        vals, vecs = _restricted_oracle(lam, c)
+        theta, second, y = linearized._constrained_lowest(lam, c)
+        tol = 8 * len(lam) * np.finfo(float).eps * np.max(np.abs(lam))
+        assert abs(theta - vals[0]) <= tol
+        assert abs(second - vals[1]) <= tol
+        assert np.linalg.norm(y) == pytest.approx(1.0, rel=1e-14)
+        assert abs(y @ c) <= 1e-14
+        if vals[1] - vals[0] > 1e-3:
+            assert abs(y @ vecs[:, 0]) == pytest.approx(1.0, rel=1e-12)
+        residual = lam * y - theta * y
+        assert np.linalg.norm(residual - (c @ residual) * c) <= tol
+
 
 class TestSpectralErrors:
+    # Each phase gets a fresh operator: an operator keeps the windows it has solved, and theta starts at the
+    # widest of them.
     def test_lanczos_failure_names_phase(self, setup_c3, monkeypatch):
         # a NaN action of L shows in the first window's Ritz residual, in either phase
-        _, _, op = setup_c3
+        prof, grid, _ = setup_c3
         monkeypatch.setattr(linearized.OperatorMatrix, "apply", lambda self, x: np.full_like(x, np.nan))
         for solve, phase in ((eigen_report, "eigen_report"), (constrained_theta, "constrained_theta")):
             message = f"^{phase}: non-finite Ritz residual in the window of 97 modes$"
             with pytest.raises(SpectralError, match=message) as info:
-                solve(op)
+                solve(assemble_L(prof, grid))
             assert info.value.phase == phase
 
     def test_failed_window_solve_names_phase(self, setup_c3, monkeypatch):
         # numpy's LinAlgError is a ValueError, which the command line would report as a usage error
-        _, _, op = setup_c3
+        prof, grid, _ = setup_c3
 
         def failing(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -432,9 +505,24 @@ class TestSpectralErrors:
         for solve, phase in ((eigen_report, "eigen_report"), (constrained_theta, "constrained_theta")):
             message = f"^{phase}: window of 97 modes: Eigenvalues did not converge$"
             with pytest.raises(SpectralError, match=message) as info:
-                solve(op)
+                solve(assemble_L(prof, grid))
             assert info.value.phase == phase
             assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_zero_phi_x_in_the_report(self, profiles):
+        # it gave kernel_overlap nan and neg_count 0, with only a RuntimeWarning
+        op = assemble_L(profiles[(3.0, 1.0)], make_grid(256, 100.0))
+        with pytest.raises(SpectralError, match="^eigen_report: phi_x has norm 0.0") as info:
+            eigen_report(replace(op, phi_x=np.zeros_like(op.phi_x)))
+        assert info.value.phase == "eigen_report"
+
+    @pytest.mark.parametrize("zero", ["phi", "phi_x"])
+    def test_zero_constraint_column(self, profiles, zero):
+        # a zero phi_x gave theta = 0.17524939705 from a NaN column, with only a RuntimeWarning
+        op = assemble_L(profiles[(3.0, 1.0)], make_grid(256, 100.0))
+        with pytest.raises(SpectralError, match="^constrained_theta: constraint columns have norms") as info:
+            constrained_theta(replace(op, **{zero: np.zeros(op.grid.n)}))
+        assert info.value.phase == "constrained_theta"
 
     def test_collinear_constraints(self, setup_c3):
         _, _, op = setup_c3
