@@ -18,10 +18,22 @@ def save_state(field: Field, path: str) -> None:
 
 
 def load_state(path: str) -> Field:
+    """The field save_state wrote; a document that is no object with n, period and samples raises ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
-    grid = make_grid(doc["n"], doc["period"])
-    return Field(grid, np.asarray(doc["samples"], dtype=float))
+    if not isinstance(doc, dict):
+        raise ValueError(f"state {path}: expected a JSON object with n, period and samples, got {type(doc).__name__}")
+    for key, kind, what in (("n", int, "an integer"), ("period", (int, float), "a number"), ("samples", list, "a list")):
+        if key not in doc:
+            raise ValueError(f"state {path}: field {key!r} is missing")
+        if not isinstance(doc[key], kind):
+            got = "null" if doc[key] is None else type(doc[key]).__name__
+            raise ValueError(f"state {path}: field {key!r} must be {what}, got {got}")
+    try:
+        samples = np.asarray(doc["samples"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"state {path}: field 'samples' must hold numbers: {exc}") from exc
+    return Field(make_grid(doc["n"], doc["period"]), samples)
 
 
 def save_trajectory_csv(traj: Trajectory, path: str) -> None:

@@ -13,11 +13,12 @@ the reflection x -> -x, which is k -> n - k on the modes, so each window splits
 into a symmetric and an antisymmetric block, and each eigenvector is an even or
 an odd grid function. A window widens until its wanted Ritz pairs meet a
 Kato-Temple-type residual test, and once it holds all n modes its answer is
-exact. No solve reads op.matrix, and each window's blocks are solved once per
-operator. The operator carries its phi and phi_x samples: phi_x is the kernel
-direction the report looks for, and the smoothed phi and phi_x are the
-constraint columns of the constrained coercivity constant, which is read from
-the eigenpairs of the window blocks the report solved, by a secular equation.
+exact. No solve reads op.matrix, and each solve starts at the widest window
+the operator has solved at its centre, so no window is solved twice. The
+operator carries its phi and phi_x samples: phi_x is the kernel direction the
+report looks for, and the smoothed phi and phi_x are the constraint columns of
+the constrained coercivity constant, which is read from the eigenpairs of the
+window blocks the report solved, by a secular equation.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from .grid import Field, PeriodicGrid, smoothing_operator
 from .soliton import SolitonProfile, sample_dx_on_grid
 
 _SQRT_HALF = np.sqrt(0.5)
-# First half-width m of every window but theta's, which starts at the widest window around mode 0 that the
-# operator has solved, after eigen_report the low end's. The m needed grows with the period. Measured: the top
-# takes 48 for c = 3, kappa = 1 at period 100 up to n = 16384, 192 at period 300, 768 at period 800, and
-# c = 4, kappa = 0.5 at period 100 takes 96 to 192; the low end takes 192 for c = 3, kappa = 1 at period 100.
+# First half-width m of a window at a centre where the operator has solved none; every later solve there starts
+# at the widest window solved, so theta after eigen_report starts at the low end's. The m needed grows with the
+# period. Measured: the top takes 48 for c = 3, kappa = 1 at period 100 up to n = 16384, 192 at period 300, 768
+# at period 800, and c = 4, kappa = 0.5 at period 100 takes 96 to 192; the low end takes 192 for c = 3,
+# kappa = 1 at period 100.
 _WINDOW_START = 48
 
 
@@ -59,8 +61,8 @@ class OperatorMatrix:
     phi_x: np.ndarray
 
     @cached_property
-    def _windows(self) -> dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]]:
-        """The eigenpairs (eigh) of the symmetric and antisymmetric blocks of each window solved, keyed by (centre, m).
+    def _windows(self) -> dict[int, tuple[int, list[tuple[np.ndarray, np.ndarray]]]]:
+        """centre -> (m, eigenpairs (eigh) of the symmetric and antisymmetric blocks) of its widest window solved.
 
         Not a field, so that dataclasses.replace starts an empty one.
         """
@@ -212,58 +214,55 @@ def _constrained_lowest(lam: np.ndarray, c: np.ndarray) -> tuple[float, float, n
     return float(theta), float(lowest[1]) if len(lowest) > 1 else np.inf, y / np.linalg.norm(y)
 
 
-def _window_pairs(
-    op: OperatorMatrix, phase: str, k: int, top: bool = False, columns: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _window_pairs(op: OperatorMatrix, k: int, top: bool = False, columns: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest eigenpairs of L, or with top the k highest, from a window of Fourier modes.
 
     Returns the eigenvalues, ascending (descending with top), and the unit
     eigenvectors as grid rows. The window holds the 2m + 1 modes centre - m ...
     centre + m, with centre 0 for the low end and n/2 for the top, and is solved
-    as its two blocks under k -> n - k (_window_blocks), once per operator
-    (op._windows). With columns, an even and an odd unit grid vector, k is 1 and
-    the pair is the lowest of L restricted to the complement of both columns: the
-    symmetric block restricted to the complement of q, the even column's unit
-    coordinates on the window, and the antisymmetric block likewise with the odd
-    column, each read from its block's eigenpairs (V, lambda) through c = V^T q
-    (_constrained_lowest); it starts at the widest window around mode 0 already
-    solved. Each window's Ritz values bound the eigenvalues they approximate
-    (Cauchy interlacing). The k extreme Ritz pairs over both blocks are kept;
-    their vectors take one inverse FFT to the grid and are symmetrized there, so
-    each is exactly even or exactly odd. m doubles until every kept pair's
-    Kato-Temple-type estimate |Ly - theta y|^2 / gap is at most eps times the
-    window's largest |Ritz value|: Ly is op.apply(y), projected off the column of
-    y's parity with columns, gap is the distance from theta to the nearest other
-    Ritz value of its block, and with columns the largest |Ritz value| is the
-    symbol's maximum (which bounds L from above, because phi > 0) or a larger
-    |theta|. Once m = n/2 the window holds every mode, and its pairs are exact.
+    as its two blocks under k -> n - k (_window_blocks). The operator keeps the
+    widest window solved at each centre (op._windows), and every call starts at
+    it. With columns, an even and an odd unit grid vector, k is 1 and the pair is
+    the lowest of L restricted to the complement of both columns: the symmetric
+    block restricted to the complement of q, the even column's unit coordinates
+    on the window, and the antisymmetric block likewise with the odd column, each
+    read from its block's eigenpairs (V, lambda) through c = V^T q
+    (_constrained_lowest). Each window's Ritz values bound the eigenvalues they
+    approximate (Cauchy interlacing). The k extreme Ritz pairs over both blocks
+    are kept; each mode pair centre +- i has one member on the rfft half
+    spectrum, so their vectors take one inverse rfft to the grid and are
+    symmetrized there, each exactly even or exactly odd. m doubles until every
+    kept pair's Kato-Temple-type estimate |Ly - theta y|^2 / gap is at most eps
+    times the window's largest |Ritz value|: Ly is op.apply(y), projected off the
+    column of y's parity with columns, gap is the distance from theta to the
+    nearest other Ritz value of its block, and with columns the largest |Ritz
+    value| is the symbol's maximum (which bounds L from above, because phi > 0)
+    or a larger |theta|. Once m = n/2 the window holds every mode, and its pairs
+    are exact.
     """
     n = op.grid.n
+    phase = "eigen_report" if columns is None else "constrained_theta"
     centre = n // 2 if top else 0
-    column_hats = None if columns is None else np.fft.fft(columns, norm="ortho")
-    m = _WINDOW_START
-    if columns is not None:
-        m = max((width for at, width in op._windows if at == centre), default=m)
+    column_hats = None if columns is None else np.fft.rfft(columns, norm="ortho")
+    m, pairs = op._windows.get(centre, (min(_WINDOW_START, n // 2), None))
     while True:
-        m = min(m, n // 2)
-        i = np.arange(m + 1)
-        fixed = (i == 0) | (2 * i == n)
-        weight = np.where(fixed, 1.0, _SQRT_HALF)  # of a coordinate on each of its modes centre + i and centre - i
-        pairs = op._windows.get((centre, m))
         if pairs is None:
             phi_hat = np.fft.rfft(op.phi).real / n
             try:
                 pairs = [eigh(block) for block in _window_blocks(op.symbol, phi_hat, m, centre)]
             except np.linalg.LinAlgError as exc:
                 raise SpectralError(phase, f"window of {2 * m + 1} modes: {exc}") from exc
-            op._windows[(centre, m)] = pairs
-        vals, gaps, modes, parity = [], [], [], []
+            op._windows[centre] = (m, pairs)
+        i = np.arange(m + 1)
+        fixed = (i == 0) | (2 * i == n)
+        weight = np.where(fixed, 1.0, _SQRT_HALF)  # of a coordinate on each of its modes centre + i and centre - i
+        vals, gaps, halves, parity = [], [], [], []
         largest = 0.0
         for odd, (v, vec) in enumerate(pairs):
             idx = np.flatnonzero(~fixed) if odd else i
-            plus, minus = (centre + idx) % n, (centre - idx) % n
+            at = np.abs(centre - idx)  # the member of the mode pair centre +- idx on the half spectrum
             # The unitary DFT of a real even grid vector is real and symmetric; of a real odd one, -1j times
-            # a real antisymmetric one.
+            # a real antisymmetric one, so an odd coordinate is negated at the top, where at is centre - idx.
             to_grid = -1j if odd else 1.0
             if columns is None:
                 largest = max(largest, abs(v[0]), abs(v[-1]))
@@ -273,23 +272,21 @@ def _window_pairs(
                 gaps.append(np.minimum(np.append(np.inf, d), np.append(d, np.inf))[keep])
                 vec = vec[:, keep]
             else:
-                q = (column_hats[odd, plus] / to_grid).real / weight[idx]
+                q = (column_hats[odd, at] / to_grid).real / weight[idx]
                 theta, second, y = _constrained_lowest(v, vec.T @ q / np.linalg.norm(q))
                 largest = max(largest, op.symbol.max(), abs(theta))
                 vals.append([theta])
                 gaps.append([second - theta])
                 vec = (vec @ y)[:, None]
-            coords = to_grid * weight[idx] * vec.T
-            a = np.zeros((len(coords), n), dtype=complex)
-            a[:, minus] = -coords if odd else coords
-            a[:, plus] = coords
-            modes.append(a)
-            parity.append(np.full(len(coords), -1.0 if odd else 1.0))
+            half = np.zeros((vec.shape[1], n // 2 + 1), dtype=complex)
+            half[:, at] = (-to_grid if odd and top else to_grid) * weight[idx] * vec.T
+            halves.append(half)
+            parity.append(np.full(len(half), -1.0 if odd else 1.0))
         vals, gaps, parity = np.concatenate(vals), np.concatenate(gaps), np.concatenate(parity)
         if len(vals) >= k:
             order = np.argsort(vals, kind="stable")
             order = (order[::-1] if top else order)[:k]
-            y = np.fft.ifft(np.concatenate(modes)[order], norm="ortho").real
+            y = np.fft.irfft(np.concatenate(halves)[order], n=n, norm="ortho")
             y = 0.5 * (y + parity[order, None] * y[:, _reflection(n)])
             if 2 * m == n:
                 return vals[order], y
@@ -302,7 +299,7 @@ def _window_pairs(
                 raise SpectralError(phase, f"non-finite Ritz residual in the window of {2 * m + 1} modes")
             if np.all(residual <= np.finfo(float).eps * largest * gaps[order]):
                 return vals[order], y
-        m *= 2
+        m, pairs = min(2 * m, n // 2), None
 
 
 def eigen_report(op: OperatorMatrix, k: int = 4) -> SpectralReport:
@@ -313,13 +310,13 @@ def eigen_report(op: OperatorMatrix, k: int = 4) -> SpectralReport:
     dphi_norm = np.linalg.norm(op.phi_x)
     if not dphi_norm > 0.0:
         raise SpectralError("eigen_report", f"phi_x has norm {dphi_norm}, so it gives no kernel direction")
-    top = _window_pairs(op, "eigen_report", 1, top=True)[0][0]  # the largest eigenvalue
+    top = _window_pairs(op, 1, top=True)[0][0]  # the largest eigenvalue
     dphi = op.phi_x / dphi_norm
     # Take more eigenpairs until a positive eigenvalue other than the kernel shows,
     # so that every negative eigenvalue is among them.
     k = max(k, 4)
     while True:
-        vals, vecs = _window_pairs(op, "eigen_report", k)
+        vals, vecs = _window_pairs(op, k)
         norm = max(abs(vals[0]), abs(top))
         overlaps = np.abs(vecs @ dphi)
         kernel = int(np.argmax(overlaps))
@@ -350,8 +347,9 @@ def constrained_theta(op: OperatorMatrix) -> float:
     smoothed phi is even and the smoothed phi_x odd, so each block of the window
     around mode 0 carries one of them, and theta is the lowest Ritz value of the
     blocks restricted to the complement of their column, read from the blocks'
-    eigenpairs (_window_pairs). It starts at the widest window around mode 0 that
-    op has solved, so after eigen_report it solves no window unless it must widen.
+    eigenpairs (_window_pairs). Like every solve, it starts at the widest window
+    around mode 0 that op has solved, so after eigen_report it solves no window
+    unless it must widen.
     """
     v = np.column_stack([smoothing_operator(Field(op.grid, f)).samples for f in (op.phi, op.phi_x)])
     norms = np.linalg.norm(v, axis=0)
@@ -360,5 +358,5 @@ def constrained_theta(op: OperatorMatrix) -> float:
     cosang = abs(float(v[:, 0] @ v[:, 1])) / (norms[0] * norms[1])
     if cosang > 1.0 - 1e-10:
         raise SpectralError("constrained_theta", f"constraint vectors nearly collinear (cos angle {cosang:.3e})")
-    vals, _ = _window_pairs(op, "constrained_theta", 1, columns=(v / norms).T)
+    vals, _ = _window_pairs(op, 1, columns=(v / norms).T)
     return float(vals[0])

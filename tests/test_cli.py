@@ -181,9 +181,9 @@ def test_spectrum_eigpairs_solves_the_low_end_once(tmp_path, capsys, monkeypatch
     phases = []
     window_pairs = linearized._window_pairs
 
-    def counted(op, phase, *args, **kwargs):
-        phases.append(phase)
-        return window_pairs(op, phase, *args, **kwargs)
+    def counted(op, *args, columns=None, **kwargs):
+        phases.append("eigen_report" if columns is None else "constrained_theta")
+        return window_pairs(op, *args, columns=columns, **kwargs)
 
     monkeypatch.setattr(linearized, "_window_pairs", counted)
     args = ["spectrum", "--c", "3", "--kappa", "1", "--n", "256", "--period", "100"]
@@ -226,6 +226,32 @@ def test_decompose(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["speeds"] == pytest.approx([3.0, 5.0], abs=1e-8)
     assert doc["positions"] == pytest.approx([-15.0, 15.0], abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "expected a JSON object with n, period and samples, got list"),
+        ({"n": 64}, "field 'period' is missing"),
+        ({"period": 100.0, "samples": [0.0] * 64}, "field 'n' is missing"),
+        ({"n": 64, "period": 100.0}, "field 'samples' is missing"),
+        ({"n": None, "period": 100.0, "samples": [0.0] * 64}, "field 'n' must be an integer, got null"),
+        ({"n": 64, "period": None, "samples": [0.0] * 64}, "field 'period' must be a number, got null"),
+        ({"n": 64, "period": 100.0, "samples": None}, "field 'samples' must be a list, got null"),
+        ({"n": 64, "period": "100", "samples": [0.0] * 64}, "field 'period' must be a number, got str"),
+        (
+            {"n": 64, "period": 100.0, "samples": [{}] + [0.0] * 63},
+            "field 'samples' must hold numbers: float() argument must be",
+        ),
+    ],
+)
+def test_decompose_rejects_a_malformed_state(tmp_path, capsys, doc, message):
+    # these printed a TypeError or KeyError traceback
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(doc))
+    assert main(["decompose", "--state", str(state), "--n-waves", "1", "--kappa", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: state {state}: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("n_waves", ["0", "-2"])

@@ -202,7 +202,7 @@ class TestDenseOracles:
 
     def test_lowest_eigenvalues(self, dense_family):
         for _, op, dense, vals, _ in dense_family.values():
-            low, vecs = linearized._window_pairs(op, "eigen_report", 6)
+            low, vecs = linearized._window_pairs(op, 6)
             assert np.max(np.abs(low - vals[:6])) <= 1e-12 * dense.operator_norm
             residual = vecs @ op.matrix - low[:, None] * vecs
             assert np.max(np.linalg.norm(residual, axis=1)) <= 1e-12 * dense.operator_norm
@@ -234,7 +234,7 @@ class TestDenseOracles:
         norm = np.max(np.abs(dense))
         r = -np.arange(op.grid.n) % op.grid.n
         for k in range(1, 9):
-            vals, vecs = linearized._window_pairs(op, "eigen_report", k)
+            vals, vecs = linearized._window_pairs(op, k)
             assert np.max(np.abs(vals - dense[:k])) <= 1e-12 * norm
             # every pair comes from one block: its eigenvector is exactly even or exactly odd
             for v in vecs:
@@ -292,7 +292,7 @@ def _dense_top(op):
 
 def _window_top(op):
     """The largest eigenvalue of L, from the window around the Nyquist mode."""
-    return linearized._window_pairs(op, "eigen_report", 1, top=True)[0][0]
+    return linearized._window_pairs(op, 1, top=True)[0][0]
 
 
 def _window_sizes(monkeypatch):
@@ -408,7 +408,7 @@ class TestLowEndWindow:
         # the low eigenvectors live at the modes near 0, whose spacing 2 pi / period does not depend on n
         op = assemble_L(profiles[(3.0, 1.0)], make_grid(n, 100.0))
         sizes = _window_sizes(monkeypatch)
-        linearized._window_pairs(op, "eigen_report", 4)
+        linearized._window_pairs(op, 4)
         assert sizes == [49, 48, 97, 96, 193, 192]
 
     @pytest.mark.parametrize("n", [1024, 2048])
@@ -420,12 +420,31 @@ class TestLowEndWindow:
         assert json.loads(capsys.readouterr().out)["theta"] > 0
 
     def test_theta_alone_solves_its_own_windows(self, profiles, monkeypatch):
-        op = assemble_L(profiles[(3.0, 1.0)], make_grid(1024, 100.0))
+        # the solve order does not matter: the report after theta starts at theta's window and solves the top only
+        prof, grid = profiles[(3.0, 1.0)], make_grid(1024, 100.0)
+        fresh = eigen_report(assemble_L(prof, grid))
+        op = assemble_L(prof, grid)
         sizes = _window_sizes(monkeypatch)
         theta = constrained_theta(op)
         assert sizes == [49, 48, 97, 96, 193, 192]
-        assert eigen_report(op).ess_gap_proxy > theta > 0
+        rep = eigen_report(op)
         assert sizes == [49, 48, 97, 96, 193, 192] + [49, 48]
+        assert rep.ess_gap_proxy > theta > 0
+        scalars = ("neg_eigenvalue", "neg_count", "kernel_eigenvalue", "kernel_overlap", "ess_gap_proxy", "operator_norm")
+        for name in scalars:
+            assert getattr(rep, name) == pytest.approx(getattr(fresh, name), rel=1e-12)
+        assert rep.eigenvalues == pytest.approx(fresh.eigenvalues, rel=1e-12)
+
+    def test_one_window_per_centre(self, profiles):
+        # a wider window replaces the narrower ones at its centre, so only the widest two are held (every window
+        # solved would take 12.81 MB here)
+        op = assemble_L(profiles[(4.0, 0.5)], make_grid(2048, 100.0))
+        eigen_report(op)
+        constrained_theta(op)
+        assert {centre: m for centre, (m, _) in op._windows.items()} == {0: 768, 1024: 96}
+        kept = sum(v.nbytes + vec.nbytes for _, pairs in op._windows.values() for v, vec in pairs)
+        blocks = (769, 768, 97, 96)  # the even and odd blocks of the windows m = 768 and m = 96
+        assert kept == sum(8 * (b + b * b) for b in blocks) == 9_612_320
 
     def test_solved_window_is_not_rebuilt(self, profiles, monkeypatch):
         op = assemble_L(profiles[(3.0, 1.0)], make_grid(1024, 100.0))
