@@ -14,10 +14,10 @@ import sys
 
 from .diagnostics import psi_derivative_bounds_check
 from .evolution import BlowUpError, evolve
-from .grid import make_grid
+from .grid import Field, make_grid
 from .harness import EvolveProcessError, Scenario, ScenarioError, SweepError, build_initial_state, run_stability, run_sweep
 from .invariants import dS_dc_closed, dS_dH_dc_fd
-from .io import load_state, save_state, save_trajectory_binary, save_trajectory_csv
+from .io import FrameWriter, load_state, save_state
 from .linearized import SpectralError, assemble_L, constrained_theta, eigen_report
 from .modulation import DecompositionError, ProfileCache, decompose, initial_guess
 from .soliton import SolitonParams, build_profile
@@ -49,13 +49,12 @@ def _cmd_soliton(args) -> int:
 def _cmd_evolve(args) -> int:
     scenario = _load_scenario(args.config)
     u0, info = build_initial_state(scenario)
-    traj = evolve(u0, scenario.evolution_config())
     outdir = args.out or scenario.outputs or "."
     os.makedirs(outdir, exist_ok=True)
-    save_trajectory_csv(traj, os.path.join(outdir, "snapshots.csv"))
-    save_trajectory_binary(traj, os.path.join(outdir, "frames.bin"), os.path.join(outdir, "frames.json"))
-    save_state(traj.states[-1], os.path.join(outdir, "final_state.json"))
-    print(f"evolved to t={traj.times[-1]} ({len(traj.times)} frames, alpha_used={info['alpha_used']})")
+    with FrameWriter(u0.grid, outdir) as frames:
+        evolve(u0, scenario.evolution_config(), frames)
+    save_state(Field(u0.grid, frames.last), os.path.join(outdir, "final_state.json"))
+    print(f"evolved to t={frames.times[-1]} ({len(frames.times)} frames, alpha_used={info['alpha_used']})")
     return 0
 
 

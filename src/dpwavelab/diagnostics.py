@@ -7,8 +7,9 @@ import numpy as np
 from .grid import Field, derivative, helmholtz_inverse
 from .evolution import sup_bound
 
-# Sample points of the weight-derivative check.
+# Sample points of the weight-derivative check, and its largest B: psi'''' takes B^3, which must be a float64.
 PSI_CHECK_SAMPLES = 20001
+PSI_B_MAX = float(np.finfo(float).max) ** (1.0 / 3.0)
 
 
 def _sech(t: np.ndarray) -> np.ndarray:
@@ -49,18 +50,15 @@ def weight_psi(x: np.ndarray, B: float, order: int = 0) -> np.ndarray:
 
 def psi_derivative_bounds_check(B: float) -> dict:
     """Verify the four weight-derivative inequalities on PSI_CHECK_SAMPLES points of [-40B, 40B]."""
+    if not 2.0 < B <= PSI_B_MAX:
+        raise ValueError(f"weight scale B must exceed 2 and be at most {PSI_B_MAX:.4e}, got {B}")
     x = np.linspace(-40.0 * B, 40.0 * B, PSI_CHECK_SAMPLES)
     p1 = weight_psi(x, B, 1)
     ratios = {
         "psi2_over_psi1": float(np.max(weight_psi(x, B, 2) / p1)),
         "abs_psi3_over_psi1": float(np.max(np.abs(weight_psi(x, B, 3)) / p1)),
         "abs_psi4_over_psi1": float(np.max(np.abs(weight_psi(x, B, 4)) / p1)),
-        "decay_margin": float(
-            max(
-                np.max(np.abs(weight_psi(x, B, k)) * np.exp(np.abs(x) / B))
-                for k in (1, 2, 3, 4)
-            )
-        ),
+        "decay_margin": float(max(np.max(np.abs(weight_psi(x, B, k)) * np.exp(np.abs(x) / B)) for k in (1, 2, 3, 4))),
     }
     ok = (
         ratios["psi2_over_psi1"] <= 1.0 / B + 1e-14

@@ -9,8 +9,8 @@ samples, an rfft of their square) and each step one more irfft, whose samples
 feed the blow-up guard tied to the a priori sup bound and the stored frames.
 States that share a grid step together as one (m, n) stack, every FFT on the
 last axis, with a guard per state. One stepping loop produces the stored
-frames and hands each to a consumer as it is stepped to: evolve_stack and
-evolve collect them into Trajectories, or evolve passes them to its caller.
+frames and hands each to a consumer as it is stepped to: evolve_stack
+collects them into Trajectories, and evolve passes them to its caller.
 """
 
 from __future__ import annotations
@@ -181,19 +181,13 @@ def evolve_stack(u0s: list[Field], config: EvolutionConfig) -> list[Trajectory |
     return [lost.get(i, traj) for i, traj in enumerate(out)]
 
 
-def evolve(u0: Field, config: EvolutionConfig, on_frame=None) -> Trajectory:
-    """Evolve u0 to t_end, storing a frame every observer_stride steps and at t = 0 and the final time.
+def evolve(u0: Field, config: EvolutionConfig, on_frame) -> Trajectory:
+    """Evolve u0 to t_end, handing on_frame(t, samples) a frame every observer_stride steps and at t = 0 and t_end.
 
-    With on_frame, each stored frame goes to on_frame(t, samples) as soon as
-    it is stepped to, and the returned Trajectory stays empty. Raises
-    BlowUpError naming the step at which the state breached its guard, after
-    the frames before it.
+    evolve keeps no frame; it returns an empty Trajectory only because
+    perfbench/tracing.py reads its len(times). Raises BlowUpError naming the
+    step at which the state breached its guard, after the frames before it.
     """
-    if on_frame is None:
-        (traj,) = evolve_stack([u0], config)
-        if isinstance(traj, BlowUpError):
-            raise traj
-        return traj
     lost = _march([u0], config, lambda _, t, samples: on_frame(t, samples))
     if lost:
         raise lost[0]

@@ -1,14 +1,13 @@
-"""State and trajectory persistence: JSON states, CSV snapshots, binary frames with sidecar."""
+"""State and trajectory persistence: JSON states, and frames streamed to CSV snapshots and binary rows with a sidecar."""
 
 from __future__ import annotations
 
-import csv
 import json
+import os
 
 import numpy as np
 
-from .evolution import Trajectory
-from .grid import Field, make_grid
+from .grid import Field, PeriodicGrid, make_grid
 
 
 def save_state(field: Field, path: str) -> None:
@@ -26,7 +25,7 @@ def load_state(path: str) -> Field:
     for key, kind, what in (("n", int, "an integer"), ("period", (int, float), "a number"), ("samples", list, "a list")):
         if key not in doc:
             raise ValueError(f"state {path}: field {key!r} is missing")
-        if not isinstance(doc[key], kind):
+        if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
             got = "null" if doc[key] is None else type(doc[key]).__name__
             raise ValueError(f"state {path}: field {key!r} must be {what}, got {got}")
     try:
@@ -36,22 +35,32 @@ def load_state(path: str) -> Field:
     return Field(make_grid(doc["n"], doc["period"]), samples)
 
 
-def save_trajectory_csv(traj: Trajectory, path: str) -> None:
-    """Long-format rows (t, x, u), one row per node per stored frame."""
-    grid = traj.states[0].grid
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "u"])
-        for t, state in zip(traj.times, traj.states):
-            for x, u in zip(grid.nodes, state.samples):
-                writer.writerow([repr(t), repr(float(x)), repr(float(u))])
+class FrameWriter:
+    """The on_frame(t, samples) of one grid's evolve that writes each frame into outdir as it arrives.
 
+    A frame appends its (t, x, u) rows, one per node, to snapshots.csv and its
+    little-endian float64 row to frames.bin. On leaving its with block, also
+    after an error, frames.json {n, period, times} lists the frames written.
+    times and last, the last frame's samples, stay readable.
+    """
 
-def save_trajectory_binary(traj: Trajectory, frames_path: str, sidecar_path: str) -> None:
-    """Row-major float64 frames plus a JSON sidecar {n, period, times}."""
-    grid = traj.states[0].grid
-    frames = np.stack([s.samples for s in traj.states])
-    frames.astype("<f8").tofile(frames_path)
-    with open(sidecar_path, "w") as fh:
-        json.dump({"n": grid.n, "period": grid.period, "times": list(traj.times)}, fh)
+    def __init__(self, grid: PeriodicGrid, outdir: str) -> None:
+        self.grid, self.outdir, self.times, self.last = grid, outdir, [], None
 
+    def __enter__(self) -> FrameWriter:
+        self._csv = open(os.path.join(self.outdir, "snapshots.csv"), "w", newline="")
+        self._bin = open(os.path.join(self.outdir, "frames.bin"), "wb")
+        self._csv.write("t,x,u\r\n")  # the csv module's dialect: no float's repr, which round-trips it, needs quoting
+        return self
+
+    def __call__(self, t: float, samples: np.ndarray) -> None:
+        self._csv.writelines(f"{t!r},{x!r},{u!r}\r\n" for x, u in zip(self.grid.nodes.tolist(), samples.tolist()))
+        self._bin.write(samples.astype("<f8"))
+        self.times.append(t)
+        self.last = samples
+
+    def __exit__(self, *exc_info) -> None:
+        self._csv.close()
+        self._bin.close()
+        with open(os.path.join(self.outdir, "frames.json"), "w") as fh:
+            json.dump({"n": self.grid.n, "period": self.grid.period, "times": self.times}, fh)

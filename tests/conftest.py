@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dpwavelab.evolution import Trajectory, evolve
 from dpwavelab.grid import Field, make_grid
 from dpwavelab.modulation import ProfileCache
 from dpwavelab.soliton import SolitonParams, build_profile
@@ -38,6 +39,18 @@ def random_field(grid, rng, scale=1.0, modes=None):
     if norm > 0:
         samples *= scale / norm
     return Field(grid, samples)
+
+
+def evolve_frames(u0, config):
+    """The stored frames of evolve(u0, config) as a Trajectory, collected through its on_frame."""
+    traj = Trajectory()
+
+    def collect(t, samples):
+        traj.times.append(t)
+        traj.states.append(Field(u0.grid, samples.copy()))
+
+    evolve(u0, config, collect)
+    return traj
 
 
 def fitted_tail_decay(profile):

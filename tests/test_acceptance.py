@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import PARAM_PAIRS, fitted_tail_decay, random_field
+from conftest import PARAM_PAIRS, evolve_frames, fitted_tail_decay, random_field
 from dpwavelab.diagnostics import psi_derivative_bounds_check
-from dpwavelab.evolution import EvolutionConfig, evolve
+from dpwavelab.evolution import EvolutionConfig
 from dpwavelab.grid import Field, derivative, helmholtz_inverse, integrate, make_grid, s_inner, sqrt_helmholtz_inverse4
 from dpwavelab.harness import Scenario, build_initial_state, run_stability, run_sweep
 from dpwavelab.invariants import dH_dc_closed, dS_dc_closed, dS_dH_dc_fd, hamiltonian_H, momentum_S
@@ -103,7 +103,7 @@ def test_criterion_03_solver_fidelity():
     prof = build_profile(SolitonParams(c, kappa))
     grid = make_grid(1024, 200.0)
     u0 = sample_on_grid(prof, grid)
-    traj = evolve(u0, EvolutionConfig(kappa=kappa, t_end=t_end, dt=0.01, observer_stride=500))
+    traj = evolve_frames(u0, EvolutionConfig(kappa=kappa, t_end=t_end, dt=0.01, observer_stride=500))
     final = traj.states[-1]
 
     res = minimize_scalar(
@@ -122,7 +122,7 @@ def test_criterion_03_solver_fidelity():
     v0 = sample_on_grid(prof, g2)
 
     def advance(dt, steps):
-        return evolve(v0, EvolutionConfig(kappa=kappa, t_end=dt * steps, dt=dt, observer_stride=steps)).states[-1]
+        return evolve_frames(v0, EvolutionConfig(kappa=kappa, t_end=dt * steps, dt=dt, observer_stride=steps)).states[-1]
 
     dt = 0.05
     ref = advance(dt / 8.0, 16)

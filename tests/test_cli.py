@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ import dpwavelab.harness as harness
 import dpwavelab.linearized as linearized
 import dpwavelab.modulation as modulation
 from dpwavelab.cli import main
+from dpwavelab.evolution import BlowUpError
 from dpwavelab.grid import make_grid
 from dpwavelab.harness import Scenario
 from dpwavelab.io import save_state
@@ -95,6 +97,21 @@ def test_check_psi(capsys):
 
 def test_check_psi_bad_B():
     assert main(["check-psi", "--B", "2"]) == 2
+
+
+@pytest.mark.parametrize("B", ["inf", "5.7e102", "1e200"])
+def test_check_psi_B_whose_cube_overflows(capsys, B):
+    # psi's fourth derivative divides by B^3: 1e103 died with an OverflowError traceback, inf printed NaN
+    assert main(["check-psi", "--B", B]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: weight scale B must exceed 2 and be at most 5.6438e+102, got ")
+    assert captured.err.count("\n") == 1
+
+
+def test_check_psi_largest_B(capsys):
+    assert main(["check-psi", "--B", "5e102"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
 
 
 def test_spectrum(tmp_path, capsys):
@@ -243,6 +260,8 @@ def test_decompose(tmp_path, capsys):
             {"n": 64, "period": 100.0, "samples": [{}] + [0.0] * 63},
             "field 'samples' must hold numbers: float() argument must be",
         ),
+        ({"n": 64, "period": True, "samples": [0.0] * 64}, "field 'period' must be a number, got bool"),
+        ({"n": True, "period": 100.0, "samples": [0.0] * 64}, "field 'n' must be an integer, got bool"),
     ],
 )
 def test_decompose_rejects_a_malformed_state(tmp_path, capsys, doc, message):
@@ -568,6 +587,47 @@ def test_evolve_subcommand(tmp_path, capsys):
     assert code == 0
     assert (out / "snapshots.csv").exists()
     assert (out / "final_state.json").exists()
+    times = json.loads((out / "frames.json").read_text())["times"]
+    assert times == [0.0, 0.5]
+    assert (out / "frames.bin").stat().st_size == len(times) * 512 * 8
+    final = np.fromfile(out / "frames.bin", dtype="<f8")[-512:]
+    assert json.loads((out / "final_state.json").read_text())["samples"] == final.tolist()
+
+
+def test_evolve_failure_keeps_the_frames_before_it(tmp_path, capsys, monkeypatch):
+    def failing(u0, config, on_frame):
+        on_frame(0.0, u0.samples)
+        on_frame(0.25, 2.0 * u0.samples)
+        raise BlowUpError("sup norm 1.000e+03 exceeds blow-up guard 1.000e+02 at step 26")
+
+    monkeypatch.setattr(cli, "evolve", failing)
+    cfg = write_scenario(tmp_path / "scenario.json", t_end=0.5)
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "BlowUpError: sup norm 1.000e+03 exceeds blow-up guard 1.000e+02 at step 26\n"
+    n = 512
+    assert json.loads((out / "frames.json").read_text())["times"] == [0.0, 0.25]
+    assert (out / "frames.bin").stat().st_size == 2 * n * 8
+    with open(out / "snapshots.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 2 * n
+    assert not (out / "final_state.json").exists()
+
+
+def test_evolve_memory_does_not_grow_with_the_frame_count(tmp_path, capsys):
+    # the frames stream to their files; held in memory, 301 frames at n = 256 peaked 1.6 MB above 2 frames
+    def peak(stride):
+        cfg = write_scenario(tmp_path / "scenario.json", grid_n=256, t_end=3.0, observer_stride=stride)
+        tracemalloc.start()
+        try:
+            assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(300)  # leaves out the first run's one-off allocations
+    few, many = peak(300), peak(1)
+    assert many - few <= 100_000
 
 
 def test_sweep_subcommand(tmp_path, capsys):

@@ -17,7 +17,7 @@ from dpwavelab.harness import Scenario, build_initial_state
 from dpwavelab.invariants import hamiltonian_H, momentum_S
 from dpwavelab.soliton import SolitonParams, build_profile, sample_dx_on_grid, sample_on_grid
 
-from conftest import random_field
+from conftest import evolve_frames, random_field
 
 
 def oracle_rhs(u, grid, kappa, dealias):
@@ -118,7 +118,7 @@ class TestRhs:
 
 def advance(u, dt, steps, kappa=1.0):
     """u after `steps` RK4 steps of size dt: the last frame of evolve with t_end = dt * steps."""
-    return evolve(u, EvolutionConfig(kappa=kappa, t_end=dt * steps, dt=dt, observer_stride=steps)).states[-1]
+    return evolve_frames(u, EvolutionConfig(kappa=kappa, t_end=dt * steps, dt=dt, observer_stride=steps)).states[-1]
 
 
 class TestStepRK4:
@@ -153,7 +153,7 @@ class TestEvolve:
         prof = build_profile(SolitonParams(c, kappa))
         g = make_grid(1024, 150.0)
         u0 = sample_on_grid(prof, g)
-        traj = evolve(u0, EvolutionConfig(kappa=kappa, t_end=t_end, dt=0.01, observer_stride=100))
+        traj = evolve_frames(u0, EvolutionConfig(kappa=kappa, t_end=t_end, dt=0.01, observer_stride=100))
         final = traj.states[-1]
 
         shifts = np.linspace(c * t_end - 0.5, c * t_end + 0.5, 2001)
@@ -167,7 +167,7 @@ class TestEvolve:
         prof = build_profile(SolitonParams(c, kappa))
         g = make_grid(512, 120.0)
         u0 = sample_on_grid(prof, g)
-        traj = evolve(u0, EvolutionConfig(kappa=kappa, t_end=1.0, dt=0.01, observer_stride=100))
+        traj = evolve_frames(u0, EvolutionConfig(kappa=kappa, t_end=1.0, dt=0.01, observer_stride=100))
         s0, h0 = momentum_S(u0), hamiltonian_H(u0, kappa)
         for state in traj.states:
             assert momentum_S(state) == pytest.approx(s0, rel=1e-8)
@@ -181,7 +181,7 @@ class TestEvolve:
         eps = 1e-6
         u0 = Field(g, eps * np.cos(xi * g.nodes))
         t_end = 2.0
-        traj = evolve(u0, EvolutionConfig(kappa=kappa, t_end=t_end, dt=0.005, observer_stride=1000))
+        traj = evolve_frames(u0, EvolutionConfig(kappa=kappa, t_end=t_end, dt=0.005, observer_stride=1000))
         coeff = np.fft.fft(traj.states[-1].samples)
         k_index = 2
         phase = -np.angle(coeff[k_index] / np.fft.fft(u0.samples)[k_index])
@@ -191,21 +191,21 @@ class TestEvolve:
     def test_observer_frames(self):
         g = make_grid(64, 10.0)
         u0 = Field(g, np.zeros(64))
-        traj = evolve(u0, EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01, observer_stride=5))
+        traj = evolve_frames(u0, EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01, observer_stride=5))
         assert len(traj.times) == len(traj.states) == 3
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(0.1)
         assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
 
     def test_on_frame_gets_the_stored_frames(self):
-        # the frames handed over one by one are the collected trajectory's, bitwise, and none is kept
+        # the frames handed over one by one are those evolve_stack collects, bitwise, and none is kept
         sc = Scenario.from_json(json.dumps(ACCEPT_STATE))
         u0, _ = build_initial_state(sc)
         config = EvolutionConfig(kappa=1.0, t_end=1.0, dt=0.01, observer_stride=30)
         handed = []
         kept = evolve(u0, config, on_frame=lambda t, samples: handed.append((t, samples.copy())))
         assert kept.times == [] and kept.states == []
-        traj = evolve(u0, config)
+        (traj,) = evolve_stack([u0], config)
         assert [t for t, _ in handed] == traj.times
         assert all(np.array_equal(samples, f.samples) for (_, samples), f in zip(handed, traj.states))
 
@@ -218,12 +218,17 @@ class TestEvolve:
         step = int(err.value.args[0].rsplit(" ", 1)[1])
         assert times == [0.05 * k for k in range(step)]
 
+    def test_requires_a_consumer(self):
+        # evolve keeps no frames, so it has no use without on_frame
+        with pytest.raises(TypeError, match="on_frame"):
+            evolve(Field(make_grid(64, 10.0), np.zeros(64)), EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01))
+
     def test_blow_up_raises(self):
         g = make_grid(128, 20.0)
         big = 100.0 * np.cos(2.0 * np.pi * g.nodes / g.period)
         with pytest.raises(BlowUpError):
             # inadmissible data (w0 changes sign); guard must trip, not hang
-            evolve(Field(g, big), EvolutionConfig(kappa=0.01, t_end=50.0, dt=0.05))
+            evolve_frames(Field(g, big), EvolutionConfig(kappa=0.01, t_end=50.0, dt=0.05))
 
 
 class TestSpectralState:
@@ -234,7 +239,7 @@ class TestSpectralState:
         sc = Scenario.from_json(json.dumps(dict(ACCEPT_STATE, dealias=dealias)))
         u0, _ = build_initial_state(sc)
         config = sc.evolution_config()
-        traj = evolve(u0, config)
+        traj = evolve_frames(u0, config)
         assert config.steps == 2000 and traj.times[-1] == pytest.approx(20.0)
         u = u0.samples
         for _ in range(config.steps):
@@ -265,7 +270,7 @@ class TestSpectralState:
             return calls["rfft"], calls["irfft"]
 
         # one rfft of u0, then 4 rfft(w^2) and 3 stage irffts plus 1 guard irfft per step
-        assert count(lambda: evolve(u, EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01, observer_stride=3))) == (
+        assert count(lambda: evolve_frames(u, EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01, observer_stride=3))) == (
             1 + 4 * 10,
             4 * 10,
         )
@@ -287,7 +292,7 @@ class TestSpectralState:
             u, step = oracle_rk4(u, 0.05, g, 0.01, True), step + 1
         assert step > 1
         with pytest.raises(BlowUpError, match=rf"exceeds blow-up guard .* at step {step}$"):
-            evolve(u0, EvolutionConfig(kappa=0.01, t_end=50.0, dt=0.05))
+            evolve_frames(u0, EvolutionConfig(kappa=0.01, t_end=50.0, dt=0.05))
 
 
 class TestStack:
@@ -313,12 +318,12 @@ class TestStack:
         config = EvolutionConfig(kappa=1.0, t_end=2.0, dt=0.05, observer_stride=5)
         traj, err = evolve_stack([u0, wave], config)
 
-        alone = evolve(u0, config)
+        alone = evolve_frames(u0, config)
         assert traj.times == alone.times and config.steps == 40
         assert all(np.array_equal(a.samples, b.samples) for a, b in zip(traj.states, alone.states))
         assert isinstance(err, BlowUpError)
         with pytest.raises(BlowUpError) as single:
-            evolve(wave, config)
+            evolve_frames(wave, config)
         assert str(err) == str(single.value)
         assert str(err).endswith("at step 6")
 

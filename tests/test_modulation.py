@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import evolve_frames
 import dpwavelab.grid as grid_module
 import dpwavelab.modulation as modulation
-from dpwavelab.evolution import EvolutionConfig, evolve
+from dpwavelab.evolution import EvolutionConfig
 from dpwavelab.grid import Field, make_grid, s_inner
 from dpwavelab.invariants import momentum_S
 from dpwavelab.modulation import (
@@ -351,7 +352,7 @@ class TestTrack:
     @staticmethod
     def tracked(two_train):
         cache, grid, speeds, positions, u = two_train
-        traj = evolve(u, EvolutionConfig(kappa=1.0, t_end=2.0, dt=0.01, observer_stride=50))
+        traj = evolve_frames(u, EvolutionConfig(kappa=1.0, t_end=2.0, dt=0.01, observer_stride=50))
         states = track(traj, speeds, positions, cache=cache)
         return traj, states
 
@@ -378,7 +379,7 @@ class TestTrack:
         cache, grid, speeds, positions, u = two_train
         bump = np.exp(-(((grid.nodes + 27.0) / 2.0) ** 2)) + np.exp(-(((grid.nodes - 33.0) / 2.0) ** 2))
         u0 = Field(grid, u.samples + 1e-3 * bump / np.sqrt(grid.h * np.sum(bump**2)))
-        traj = evolve(u0, EvolutionConfig(kappa=1.0, t_end=2.0, dt=0.01, observer_stride=20))
+        traj = evolve_frames(u0, EvolutionConfig(kappa=1.0, t_end=2.0, dt=0.01, observer_stride=20))
         states = track(traj, speeds, positions, cache=ProfileCache(1.0))
         assert sum(st.refreshes for st in states) == 1
         guess, t_prev = (speeds, positions), traj.times[0]
@@ -398,7 +399,7 @@ class TestTrack:
 
     def test_tracking_deterministic(self, two_train):
         cache, grid, speeds, positions, u = two_train
-        traj = evolve(u, EvolutionConfig(kappa=1.0, t_end=0.5, dt=0.01, observer_stride=25))
+        traj = evolve_frames(u, EvolutionConfig(kappa=1.0, t_end=0.5, dt=0.01, observer_stride=25))
         a = track(traj, speeds, positions, cache=ProfileCache(1.0))
         b = track(traj, speeds, positions, cache=ProfileCache(1.0))
         for sa, sb in zip(a, b):
