@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -17,7 +18,7 @@ def save_state(field: Field, path: str) -> None:
 
 
 def load_state(path: str) -> Field:
-    """The field save_state wrote; a document that is no object with n, period and samples raises ValueError."""
+    """The field save_state wrote; a document that is no object with n, period (within float range) and samples raises ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -28,6 +29,8 @@ def load_state(path: str) -> Field:
         if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
             got = "null" if doc[key] is None else type(doc[key]).__name__
             raise ValueError(f"state {path}: field {key!r} must be {what}, got {got}")
+    if isinstance(doc["period"], int) and abs(doc["period"]) > sys.float_info.max:  # Scenario's rule for a float field
+        raise ValueError(f"state {path}: field 'period' must be a number, got an integer too large for a float")
     try:
         samples = np.asarray(doc["samples"], dtype=float)
     except (TypeError, ValueError) as exc:

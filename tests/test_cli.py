@@ -262,10 +262,14 @@ def test_decompose(tmp_path, capsys):
         ),
         ({"n": 64, "period": True, "samples": [0.0] * 64}, "field 'period' must be a number, got bool"),
         ({"n": True, "period": 100.0, "samples": [0.0] * 64}, "field 'n' must be an integer, got bool"),
+        (
+            {"n": 64, "period": 10**400, "samples": [0.0] * 64},
+            "field 'period' must be a number, got an integer too large for a float",
+        ),
     ],
 )
 def test_decompose_rejects_a_malformed_state(tmp_path, capsys, doc, message):
-    # these printed a TypeError or KeyError traceback
+    # these printed a TypeError, KeyError or OverflowError traceback
     state = tmp_path / "state.json"
     state.write_text(json.dumps(doc))
     assert main(["decompose", "--state", str(state), "--n-waves", "1", "--kappa", "1"]) == 2

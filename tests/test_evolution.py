@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dpwavelab import evolution
 from dpwavelab.evolution import (
     BlowUpError,
     EvolutionConfig,
@@ -247,10 +248,11 @@ class TestSpectralState:
         assert np.max(np.abs(traj.states[-1].samples - u)) <= 1e-12 * u0.max_norm()
 
     def test_fft_count(self, monkeypatch):
-        calls = {"rfft": 0, "irfft": 0}
+        # the stepper's own transform bindings, the pocketfft gufuncs
+        calls = {"_rfft": 0, "_irfft": 0}
 
         def counted(name):
-            fft = getattr(np.fft, name)
+            fft = getattr(evolution, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -259,7 +261,7 @@ class TestSpectralState:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(np.fft, name, counted(name))
+            monkeypatch.setattr(evolution, name, counted(name))
         prof = build_profile(SolitonParams(3.0, 1.0))
         u = sample_on_grid(prof, make_grid(256, 100.0))
 
@@ -267,7 +269,7 @@ class TestSpectralState:
             for name in calls:
                 calls[name] = 0
             run()
-            return calls["rfft"], calls["irfft"]
+            return calls["_rfft"], calls["_irfft"]
 
         # one rfft of u0, then 4 rfft(w^2) and 3 stage irffts plus 1 guard irfft per step
         assert count(lambda: evolve_frames(u, EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01, observer_stride=3))) == (
@@ -333,6 +335,90 @@ class TestStack:
         with pytest.raises(ValueError):
             evolve_stack([a, b], EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01))
         assert evolve_stack([], EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01)) == []
+
+
+def plain_rk4_frames(u0s, config):
+    """The stepper's RK4 as plain expressions: numpy.fft, a new array per op, the same symbols and op order.
+
+    Returns the stored frames, each (n,) for one state or (m, n) for a stack.
+    """
+    grid = u0s[0].grid
+    f2, f1 = evolution._flux_symbols(grid, config.kappa, config.dealias)
+    n, steps = grid.n, config.steps
+    dt = config.t_end / steps
+
+    def rhs_hat(v_hat, v):
+        return f2 * np.fft.rfft(v * v) + f1 * v_hat
+
+    u = np.stack([u0.samples for u0 in u0s])
+    u = u[0] if len(u0s) == 1 else u
+    u_hat = np.fft.rfft(u)
+    frames = [u]
+    for step in range(1, steps + 1):
+        k1 = rhs_hat(u_hat, u)
+        v = u_hat + 0.5 * dt * k1
+        k2 = rhs_hat(v, np.fft.irfft(v, n=n))
+        v = u_hat + 0.5 * dt * k2
+        k3 = rhs_hat(v, np.fft.irfft(v, n=n))
+        v = u_hat + dt * k3
+        k4 = rhs_hat(v, np.fft.irfft(v, n=n))
+        u_hat = u_hat + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        u = np.fft.irfft(u_hat, n=n)
+        if step % config.observer_stride == 0 or step == steps:
+            frames.append(u)
+    return frames
+
+
+class TestInPlaceStepper:
+    """The stepper calls pocketfft's gufuncs into a reused workspace; its bits are the plain expressions'."""
+
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    @pytest.mark.parametrize("rows", [(), (3,)])
+    def test_gufuncs_are_numpy_fft(self, rng, n, rows):
+        u = rng.normal(size=(*rows, n))
+        u_hat = evolution._rfft(u, 1.0, out=np.empty((*rows, n // 2 + 1), complex))
+        assert np.array_equal(u_hat, np.fft.rfft(u))
+        back = evolution._irfft(u_hat, 1.0 / n, out=np.empty((*rows, n)))
+        assert np.array_equal(back, np.fft.irfft(u_hat, n=n))
+
+    def test_evolve_is_the_plain_rk4_bitwise(self):
+        u0 = sample_on_grid(build_profile(SolitonParams(3.0, 1.0)), make_grid(256, 100.0))
+        config = EvolutionConfig(kappa=1.0, t_end=0.5, dt=0.01, observer_stride=7)
+        assert config.steps == 50
+        frames = evolve_frames(u0, config).states
+        (traj,) = evolve_stack([u0], config)
+        want = plain_rk4_frames([u0], config)
+        assert len(frames) == len(traj.states) == len(want) == 9
+        assert all(np.array_equal(a.samples, w) for a, w in zip(frames, want))
+        assert all(np.array_equal(a.samples, w) for a, w in zip(traj.states, want))
+
+    def test_stack_is_the_plain_rk4_bitwise(self):
+        u = sample_on_grid(build_profile(SolitonParams(3.0, 1.0)), make_grid(256, 100.0))
+        stack = [u, Field(u.grid, 0.5 * u.samples), Field(u.grid, np.roll(u.samples, 40))]
+        config = EvolutionConfig(kappa=1.0, t_end=0.5, dt=0.01, observer_stride=7)
+        want = plain_rk4_frames(stack, config)
+        for i, traj in enumerate(evolve_stack(stack, config)):
+            assert len(traj.states) == len(want) == 9
+            assert all(np.array_equal(f.samples, w[i]) for f, w in zip(traj.states, want))
+
+    def test_frames_are_never_overwritten(self):
+        # the loop hands out fresh samples: a consumer may keep them, as io.FrameWriter.last does
+        sc = Scenario.from_json(json.dumps(ACCEPT_STATE))
+        u0, _ = build_initial_state(sc)
+        g = u0.grid
+        wave = Field(g, 10.0 * np.cos(2.0 * np.pi * 10 * g.nodes / g.period))  # test_breach_leaves_stack's breach
+        config = EvolutionConfig(kappa=1.0, t_end=2.0, dt=0.05, observer_stride=5)
+        kept, copies = [], []
+
+        def keep(samples):
+            kept.append(samples)
+            copies.append(samples.copy())
+
+        evolve(u0, config, lambda t, samples: keep(samples))
+        assert len(kept) == 9
+        lost = evolution._march([u0, wave], config, lambda i, t, samples: keep(samples))
+        assert list(lost) == [1] and len(kept) == 9 + 9 + 2
+        assert all(np.array_equal(a, b) for a, b in zip(kept, copies))
 
 
 class TestWPositivity:
