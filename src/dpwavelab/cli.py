@@ -49,7 +49,7 @@ def _cmd_soliton(args) -> int:
 def _cmd_evolve(args) -> int:
     scenario = _load_scenario(args.config)
     u0, info = build_initial_state(scenario)
-    outdir = args.out or scenario.outputs or "."
+    outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     with FrameWriter(u0.grid, outdir) as frames:
         evolve(u0, scenario.evolution_config(), frames)
@@ -125,16 +125,25 @@ def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args.config)
     alphas = [float(a) for a in args.alphas.split(",")]
     seps = [float(l) for l in args.separations.split(",")]
-    result = run_sweep(scenario, alphas, seps, parallelism=args.parallelism)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-    _emit({
+    try:
+        result = run_sweep(scenario, alphas, seps, parallelism=args.parallelism)
+    except SweepError as exc:
+        _emit_sweep({"rows": exc.rows}, args.out)  # the rows, failed ones too, though no fit could run
+        raise
+    _emit_sweep({
         "fitted_amplitude": result.fitted_amplitude,
         "gamma0": result.gamma0,
         "fit_residual": result.fit_residual,
         "rows": result.rows,
-    }, args.out and os.path.join(args.out, "sweep.json"))
+    }, args.out)
     return 0 if not any(r["failed"] for r in result.rows) else 1
+
+
+def _emit_sweep(doc: dict, outdir: str | None) -> None:
+    """Emit a sweep's document, and write it to outdir/sweep.json when an output directory is given."""
+    if outdir:
+        os.makedirs(outdir, exist_ok=True)
+    _emit(doc, outdir and os.path.join(outdir, "sweep.json"))
 
 
 def _cmd_check_psi(args) -> int:

@@ -5,9 +5,9 @@ works on a uniform periodic grid.  Nonlocal operators such as (a - d^2/dx^2)^-1
 are applied through their exact Fourier symbols, so they are spectrally exact
 for band-limited data.
 
-This module is the only one that knows Fourier space: every multiplier is
-written here once, on the real-FFT half spectrum, built at most once per grid,
-and applied on one path (rfft, multiply, irfft).
+Every Fourier symbol is written here once, on the real-FFT half spectrum, and
+built at most once per grid; `evolution` applies its fluxes, composed from them,
+through the pocketfft gufuncs, and `linearized` takes its own rfft/irfft.
 """
 
 from __future__ import annotations

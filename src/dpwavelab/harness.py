@@ -14,7 +14,6 @@ from functools import cached_property
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it with this module, not in a run
-import scipy
 
 from . import __version__
 from .diagnostics import apriori_checks, localized_momentum
@@ -30,7 +29,11 @@ class ScenarioError(ValueError):
 
 
 class SweepError(RuntimeError):
-    """Too few successful runs for the sweep's least-squares fit."""
+    """Too few successful runs for the sweep's least-squares fit; rows holds every run's row."""
+
+    def __init__(self, message: str, rows: list[dict]):
+        super().__init__(message)
+        self.rows = rows
 
 
 class EvolveProcessError(RuntimeError):
@@ -67,7 +70,6 @@ class Scenario:
     dealias: bool = True
     weight_B: float = 4.0
     sigma0: float | None = None  # None: auto from the speed list
-    outputs: str | None = None
 
     def __post_init__(self) -> None:
         speeds = tuple(float(c) for c in self.speeds)
@@ -252,7 +254,7 @@ class StabilityResult:
             **self.init_info,
             **mono_max,
             "counters": self.counters,
-            "provenance": {"dpwavelab": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+            "provenance": {"dpwavelab": __version__, "numpy": np.__version__},
         }
 
 
@@ -376,8 +378,8 @@ def run_stability(scenario: Scenario, outputs: str | None = None) -> StabilityRe
             "profiles_cached": cache.cached,
         },
     )
-    if outputs or scenario.outputs:
-        _persist(result, outputs or scenario.outputs)
+    if outputs:
+        _persist(result, outputs)
     return result
 
 
@@ -473,7 +475,7 @@ def run_sweep(base: Scenario, alphas, separations, parallelism: int = 1) -> Swee
     groups: dict[tuple, list[Scenario]] = {}
     for a in alphas:
         for L in separations:
-            scenario = replace(base, alpha=a, separation=L, outputs=None)
+            scenario = replace(base, alpha=a, separation=L)
             groups.setdefault((scenario.grid_n, scenario.auto_period()), []).append(scenario)
     chunks = [chunk for group in groups.values() for chunk in _split(group, min(parallelism, len(group)))]
     if parallelism > 1:
@@ -486,7 +488,7 @@ def run_sweep(base: Scenario, alphas, separations, parallelism: int = 1) -> Swee
     gamma0 = base.gamma0
     good = [r for r in rows if not r["failed"]]
     if len(good) < 4:
-        raise SweepError(f"sweep fit needs >= 4 successful runs, got {len(good)}")
+        raise SweepError(f"sweep fit needs >= 4 successful runs, got {len(good)}", rows)
     m = np.array([r["alpha"] + np.exp(-gamma0 * r["L"] / 2.0) for r in good])
     e = np.array([r["sup_error"] for r in good])
     a_fit = float(np.sum(e * m) / np.sum(m * m))

@@ -212,24 +212,28 @@ def test_spectrum_eigpairs_solves_the_low_end_once(tmp_path, capsys, monkeypatch
     assert json.loads(capsys.readouterr().out) == pytest.approx(with_pairs, rel=1e-12, abs=1e-14)
 
 
-def test_cli_and_spectrum_leave_out_scipy_linalg():
-    # scipy.linalg and scipy.sparse cost 0.3 s and 24 MB of set-up on every run (2-vCPU Xeon).
-    # numpy.fft and numpy.random, which numpy loads lazily, load with the package and not in a run.
+def test_cli_spectrum_and_stability_load_no_scipy(tmp_path):
+    # numpy is the only runtime dependency, so importing the CLI, a spectrum and a stability run load
+    # no scipy module; scipy.linalg, scipy.sparse and scipy.interpolate would each add 0.2-0.3 s of
+    # set-up to every run (2-vCPU Xeon). numpy.fft and numpy.random, which numpy loads lazily, load
+    # with the package and not in a run.
+    cfg = write_scenario(tmp_path / "scenario.json", t_end=0.5)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import contextlib, io, json, sys\n"
-        "heavy = ('scipy.linalg', 'scipy.sparse', 'scipy._lib.array_api_compat')\n"
-        "def loaded(): return sorted(m for m in sys.modules if m.startswith(heavy))\n"
+        "def loaded(): return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "import dpwavelab.cli\n"
         "after_import = loaded()\n"
         "eager = 'numpy.fft' in sys.modules and 'numpy.random' in sys.modules\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    dpwavelab.cli.main(['spectrum', '--c', '3', '--kappa', '1', '--n', '64'])\n"
-        "print(json.dumps([after_import, loaded(), eager]))\n"
+        "    after_spectrum = loaded()\n"
+        f"    code = dpwavelab.cli.main(['stability', '--config', {cfg!r}])\n"
+        "print(json.dumps([after_import, after_spectrum, loaded(), eager, code]))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert json.loads(out.stdout) == [[], [], True]
+    assert json.loads(out.stdout) == [[], [], [], True, 0]
 
 
 def test_decompose(tmp_path, capsys):
@@ -524,6 +528,29 @@ def test_sweep_too_few_runs(tmp_path, capsys):
     assert err.startswith("SweepError: sweep fit needs >= 4 successful runs") and err.count("\n") == 1
 
 
+def test_sweep_too_few_runs_keeps_every_row(tmp_path, capsys, monkeypatch):
+    # a sweep whose fit cannot run still emits its rows, the failed ones with their error type and phase
+    sweep_chunk = harness._sweep_chunk
+
+    def failing(scenarios):
+        return [harness._failed_row(s, DecompositionError("lost the train"), "track") if s.separation == 30.0 else row
+                for s, row in zip(scenarios, sweep_chunk(scenarios))]
+
+    monkeypatch.setattr(harness, "_sweep_chunk", failing)
+    cfg = write_scenario(tmp_path / "scenario.json", t_end=0.5)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", cfg, "--alphas", "1e-4,3e-4,1e-3", "--separations", "25,30", "--parallelism", "1"]
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "SweepError: sweep fit needs >= 4 successful runs, got 3\n"
+    doc = json.loads((out / "sweep.json").read_text())
+    assert json.loads(captured.out) == doc and list(doc) == ["rows"]
+    assert [(r["alpha"], r["L"]) for r in doc["rows"]] == [(a, L) for a in (1e-4, 3e-4, 1e-3) for L in (25.0, 30.0)]
+    failed = [r for r in doc["rows"] if r["failed"]]
+    assert [r["L"] for r in failed] == [30.0] * 3
+    assert all(r["error_type"] == "DecompositionError" and r["phase"] == "track" for r in failed)
+
+
 def test_missing_config_file():
     assert main(["stability", "--config", "/nonexistent/scenario.json"]) == 2
 
@@ -571,6 +598,7 @@ def bad_scenarios(draw):
 @given(doc=bad_scenarios())
 @example(doc=[1, 2])
 @example(doc=dict(VALID_DOC, dt="0.01"))
+@example(doc=dict(VALID_DOC, outputs="run"))  # the output directory is named by --out alone
 def test_stability_config_fuzz(doc):
     # a document that is not a scenario exits 2 with one stderr line, never a traceback
     err = io.StringIO()

@@ -7,7 +7,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy
 
 import dpwavelab
 import dpwavelab.harness as harness
@@ -229,7 +228,7 @@ class TestRunStability:
             "profile_builds",
             "profiles_cached",
         }
-        assert doc["provenance"] == {"dpwavelab": dpwavelab.__version__, "numpy": np.__version__, "scipy": scipy.__version__}
+        assert doc["provenance"] == {"dpwavelab": dpwavelab.__version__, "numpy": np.__version__}
 
     def test_counters(self, monkeypatch):
         # the counters match the profile builds and the decompositions the run made; the cache keeps
