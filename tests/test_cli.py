@@ -212,7 +212,7 @@ def test_spectrum_eigpairs_solves_the_low_end_once(tmp_path, capsys, monkeypatch
     assert json.loads(capsys.readouterr().out) == pytest.approx(with_pairs, rel=1e-12, abs=1e-14)
 
 
-def test_cli_spectrum_and_stability_load_no_scipy(tmp_path):
+def test_cli_and_spectrum_leave_out_scipy_linalg(tmp_path):
     # numpy is the only runtime dependency, so importing the CLI, a spectrum and a stability run load
     # no scipy module; scipy.linalg, scipy.sparse and scipy.interpolate would each add 0.2-0.3 s of
     # set-up to every run (2-vCPU Xeon). numpy.fft and numpy.random, which numpy loads lazily, load

@@ -1,7 +1,10 @@
 import dataclasses
 import decimal
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -443,3 +446,12 @@ class TestSpeedConstants:
         assert calls == []
         build_profile(SolitonParams(4.0, 1.0))
         assert calls == [4.0]
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    # Every run imports dpwavelab.cli; scipy.interpolate would add 0.2-0.3 s to each (2-vCPU Xeon).
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, dpwavelab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
