@@ -28,7 +28,7 @@ def _load_scenario(path: str) -> Scenario:
         return Scenario.from_json(fh.read())
 
 
-def _emit(doc: dict, path: str | None) -> None:
+def _emit(doc: dict, path: str | None = None) -> None:
     """Print doc as indented JSON, and write the same text to path when one is given."""
     text = json.dumps(doc, indent=2)
     if path:
@@ -117,7 +117,7 @@ def _cmd_check_invariants(args) -> int:
 def _cmd_stability(args) -> int:
     scenario = _load_scenario(args.config)
     summary = run_stability(scenario, outputs=args.out).summary()
-    print(json.dumps(summary, indent=2))
+    _emit(summary)
     return 0 if summary["apriori_all_ok"] else 1
 
 
@@ -148,7 +148,7 @@ def _emit_sweep(doc: dict, outdir: str | None) -> None:
 
 def _cmd_check_psi(args) -> int:
     report = psi_derivative_bounds_check(args.B)
-    print(json.dumps(report, indent=2))
+    _emit(report)
     return 0 if report["ok"] else 1
 
 

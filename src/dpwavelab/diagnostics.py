@@ -6,6 +6,7 @@ import numpy as np
 
 from .grid import Field, derivative, helmholtz_inverse
 from .evolution import sup_bound
+from .invariants import s_density
 
 # Sample points of the weight-derivative check, and its largest B: psi'''' takes B^3, which must be a float64.
 PSI_CHECK_SAMPLES = 20001
@@ -69,22 +70,14 @@ def psi_derivative_bounds_check(B: float) -> dict:
     return {"B": B, "ok": bool(ok), **ratios}
 
 
-def momentum_density(u: Field) -> np.ndarray:
-    """Pointwise S-density 4 uhat^2 + 5 uhat_x^2 + uhat_xx^2."""
-    uh = helmholtz_inverse(u, 4.0)
-    uhx = derivative(uh, 1)
-    uhxx = derivative(uh, 2)
-    return 4.0 * uh.samples**2 + 5.0 * uhx.samples**2 + uhxx.samples**2
-
-
 def localized_momentum(u: Field, centers, B: float) -> list[float]:
-    """I(m) = (1/2) int psi(x - m) (4 uhat^2 + 5 uhat_x^2 + uhat_xx^2) dx at each center m, from one S-density.
+    """I(m) = (1/2) int psi(x - m) s_density(uhat) dx, uhat = (4 - d^2)^-1 u, at each center m, from one S-density.
 
     x - m is wrapped to [-period/2, period/2), placing the weight's far-field
     seam at the antipode of m.
     """
     grid = u.grid
-    density = momentum_density(u)
+    density = s_density(helmholtz_inverse(u, 4.0))
     return [0.5 * float(grid.h * np.sum(weight_psi(grid.wrap(grid.nodes - m), B) * density)) for m in centers]
 
 

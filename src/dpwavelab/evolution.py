@@ -48,6 +48,8 @@ class EvolutionConfig:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not 0 < self.dt <= self.t_end:
             raise ValueError(f"dt must be positive and at most t_end {self.t_end}, got {self.dt}")
+        if not self.t_end / self.dt < np.inf:
+            raise ValueError(f"t_end / dt must be a finite step count, got t_end {self.t_end} and dt {self.dt}")
         if self.observer_stride < 1:
             raise ValueError("observer_stride must be >= 1")
 

@@ -7,7 +7,6 @@ import json
 import multiprocessing
 import os
 import signal
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
@@ -20,6 +19,7 @@ from .diagnostics import apriori_checks, localized_momentum
 from .evolution import BlowUpError, EvolutionConfig, check_w_positivity, evolve, evolve_stack
 from .grid import Field, PeriodicGrid, make_grid
 from .invariants import hamiltonian_H, momentum_S
+from .io import json_fits
 from .modulation import DecompositionError, ProfileCache, Tracker, track, train_field
 from .soliton import SolitonParams, check_period, min_period
 
@@ -38,20 +38,6 @@ class SweepError(RuntimeError):
 
 class EvolveProcessError(RuntimeError):
     """The process that evolved a stability run ended without its end marker."""
-
-
-def _json_fits(value, annotation: str) -> bool:
-    """Whether a decoded JSON value has the type of a Scenario field annotated, e.g., 'float | None'."""
-    kind, _, optional = annotation.partition(" | ")
-    if value is None:
-        return optional == "None"
-    if kind == "tuple[float, ...]":
-        return isinstance(value, list) and all(_json_fits(v, "float") for v in value)
-    if isinstance(value, bool):
-        return kind == "bool"
-    if kind == "float":
-        return isinstance(value, float) or isinstance(value, int) and abs(value) <= sys.float_info.max
-    return isinstance(value, {"int": int, "str": str, "bool": bool}[kind])
 
 
 @dataclass(frozen=True)
@@ -175,7 +161,7 @@ class Scenario:
         if unknown:
             raise ScenarioError(f"unknown scenario fields {unknown}")
         for name, value in doc.items():
-            if not _json_fits(value, annotations[name]):
+            if not json_fits(value, annotations[name]):
                 raise ScenarioError(f"scenario field {name!r} must be {annotations[name]}, got {type(value).__name__}")
         try:
             return Scenario(**{k: (tuple(v) if k == "speeds" else v) for k, v in doc.items()})

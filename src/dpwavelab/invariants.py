@@ -8,15 +8,17 @@ from .grid import Field, derivative, helmholtz_inverse, integrate, make_grid, sq
 from .soliton import SolitonParams, build_profile, sample_on_grid
 
 
+def s_density(uh: Field) -> np.ndarray:
+    """Pointwise S-density 4 uhat^2 + 5 uhat_x^2 + uhat_xx^2 of the smoothed field uhat = (4 - d^2)^-1 u."""
+    return 4.0 * uh.samples**2 + 5.0 * derivative(uh, 1).samples**2 + derivative(uh, 2).samples**2
+
+
 def momentum_S(u: Field) -> float:
-    """S(u) = (1/2) int (4 uhat^2 + 5 uhat_x^2 + uhat_xx^2) dx, uhat = (4 - d^2)^-1 u.
+    """S(u) = (1/2) int s_density(uhat) dx, uhat = (4 - d^2)^-1 u.
 
     Equals (1/2) s_inner(u, u); both forms agree to round-off.
     """
-    uh = helmholtz_inverse(u, 4.0)
-    uhx = derivative(uh, 1)
-    uhxx = derivative(uh, 2)
-    return 0.5 * integrate(Field(u.grid, 4.0 * uh.samples**2 + 5.0 * uhx.samples**2 + uhxx.samples**2))
+    return 0.5 * integrate(Field(u.grid, s_density(helmholtz_inverse(u, 4.0))))
 
 
 def hamiltonian_H(u: Field, kappa: float) -> float:

@@ -1,4 +1,4 @@
-"""State and trajectory persistence: JSON states, and frames streamed to CSV snapshots and binary rows with a sidecar."""
+"""The JSON value check, JSON states, and frames streamed to CSV snapshots and binary rows with a sidecar."""
 
 from __future__ import annotations
 
@@ -17,25 +17,34 @@ def save_state(field: Field, path: str) -> None:
         json.dump(doc, fh)
 
 
+def json_fits(value, annotation: str) -> bool:
+    """Whether a decoded JSON value has the type annotated, e.g., 'float | None'; an int in float range is a float."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None:
+        return optional == "None"
+    if kind == "tuple[float, ...]":
+        return isinstance(value, list) and all(json_fits(v, "float") for v in value)
+    if isinstance(value, bool):
+        return kind == "bool"
+    if kind == "float":
+        return isinstance(value, float) or isinstance(value, int) and abs(value) <= sys.float_info.max
+    return isinstance(value, {"int": int, "str": str, "bool": bool}[kind])
+
+
 def load_state(path: str) -> Field:
-    """The field save_state wrote; a document that is no object with n, period (within float range) and samples raises ValueError."""
+    """The field save_state wrote; ValueError unless the document holds an int n, a float period and float samples."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"state {path}: expected a JSON object with n, period and samples, got {type(doc).__name__}")
-    for key, kind, what in (("n", int, "an integer"), ("period", (int, float), "a number"), ("samples", list, "a list")):
+    for key, kind, what in (("n", "int", "an integer"), ("period", "float", "a number"),
+                            ("samples", "tuple[float, ...]", "a list of numbers")):
         if key not in doc:
             raise ValueError(f"state {path}: field {key!r} is missing")
-        if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
+        if not json_fits(doc[key], kind):
             got = "null" if doc[key] is None else type(doc[key]).__name__
             raise ValueError(f"state {path}: field {key!r} must be {what}, got {got}")
-    if isinstance(doc["period"], int) and abs(doc["period"]) > sys.float_info.max:  # Scenario's rule for a float field
-        raise ValueError(f"state {path}: field 'period' must be a number, got an integer too large for a float")
-    try:
-        samples = np.asarray(doc["samples"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"state {path}: field 'samples' must hold numbers: {exc}") from exc
-    return Field(make_grid(doc["n"], doc["period"]), samples)
+    return Field(make_grid(doc["n"], doc["period"]), np.asarray(doc["samples"], dtype=float))
 
 
 class FrameWriter:

@@ -1,16 +1,14 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from dpwavelab.diagnostics import (
-    apriori_checks,
-    localized_momentum,
-    momentum_density,
-    psi_derivative_bounds_check,
-    weight_psi,
-)
-from dpwavelab.grid import Field, make_grid
-from dpwavelab.invariants import momentum_S
+from dpwavelab.diagnostics import apriori_checks, localized_momentum, psi_derivative_bounds_check, weight_psi
+from dpwavelab.grid import Field, helmholtz_inverse, make_grid
+from dpwavelab.invariants import hamiltonian_H, momentum_S, s_density
+from dpwavelab.modulation import ProfileCache, train_field
 from dpwavelab.soliton import SolitonParams, build_profile, sample_on_grid
+from test_tracing_targets import _targets
 
 
 class TestWeightPsi:
@@ -108,7 +106,31 @@ class TestLocalizedMomentum:
         assert localized_momentum(u, [0.0], 4.0) == [pytest.approx(right_alone, rel=1e-4)]
 
     def test_density_nonnegative(self, soliton_state):
-        assert np.all(momentum_density(soliton_state) >= 0.0)
+        assert np.all(s_density(helmholtz_inverse(soliton_state, 4.0)) >= 0.0)
+
+
+def _counting(fn, calls, key):
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_traced_names_called_per_frame(monkeypatch):
+    # perfbench/tracing.py times a frame's diagnostics and invariants by wrapping these module attributes,
+    # so each must stay on the path of the per-frame calls, not only resolve
+    calls = {t: 0 for t in _targets() if t[0] in ("dpwavelab.diagnostics", "dpwavelab.invariants")}
+    assert len(calls) >= 5
+    for module, attribute in calls:
+        owner = importlib.import_module(module)
+        monkeypatch.setattr(owner, attribute, _counting(getattr(owner, attribute), calls, (module, attribute)))
+    u = train_field(make_grid(512, 140.0), [3.0, 5.0], [-15.0, 15.0], ProfileCache(1.0))
+    momentum_S(u)
+    hamiltonian_H(u, 1.0)
+    localized_momentum(u, [0.0], 4.0)
+    apriori_checks(u, u, u, 1.0)
+    assert all(calls.values()), calls
 
 
 class TestAprioriChecks:

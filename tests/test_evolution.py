@@ -71,11 +71,15 @@ class TestConfig:
             EvolutionConfig(kappa=1.0, t_end=1.0, dt=0.01, observer_stride=0)
 
     def test_step_within_the_run(self):
-        # dt > t_end would round to zero steps, and an infinite t_end to infinitely many
+        # dt > t_end would round to zero steps, an infinite t_end to infinitely many, and a t_end / dt that
+        # overflows to inf has no integer step count
         with pytest.raises(ValueError, match="at most t_end"):
             EvolutionConfig(kappa=1.0, t_end=1.0, dt=1e30)
         with pytest.raises(ValueError, match="finite"):
             EvolutionConfig(kappa=1.0, t_end=np.inf, dt=0.01)
+        for t_end, dt in ((20.0, 1e-320), (1e300, 1e-10)):
+            with pytest.raises(ValueError, match="finite step count"):
+                EvolutionConfig(kappa=1.0, t_end=t_end, dt=dt)
         assert EvolutionConfig(kappa=1.0, t_end=1.0, dt=1.0).dt == 1.0
 
 
