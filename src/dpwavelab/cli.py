@@ -18,7 +18,7 @@ from .grid import Field, make_grid
 from .harness import EvolveProcessError, Scenario, ScenarioError, SweepError, build_initial_state, run_stability, run_sweep
 from .invariants import dS_dc_closed, dS_dH_dc_fd
 from .io import FrameWriter, load_state, save_state
-from .linearized import SpectralError, assemble_L, constrained_theta, eigen_report
+from .linearized import SpectralError, assemble_L, check_eigenpair_count, constrained_theta, eigen_report
 from .modulation import DecompositionError, ProfileCache, decompose, initial_guess
 from .soliton import SolitonParams, build_profile
 
@@ -59,8 +59,9 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    prof = build_profile(SolitonParams(args.c, args.kappa))
     grid = make_grid(args.n, args.period)
+    check_eigenpair_count(grid.n, args.k)  # also without --eigpairs, and before any solve
+    prof = build_profile(SolitonParams(args.c, args.kappa))
     op = assemble_L(prof, grid)
     rep = eigen_report(op, args.k if args.eigpairs else 4)
     theta = constrained_theta(op)

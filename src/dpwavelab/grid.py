@@ -34,7 +34,7 @@ class PeriodicGrid:
         if not isinstance(self.n, (int, np.integer)) or not _is_power_of_two(int(self.n)) or self.n < 8:
             raise ValueError(f"node count must be a power of two >= 8, got {self.n}")
         if not np.isfinite(self.period) or self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+            raise ValueError(f"period must be positive and finite, got {self.period}")
 
     @property
     def h(self) -> float:

@@ -14,11 +14,13 @@ into a symmetric and an antisymmetric block, and each eigenvector is an even or
 an odd grid function. A window widens until its wanted Ritz pairs meet a
 Kato-Temple-type residual test, and once it holds all n modes its answer is
 exact. No solve reads op.matrix, and each solve starts at the widest window
-the operator has solved at its centre, so no window is solved twice. The
-operator carries its phi and phi_x samples: phi_x is the kernel direction the
-report looks for, and the smoothed phi and phi_x are the constraint columns of
-the constrained coercivity constant, which is read from the eigenpairs of the
-window blocks the report solved, by a secular equation.
+the operator has solved at its centre, so no window is solved twice; the first
+window around mode 0 is sized from the decay of phi_hat, so the low end is
+usually solved in one window. The operator carries its phi and phi_x samples:
+phi_x is the kernel direction the report looks for, and the smoothed phi and
+phi_x are the constraint columns of the constrained coercivity constant, which
+is read from the eigenpairs of the window blocks the report solved, by a
+secular equation.
 """
 
 from __future__ import annotations
@@ -35,12 +37,15 @@ from .grid import Field, PeriodicGrid, smoothing_operator
 from .soliton import SolitonProfile, sample_dx_on_grid
 
 _SQRT_HALF = np.sqrt(0.5)
-# First half-width m of a window at a centre where the operator has solved none; every later solve there starts
-# at the widest window solved, so theta after eigen_report starts at the low end's. The m needed grows with the
-# period. Measured: the top takes 48 for c = 3, kappa = 1 at period 100 up to n = 16384, 192 at period 300, 768
-# at period 800, and c = 4, kappa = 0.5 at period 100 takes 96 to 192; the low end takes 192 for c = 3,
-# kappa = 1 at period 100.
+# The rungs m = 48 * 2^j of every window's doubling. The top window starts at the first at every operator
+# (c = 3, kappa = 1 at period 100 stops there up to n = 16384; it needs 192 at period 300 and 768 at period 800).
 _WINDOW_START = 48
+# The window around mode 0 starts at the first rung at or above the first mode where |phi_hat| < _LOW_DECAY
+# |phi_hat_0|. Over c / 2 kappa 1.01 to 5, kappa 0.5 to 2, periods 1.5 min_period to 800 and n 512 to 8192 that is
+# the rung the doubling from 48 stops at (192 for c = 3, kappa = 1 at period 100), except c / 2 kappa = 5 at period
+# 1.5 min_period and n >= 2048, which widens 384 -> 768. No threshold on |phi_hat| alone names every rung: from
+# 5e-12 down smooth waves start a rung too high, and a start between rungs is too narrow for peaked waves.
+_LOW_DECAY = 1e-10
 
 
 class SpectralError(RuntimeError):
@@ -67,6 +72,11 @@ class OperatorMatrix:
         Not a field, so that dataclasses.replace starts an empty one.
         """
         return {}
+
+    @cached_property
+    def _phi_hat(self) -> np.ndarray:
+        """The real rfft of phi over n: phi_hat[l] is the Fourier coefficient of phi at modes l and n - l."""
+        return np.fft.rfft(self.phi).real / self.grid.n
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.fft.irfft(self.symbol * np.fft.rfft(x), n=self.grid.n) - self.phi * x
@@ -158,23 +168,50 @@ def _secular_root(pole: np.ndarray, weight: np.ndarray, j: int) -> tuple[float, 
     """The root of f(theta) = sum weight / (pole - theta) between pole[j] and pole[j + 1], as origin + offset.
 
     pole is ascending and weight positive, so f rises from -inf to +inf between
-    the two poles. The origin is the pole nearer the root, and the offset is
-    bisected with every pole - theta taken as (pole - origin) - offset, so an
-    offset far below the poles' spacing keeps its relative accuracy.
+    the two poles. The origin is the pole nearer the root, and every pole - theta
+    is taken as (pole - origin) - offset, so an offset far below the poles'
+    spacing keeps its relative accuracy. The offset is found by the rational
+    iteration of LAPACK's dlaed4 (R.-C. Li, LAPACK Working Note 89, 1993): at each
+    iterate the sums over the poles up to j and above j are each modelled by one
+    pole term at pole[j] or pole[j + 1] with the sum's derivative there, plus a
+    constant that matches f, and the next iterate is the model's root, one unit in
+    the last place further on, so that an iteration converging from one side
+    crosses the root. Every evaluated offset narrows a bracket by the sign of f; an
+    iterate outside it, or the tenth in a row that does not halve it, is replaced
+    by the bracket's midpoint. As in bisection, the iteration ends when the
+    bracket's ends are neighbouring floats and returns the end away from the origin.
     """
     half = 0.5 * (pole[j + 1] - pole[j])
     lower = (weight / ((pole - pole[j]) - half)).sum() >= 0.0
     origin = pole[j] if lower else pole[j + 1]
     diffs = pole - origin
     near, far = 0.0, half if lower else -half  # the root lies between the origin (near) and far
+    offset, slow = far, 0  # start at the midpoint between the poles
     while True:
+        gap = diffs - offset
+        terms = weight / gap
+        f = terms.sum()
+        width = abs(far - near)
+        if (f >= 0.0) == lower:
+            far = offset
+        else:
+            near = offset
         mid = 0.5 * (near + far)
         if mid in (near, far):
             return origin, far
-        if ((weight / (diffs - mid)).sum() >= 0.0) == lower:
-            far = mid
-        else:
-            near = mid
+        slow = slow + 1 if abs(far - near) > 0.5 * width else 0
+        slope = terms / gap
+        below, above = slope[: j + 1].sum(), slope[j + 1:].sum()
+        left, right = gap[j], gap[j + 1]
+        a = (left + right) * f - left * right * (below + above)
+        b = left * right * f
+        c = f - left * below - right * above
+        root = np.sqrt(abs(a * a - 4.0 * b * c))
+        step = b / a if c == 0.0 else (a - root) / (2.0 * c) if a <= 0.0 else 2.0 * b / (a + root)
+        offset += step
+        offset += np.copysign(np.spacing(offset), step)
+        if slow == 10 or not min(near, far) < offset < max(near, far):
+            offset, slow = mid, 0
 
 
 def _constrained_lowest(lam: np.ndarray, c: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -214,6 +251,20 @@ def _constrained_lowest(lam: np.ndarray, c: np.ndarray) -> tuple[float, float, n
     return float(theta), float(lowest[1]) if len(lowest) > 1 else np.inf, y / np.linalg.norm(y)
 
 
+def _first_rung(phi_hat: np.ndarray) -> int:
+    """The first rung _WINDOW_START * 2^j at or above the first mode where |phi_hat| < _LOW_DECAY |phi_hat_0|.
+
+    With no such mode on the half spectrum the rung lies beyond it, and the window holds every mode.
+    """
+    size = np.abs(phi_hat)
+    below = np.flatnonzero(size < _LOW_DECAY * size[0])
+    mode = below[0] if len(below) else len(size)
+    m = _WINDOW_START
+    while m < mode:
+        m *= 2
+    return m
+
+
 def _window_pairs(op: OperatorMatrix, k: int, top: bool = False, columns: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest eigenpairs of L, or with top the k highest, from a window of Fourier modes.
 
@@ -222,9 +273,11 @@ def _window_pairs(op: OperatorMatrix, k: int, top: bool = False, columns: np.nda
     centre + m, with centre 0 for the low end and n/2 for the top, and is solved
     as its two blocks under k -> n - k (_window_blocks). The operator keeps the
     widest window solved at each centre (op._windows), and every call starts at
-    it. With columns, an even and an odd unit grid vector, k is 1 and the pair is
-    the lowest of L restricted to the complement of both columns: the symmetric
-    block restricted to the complement of q, the even column's unit coordinates
+    it; at a centre with none, the top starts at m = _WINDOW_START and the low end
+    at the rung that phi_hat's decay names (_first_rung). With columns, an even
+    and an odd unit grid vector, k is 1 and the pair is the lowest of L
+    restricted to the complement of both columns: the symmetric block
+    restricted to the complement of q, the even column's unit coordinates
     on the window, and the antisymmetric block likewise with the odd column, each
     read from its block's eigenpairs (V, lambda) through c = V^T q
     (_constrained_lowest). Each window's Ritz values bound the eigenvalues they
@@ -244,12 +297,14 @@ def _window_pairs(op: OperatorMatrix, k: int, top: bool = False, columns: np.nda
     phase = "eigen_report" if columns is None else "constrained_theta"
     centre = n // 2 if top else 0
     column_hats = None if columns is None else np.fft.rfft(columns, norm="ortho")
-    m, pairs = op._windows.get(centre, (min(_WINDOW_START, n // 2), None))
+    if centre in op._windows:
+        m, pairs = op._windows[centre]
+    else:
+        m, pairs = min(_WINDOW_START if top else _first_rung(op._phi_hat), n // 2), None
     while True:
         if pairs is None:
-            phi_hat = np.fft.rfft(op.phi).real / n
             try:
-                pairs = [eigh(block) for block in _window_blocks(op.symbol, phi_hat, m, centre)]
+                pairs = [eigh(block) for block in _window_blocks(op.symbol, op._phi_hat, m, centre)]
             except np.linalg.LinAlgError as exc:
                 raise SpectralError(phase, f"window of {2 * m + 1} modes: {exc}") from exc
             op._windows[centre] = (m, pairs)
@@ -302,11 +357,16 @@ def _window_pairs(op: OperatorMatrix, k: int, top: bool = False, columns: np.nda
         m, pairs = min(2 * m, n // 2), None
 
 
+def check_eigenpair_count(n: int, k: int) -> None:
+    """Raise ValueError unless 1 <= k <= n - 2, the numbers of eigenpairs eigen_report takes on n nodes."""
+    if not 1 <= k <= n - 2:
+        raise ValueError(f"number of eigenpairs must be in [1, n - 2] = [1, {n - 2}], got {k}")
+
+
 def eigen_report(op: OperatorMatrix, k: int = 4) -> SpectralReport:
     """Negative, kernel and gap eigenvalues of L, read from its lowest max(k, 4) eigenpairs, or more if needed."""
     n = op.grid.n
-    if not 1 <= k <= n - 2:
-        raise ValueError(f"number of eigenpairs must be in [1, n - 2] = [1, {n - 2}], got {k}")
+    check_eigenpair_count(n, k)
     dphi_norm = np.linalg.norm(op.phi_x)
     if not dphi_norm > 0.0:
         raise SpectralError("eigen_report", f"phi_x has norm {dphi_norm}, so it gives no kernel direction")

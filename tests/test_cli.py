@@ -152,6 +152,24 @@ def test_spectrum_eigpairs_unreachable_k(tmp_path, capsys, k):
     assert not pairs.exists()
 
 
+@pytest.mark.parametrize("k", ["0", "-1", "63", "70"])
+def test_spectrum_checks_k_without_eigpairs(monkeypatch, capsys, k):
+    # --k was read only with --eigpairs, so an unreachable k exited 0; it is checked before any profile or solve
+    def unreached(*args):
+        raise AssertionError("spectrum built a profile before checking --k")
+
+    monkeypatch.setattr(cli, "build_profile", unreached)
+    assert main(["spectrum", "--c", "3", "--kappa", "1", "--n", "64", "--period", "70", "--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: number of eigenpairs must be in [1, n - 2] = [1, 62], got {k}\n"
+
+
+def test_spectrum_rejects_an_infinite_period(capsys):
+    assert main(["spectrum", "--c", "3", "--kappa", "1", "--n", "64", "--period", "inf"]) == 2
+    assert capsys.readouterr().err == "error: period must be positive and finite, got inf\n"
+
+
 def test_spectrum_never_reads_the_dense_matrix(tmp_path, monkeypatch, capsys):
     def dense(self):
         raise AssertionError("the spectrum command read op.matrix")

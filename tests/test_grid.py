@@ -40,6 +40,12 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(64, 0.0)
 
+    @pytest.mark.parametrize("period", [np.inf, -np.inf, np.nan, -1.0, 0.0])
+    def test_period_message_names_both_conditions(self, period):
+        # an infinite period was rejected as "must be positive", which it is
+        with pytest.raises(ValueError, match=rf"^period must be positive and finite, got {period}$"):
+            make_grid(64, period)
+
     def test_wavenumbers_half_spectrum(self):
         g = make_grid(64, 20.0)
         assert np.allclose(g.wavenumbers, 2.0 * np.pi * np.arange(33) / 20.0, rtol=1e-15, atol=0.0)

@@ -17,7 +17,7 @@ from dpwavelab.linearized import (
     constrained_theta,
     eigen_report,
 )
-from dpwavelab.soliton import SolitonParams, build_profile, sample_dx_on_grid, sample_on_grid
+from dpwavelab.soliton import SolitonParams, build_profile, min_period, sample_dx_on_grid, sample_on_grid
 
 
 def _symbol_matrix(grid, symbol):
@@ -405,18 +405,19 @@ class TestTopEigenvalueWindow:
 class TestLowEndWindow:
     @pytest.mark.parametrize("n", [1024, 2048, 8192])
     def test_window_does_not_grow_with_n(self, profiles, monkeypatch, n):
-        # the low eigenvectors live at the modes near 0, whose spacing 2 pi / period does not depend on n
+        # the low eigenvectors live at the modes near 0, whose spacing 2 pi / period does not depend on n; the
+        # first window is read from phi_hat's decay and is the one that passes
         op = assemble_L(profiles[(3.0, 1.0)], make_grid(n, 100.0))
         sizes = _window_sizes(monkeypatch)
         linearized._window_pairs(op, 4)
-        assert sizes == [49, 48, 97, 96, 193, 192]
+        assert sizes == [193, 192]
 
     @pytest.mark.parametrize("n", [1024, 2048])
     def test_spectrum_solves_each_window_once(self, monkeypatch, capsys, n):
-        # the top, then the low end; theta reads the low end's widest window and solves none
+        # the top, then the low end in one window; theta reads the low end's window and solves none: 4 eigh calls
         sizes = _window_sizes(monkeypatch)
         assert cli.main(["spectrum", "--c", "3", "--kappa", "1", "--period", "100", "--n", str(n)]) == 0
-        assert sizes == [49, 48] + [49, 48, 97, 96, 193, 192]
+        assert sizes == [49, 48] + [193, 192]
         assert json.loads(capsys.readouterr().out)["theta"] > 0
 
     def test_theta_alone_solves_its_own_windows(self, profiles, monkeypatch):
@@ -426,21 +427,23 @@ class TestLowEndWindow:
         op = assemble_L(prof, grid)
         sizes = _window_sizes(monkeypatch)
         theta = constrained_theta(op)
-        assert sizes == [49, 48, 97, 96, 193, 192]
+        assert sizes == [193, 192]
         rep = eigen_report(op)
-        assert sizes == [49, 48, 97, 96, 193, 192] + [49, 48]
+        assert sizes == [193, 192] + [49, 48]
         assert rep.ess_gap_proxy > theta > 0
         scalars = ("neg_eigenvalue", "neg_count", "kernel_eigenvalue", "kernel_overlap", "ess_gap_proxy", "operator_norm")
         for name in scalars:
             assert getattr(rep, name) == pytest.approx(getattr(fresh, name), rel=1e-12)
         assert rep.eigenvalues == pytest.approx(fresh.eigenvalues, rel=1e-12)
 
-    def test_one_window_per_centre(self, profiles):
-        # a wider window replaces the narrower ones at its centre, so only the widest two are held (every window
-        # solved would take 12.81 MB here)
+    def test_one_window_per_centre(self, profiles, monkeypatch):
+        # a wider window replaces the narrower ones at its centre, so only the widest two are held (the top solves
+        # two windows here, and the low end one, read from phi_hat's decay)
         op = assemble_L(profiles[(4.0, 0.5)], make_grid(2048, 100.0))
+        sizes = _window_sizes(monkeypatch)
         eigen_report(op)
         constrained_theta(op)
+        assert sizes == [49, 48, 97, 96] + [769, 768]
         assert {centre: m for centre, (m, _) in op._windows.items()} == {0: 768, 1024: 96}
         kept = sum(v.nbytes + vec.nbytes for _, pairs in op._windows.values() for v, vec in pairs)
         blocks = (769, 768, 97, 96)  # the even and odd blocks of the windows m = 768 and m = 96
@@ -456,6 +459,96 @@ class TestLowEndWindow:
         assert eigen_report(op) == first
         assert built == [] and sizes == []
         assert replace(op)._windows == {}
+
+
+@pytest.fixture(scope="module")
+def poschl_teller():
+    """The lowest eigenvalues of H = -d^2 + 1 - 3 sech^2(x/2) and theta, its lowest on the complement of sech^2(x/2)
+    and its derivative: dense, on 512 nodes over a period of 120, where both are converged to 1e-12."""
+    grid = make_grid(512, 120.0)
+    x = grid.nodes
+    sech2 = 1.0 / np.cosh(0.5 * x) ** 2
+    h = _symbol_matrix(grid, 1.0 + grid.wavenumbers**2) - np.diag(3.0 * sech2)
+    basis = qr(np.column_stack((sech2, sech2 * np.tanh(0.5 * x))), mode="full")[0][:, 2:]
+    theta = eigh(basis.T @ h @ basis, eigvals_only=True, subset_by_index=(0, 0))[0]
+    return np.linalg.eigvalsh(h)[:3], float(theta)
+
+
+class TestKdVLimit:
+    # As c -> 2 kappa the DP soliton tends to a KdV soliton, and L divided by its essential spectrum's edge
+    # s(0) = (c - 2 kappa) / 4, with x in units of the soliton's width, tends to the Poschl-Teller operator H
+    # (Poschl & Teller, Z. Phys. 83, 1933; Bona, Souganidis & Strauss, Proc. R. Soc. A 411, 1987; Constantin &
+    # Lannes, ARMA 192, 2009): eigenvalues -5/4, 0 and 3/4 below its continuum at 1. The oracle is outside the
+    # code under test: no symbol, sample or window of L enters it. Each ratio moves off its limit linearly in
+    # c - 2 kappa, by about 0.030, 0.041 and 0.013 times it for the negative eigenvalue, the gap and theta.
+    SLOPE = 0.05
+
+    def test_oracle(self, poschl_teller):
+        low, theta = poschl_teller
+        assert np.max(np.abs(low - [-1.25, 0.0, 0.75])) <= 1e-12
+        assert 0.0 < theta < 0.75
+
+    @pytest.mark.parametrize("c", [2.01, 2.02, 2.05])
+    def test_ratios_to_the_edge_approach_poschl_teller(self, poschl_teller, c):
+        params = SolitonParams(c, 1.0)
+        op = assemble_L(build_profile(params), make_grid(1024, 1.5 * min_period(params)))
+        rep, theta = eigen_report(op), constrained_theta(op)
+        edge = (c - 2.0) / 4.0
+        bound = self.SLOPE * (c - 2.0)
+        assert rep.neg_count == 1
+        assert abs(rep.neg_eigenvalue / edge + 1.25) <= bound
+        assert abs(rep.ess_gap_proxy / edge - 0.75) <= bound
+        assert abs(theta / edge - poschl_teller[1]) <= bound
+        assert abs(rep.kernel_eigenvalue) <= 1e-10 * rep.operator_norm  # the band the report counts as zero
+
+
+# (c, kappa, period or None for 1.5 min_period, n): the benchmark's cell, c / 2 kappa = 5 at kappa 1 and 2, a
+# period of 300, the narrow end near c = 2 kappa and kappa = 0.5
+START_CELLS = [
+    (3.0, 1.0, 100.0, 1024),
+    (10.0, 1.0, 100.0, 1024),
+    (3.0, 1.0, 300.0, 1024),
+    (2.02, 1.0, None, 2048),
+    (2.0, 0.5, 100.0, 2048),
+    (20.0, 2.0, None, 512),
+]
+
+
+def _spectrum_with_centres(op, monkeypatch):
+    """eigen_report and constrained_theta of op, and the half-widths m of the windows around mode 0 they built."""
+    low = []
+    window_blocks = linearized._window_blocks
+
+    def recorded(symbol, phi_hat, m, centre):
+        if centre == 0:
+            low.append(m)
+        return window_blocks(symbol, phi_hat, m, centre)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linearized, "_window_blocks", recorded)
+        return eigen_report(op), constrained_theta(op), low
+
+
+class TestLowEndStart:
+    @pytest.mark.parametrize("c, kappa, period, n", START_CELLS)
+    def test_first_window_passes_and_matches_the_ladder(self, monkeypatch, c, kappa, period, n):
+        # the first window around mode 0, read from phi_hat's decay, meets every test of the report and theta,
+        # and gives what the doubling from m = 48 gives
+        params = SolitonParams(c, kappa)
+        prof = build_profile(params)
+        grid = make_grid(n, 1.5 * min_period(params) if period is None else period)
+        op = assemble_L(prof, grid)
+        rep, theta, low = _spectrum_with_centres(op, monkeypatch)
+        assert low == [min(linearized._first_rung(op._phi_hat), n // 2)]
+        monkeypatch.setattr(linearized, "_first_rung", lambda phi_hat: linearized._WINDOW_START)
+        ladder, ladder_theta, ladder_low = _spectrum_with_centres(assemble_L(prof, grid), monkeypatch)
+        assert ladder_low[0] == 48 and ladder_low[-1] == low[0]
+        atol = n * np.finfo(float).eps * ladder.operator_norm  # perfbench's reference tolerance
+        for name in ("neg_eigenvalue", "kernel_eigenvalue", "kernel_overlap", "ess_gap_proxy", "operator_norm"):
+            assert abs(getattr(rep, name) - getattr(ladder, name)) <= atol
+        assert rep.neg_count == ladder.neg_count == 1
+        assert np.max(np.abs(rep.eigenvalues - ladder.eigenvalues)) <= atol
+        assert abs(theta - ladder_theta) <= atol
 
 
 def _restricted_oracle(lam, c):
@@ -483,6 +576,48 @@ def _secular_cases():
 SECULAR_CASES = _secular_cases()
 
 
+def _bisected_root(pole, weight, j):
+    """The root of sum weight / (pole - theta) between pole[j] and pole[j + 1] as (origin, offset), by bisection.
+
+    The oracle of linearized._secular_root: the same origin, the pole nearer the
+    root, and the offset bisected to neighbouring floats with every pole - theta
+    taken as (pole - origin) - offset; the end away from the origin is returned.
+    """
+    half = 0.5 * (pole[j + 1] - pole[j])
+    lower = (weight / ((pole - pole[j]) - half)).sum() >= 0.0
+    origin = pole[j] if lower else pole[j + 1]
+    diffs = pole - origin
+    near, far = 0.0, half if lower else -half
+    while True:
+        mid = 0.5 * (near + far)
+        if mid in (near, far):
+            return origin, far
+        if ((weight / (diffs - mid)).sum() >= 0.0) == lower:
+            far = mid
+        else:
+            near = mid
+
+
+def _clustered_poles(seed):
+    """Ascending distinct poles, some clustered to 1e-9 or spread over twelve decades, and positive weights over 20 decades."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for kind in range(4):
+        size = int(rng.integers(3, 60))
+        if kind == 0:
+            pole = rng.uniform(-1.0, 3.0, size)
+        elif kind == 1:
+            pole = np.concatenate((1.0 + 1e-9 * rng.uniform(0.0, 1.0, size // 2), 2.0 + 1e-6 * rng.uniform(0.0, 1.0, size - size // 2)))
+        elif kind == 2:
+            pole = np.cumsum(10.0 ** rng.uniform(-12.0, 0.0, size))
+        else:
+            pole = rng.uniform(-1.0, 1.0, size) ** 3
+        pole = np.unique(pole)
+        weight = rng.standard_normal(len(pole)) ** 2 * 10.0 ** rng.uniform(-20.0, 0.0, len(pole))
+        cases.append((pole, weight / weight.sum()))
+    return cases
+
+
 class TestSecularEquation:
     @pytest.mark.parametrize("case", list(SECULAR_CASES))
     def test_matches_projected_eigh(self, case):
@@ -499,16 +634,42 @@ class TestSecularEquation:
         residual = lam * y - theta * y
         assert np.linalg.norm(residual - (c @ residual) * c) <= tol
 
+    @pytest.mark.parametrize("case", list(SECULAR_CASES))
+    def test_rational_roots_match_bisection_on_the_cases(self, case, monkeypatch):
+        # the roots _constrained_lowest asks for, after its deflation, within 2 ulp of the bisected offset
+        calls = []
+        root = linearized._secular_root
+        monkeypatch.setattr(linearized, "_secular_root", lambda *args: calls.append(args) or root(*args))
+        linearized._constrained_lowest(*SECULAR_CASES[case])
+        assert len(calls) == 2
+        for pole, weight, j in calls:
+            origin, offset = root(pole, weight, j)
+            oracle_origin, oracle_offset = _bisected_root(pole, weight, j)
+            assert origin == oracle_origin
+            assert abs(offset - oracle_offset) <= 2 * np.spacing(abs(oracle_offset))
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_rational_roots_match_bisection_on_clustered_poles(self, seed):
+        for pole, weight in _clustered_poles(seed):
+            for j in range(min(2, len(pole) - 1)):
+                origin, offset = linearized._secular_root(pole, weight, j)
+                oracle_origin, oracle_offset = _bisected_root(pole, weight, j)
+                assert origin == oracle_origin
+                assert abs(offset - oracle_offset) <= 2 * np.spacing(abs(oracle_offset))
+
 
 class TestSpectralErrors:
     # Each phase gets a fresh operator: an operator keeps the windows it has solved, and theta starts at the
-    # widest of them.
+    # widest of them. The report's first window is the top's (97 modes); theta's is the low end's first window,
+    # read from phi_hat's decay (2 * 192 + 1 modes here).
+    FIRST_WINDOW = (("eigen_report", 97), ("constrained_theta", 385))
+
     def test_lanczos_failure_names_phase(self, setup_c3, monkeypatch):
         # a NaN action of L shows in the first window's Ritz residual, in either phase
         prof, grid, _ = setup_c3
         monkeypatch.setattr(linearized.OperatorMatrix, "apply", lambda self, x: np.full_like(x, np.nan))
-        for solve, phase in ((eigen_report, "eigen_report"), (constrained_theta, "constrained_theta")):
-            message = f"^{phase}: non-finite Ritz residual in the window of 97 modes$"
+        for solve, (phase, modes) in zip((eigen_report, constrained_theta), self.FIRST_WINDOW):
+            message = f"^{phase}: non-finite Ritz residual in the window of {modes} modes$"
             with pytest.raises(SpectralError, match=message) as info:
                 solve(assemble_L(prof, grid))
             assert info.value.phase == phase
@@ -521,8 +682,8 @@ class TestSpectralErrors:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(linearized, "eigh", failing)
-        for solve, phase in ((eigen_report, "eigen_report"), (constrained_theta, "constrained_theta")):
-            message = f"^{phase}: window of 97 modes: Eigenvalues did not converge$"
+        for solve, (phase, modes) in zip((eigen_report, constrained_theta), self.FIRST_WINDOW):
+            message = f"^{phase}: window of {modes} modes: Eigenvalues did not converge$"
             with pytest.raises(SpectralError, match=message) as info:
                 solve(assemble_L(prof, grid))
             assert info.value.phase == phase
