@@ -28,6 +28,23 @@ def _load_scenario(path: str) -> Scenario:
         return Scenario.from_json(fh.read())
 
 
+def _check_out(path: str | None, directory: bool = False) -> None:
+    """Raise an OSError unless an output can go to path: an output file's directory must exist, and an output
+    directory, which the command makes, must be a directory or lie below one. Commands check before any work."""
+    where = path if directory else os.path.dirname(path or "") or "."
+    while directory and where and not os.path.lexists(where):  # the levels that the command will make
+        where = os.path.dirname(os.path.abspath(where))
+    if path and not os.path.isdir(where):
+        raise NotADirectoryError(f"output directory {where!r} is not a directory")
+
+
+def _out_path(outdir: str | None, name: str) -> str | None:
+    """outdir/name after making outdir, or None without an output directory."""
+    if outdir:
+        os.makedirs(outdir, exist_ok=True)
+        return os.path.join(outdir, name)
+
+
 def _emit(doc: dict, path: str | None = None) -> None:
     """Print doc as indented JSON, and write the same text to path when one is given."""
     text = json.dumps(doc, indent=2)
@@ -47,6 +64,7 @@ def _cmd_soliton(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    _check_out(args.out, directory=True)
     scenario = _load_scenario(args.config)
     u0, info = build_initial_state(scenario)
     outdir = args.out or "."
@@ -59,6 +77,8 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    _check_out(args.out)
+    _check_out(args.eigpairs)
     grid = make_grid(args.n, args.period)
     check_eigenpair_count(grid.n, args.k)  # also without --eigpairs, and before any solve
     prof = build_profile(SolitonParams(args.c, args.kappa))
@@ -85,6 +105,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    _check_out(args.out)
     u = load_state(args.state)
     try:
         speeds, positions = initial_guess(u, args.n_waves, args.kappa)
@@ -104,47 +125,50 @@ def _cmd_decompose(args) -> int:
 def _cmd_check_invariants(args) -> int:
     speeds = [float(c) for c in args.speeds.split(",")]
     kappa = args.kappa
-    worst = 0.0
-    print(f"{'c':>8} {'kappa':>8} {'dS/dc closed':>14} {'dS/dc FD':>14} {'rel err':>10}")
-    for c in speeds:
+    worst, rows = 0.0, []
+    for c in speeds:  # every row is computed before any is printed, so that an invalid input prints nothing
         closed = dS_dc_closed(c, kappa)
         fd, _ = dS_dH_dc_fd(c, kappa, args.n)
         rel = abs(fd / closed - 1.0)
         worst = max(worst, rel)
-        print(f"{c!r:>8} {kappa!r:>8} {closed:14.8f} {fd:14.8f} {rel:10.2e}")
+        rows.append(f"{c!r:>8} {kappa!r:>8} {closed:14.8f} {fd:14.8f} {rel:10.2e}")
+    print(f"{'c':>8} {'kappa':>8} {'dS/dc closed':>14} {'dS/dc FD':>14} {'rel err':>10}", *rows, sep="\n")
     return 0 if worst <= 1e-4 else 1
 
 
 def _cmd_stability(args) -> int:
+    _check_out(args.out, directory=True)
     scenario = _load_scenario(args.config)
-    summary = run_stability(scenario, outputs=args.out).summary()
-    _emit(summary)
+    result = run_stability(scenario)
+    summary = result.summary()
+    if args.out:
+        with open(_out_path(args.out, "scenario.json"), "w") as fh:
+            fh.write(scenario.to_json())
+        with open(_out_path(args.out, "records.csv"), "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(result.records[0]))
+            writer.writeheader()
+            writer.writerows(result.records)
+    _emit(summary, _out_path(args.out, "summary.json"))
     return 0 if summary["apriori_all_ok"] else 1
 
 
 def _cmd_sweep(args) -> int:
+    _check_out(args.out, directory=True)
     scenario = _load_scenario(args.config)
     alphas = [float(a) for a in args.alphas.split(",")]
     seps = [float(l) for l in args.separations.split(",")]
     try:
         result = run_sweep(scenario, alphas, seps, parallelism=args.parallelism)
-    except SweepError as exc:
-        _emit_sweep({"rows": exc.rows}, args.out)  # the rows, failed ones too, though no fit could run
+    except SweepError as exc:  # emit the rows, failed ones too, though no fit could run
+        _emit({"rows": exc.rows}, _out_path(args.out, "sweep.json"))
         raise
-    _emit_sweep({
+    _emit({
         "fitted_amplitude": result.fitted_amplitude,
         "gamma0": result.gamma0,
         "fit_residual": result.fit_residual,
         "rows": result.rows,
-    }, args.out)
+    }, _out_path(args.out, "sweep.json"))
     return 0 if not any(r["failed"] for r in result.rows) else 1
-
-
-def _emit_sweep(doc: dict, outdir: str | None) -> None:
-    """Emit a sweep's document, and write it to outdir/sweep.json when an output directory is given."""
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
-    _emit(doc, outdir and os.path.join(outdir, "sweep.json"))
 
 
 def _cmd_check_psi(args) -> int:

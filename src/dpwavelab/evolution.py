@@ -11,9 +11,9 @@ feed the blow-up guard tied to the a priori sup bound and the stored frames:
 product and sum of a step writes into a workspace allocated once per stack
 shape, in the operand order of the plain expressions, so the bits are theirs.
 States that share a grid step together as one (m, n) stack, every FFT on the
-last axis, with a guard per state. One stepping loop produces the stored
-frames and hands each to a consumer as it is stepped to: evolve_stack
-collects them into Trajectories, and evolve passes them to its caller.
+last axis, with a guard per state. One stepping loop, evolve_stack, hands
+each stored frame to a consumer as it is stepped to and keeps none; evolve
+is that loop for one state.
 """
 
 from __future__ import annotations
@@ -147,16 +147,18 @@ def sup_bound(u0_l2: float, kappa: float) -> float:
     return 2.0 * (1.0 + np.sqrt(2.0)) * u0_l2 + 4.0 * kappa / 3.0
 
 
-def _march(u0s: list[Field], config: EvolutionConfig, on_frame) -> dict[int, BlowUpError]:
-    """The stepping loop: evolve states that share one grid as a single (m, n) stack.
+def evolve_stack(u0s: list[Field], config: EvolutionConfig, on_frame) -> dict[int, BlowUpError]:
+    """The stepping loop: evolve states that share one grid as a single (m, n) stack, keeping no frame.
 
     Each stored frame of each live row goes to on_frame(i, t, samples), i the
     row's index in u0s, every observer_stride steps and at t = 0 and the final
     time; samples is a fresh copy, never a buffer the loop writes afterwards.
     Every state keeps its own guard, 10 sup_bound(||u0||_2): one that breaches
     it leaves the stack while the others go on, and the result maps its index
-    to its BlowUpError. Rows evolve exactly as they would alone.
+    to its BlowUpError ({} for no states). Rows evolve exactly as they would alone.
     """
+    if not u0s:
+        return {}
     grid = u0s[0].grid
     if any(u0.grid != grid for u0 in u0s):
         raise ValueError("stacked states must share one grid")
@@ -194,24 +196,6 @@ def _march(u0s: list[Field], config: EvolutionConfig, on_frame) -> dict[int, Blo
     return lost
 
 
-def evolve_stack(u0s: list[Field], config: EvolutionConfig) -> list[Trajectory | BlowUpError]:
-    """Evolve states that share one grid as a single (m, n) stack; row i of the result belongs to u0s[i].
-
-    Each row is a Trajectory of that state's stored frames, or the BlowUpError
-    it raised (see _march).
-    """
-    if not u0s:
-        return []
-    out = [Trajectory() for _ in u0s]
-
-    def store(i: int, t: float, samples: np.ndarray) -> None:
-        out[i].times.append(t)
-        out[i].states.append(Field(u0s[i].grid, samples))
-
-    lost = _march(u0s, config, store)
-    return [lost.get(i, traj) for i, traj in enumerate(out)]
-
-
 def evolve(u0: Field, config: EvolutionConfig, on_frame) -> Trajectory:
     """Evolve u0 to t_end, handing on_frame(t, samples) a frame every observer_stride steps and at t = 0 and t_end.
 
@@ -219,7 +203,7 @@ def evolve(u0: Field, config: EvolutionConfig, on_frame) -> Trajectory:
     perfbench/tracing.py reads its len(times). Raises BlowUpError naming the
     step at which the state breached its guard, after the frames before it.
     """
-    lost = _march([u0], config, lambda _, t, samples: on_frame(t, samples))
+    lost = evolve_stack([u0], config, lambda _, t, samples: on_frame(t, samples))
     if lost:
         raise lost[0]
     return Trajectory()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import multiprocessing
 import os
@@ -16,7 +15,7 @@ import numpy.random  # numpy loads it lazily; load it with this module, not in a
 
 from . import __version__
 from .diagnostics import apriori_checks, localized_momentum
-from .evolution import BlowUpError, EvolutionConfig, check_w_positivity, evolve, evolve_stack
+from .evolution import BlowUpError, EvolutionConfig, Trajectory, check_w_positivity, evolve, evolve_stack
 from .grid import Field, PeriodicGrid, make_grid
 from .invariants import hamiltonian_H, momentum_S
 from .io import json_fits
@@ -339,9 +338,9 @@ def _evolve_forked(u0: Field, config: EvolutionConfig, on_frame) -> None:
         receiver.close()
 
 
-def run_stability(scenario: Scenario, outputs: str | None = None) -> StabilityResult:
-    """Prepare the scenario, then evolve it while observing each stored frame as it is produced; persist
-    when an output directory is set. The profile cache is fresh.
+def run_stability(scenario: Scenario) -> StabilityResult:
+    """Prepare the scenario, then evolve it while observing each stored frame as it is produced. The profile
+    cache is fresh.
 
     The evolution runs in a forked child (_evolve_forked), or in process, frame
     by frame, where _forks says no; the records are the same either way.
@@ -351,7 +350,7 @@ def run_stability(scenario: Scenario, outputs: str | None = None) -> StabilityRe
     config = scenario.evolution_config()
     observe = _Observer(scenario, u0, cache)
     (_evolve_forked if _forks() else evolve)(u0, config, on_frame=observe)
-    result = StabilityResult(
+    return StabilityResult(
         scenario=scenario,
         records=observe.records,
         init_info=info,
@@ -364,21 +363,6 @@ def run_stability(scenario: Scenario, outputs: str | None = None) -> StabilityRe
             "profiles_cached": cache.cached,
         },
     )
-    if outputs:
-        _persist(result, outputs)
-    return result
-
-
-def _persist(result: StabilityResult, outdir: str) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "scenario.json"), "w") as fh:
-        fh.write(result.scenario.to_json())
-    with open(os.path.join(outdir, "records.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(result.records[0].keys()))
-        writer.writeheader()
-        writer.writerows(result.records)
-    with open(os.path.join(outdir, "summary.json"), "w") as fh:
-        json.dump(result.summary(), fh, indent=2)
 
 
 # Domain failures of one run: recorded as a failed sweep row, while any other exception propagates.
@@ -406,11 +390,18 @@ def _sweep_chunk(scenarios: list[Scenario]) -> list[dict]:
             prepared.append((i, *build_initial_state(scenario, cache)))
         except _RUN_FAILURES as exc:
             rows[i] = _failed_row(scenario, exc, "initial_state")
-    trajs = evolve_stack([u0 for _, u0, _ in prepared], scenarios[0].evolution_config())
-    for (i, u0, info), traj in zip(prepared, trajs):
-        scenario = scenarios[i]
-        if isinstance(traj, BlowUpError):
-            rows[i] = _failed_row(scenario, traj, "evolve")
+    u0s = [u0 for _, u0, _ in prepared]
+    trajs = [Trajectory() for _ in u0s]
+
+    def store(k: int, t: float, samples: np.ndarray) -> None:
+        trajs[k].times.append(t)
+        trajs[k].states.append(Field(u0s[k].grid, samples))
+
+    lost = evolve_stack(u0s, scenarios[0].evolution_config(), store)
+    for k, (i, _, info) in enumerate(prepared):
+        scenario, traj = scenarios[i], trajs[k]
+        if k in lost:
+            rows[i] = _failed_row(scenario, lost[k], "evolve")
             continue
         try:
             states = track(traj, scenario.speeds, scenario.positions0, cache)

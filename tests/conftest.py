@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpwavelab.evolution import Trajectory, evolve
+from dpwavelab.evolution import Trajectory, evolve, evolve_stack
 from dpwavelab.grid import Field, make_grid
 from dpwavelab.modulation import ProfileCache
 from dpwavelab.soliton import SolitonParams, build_profile
@@ -51,6 +51,18 @@ def evolve_frames(u0, config):
 
     evolve(u0, config, collect)
     return traj
+
+
+def stack_frames(u0s, config):
+    """Per state of evolve_stack(u0s, config), its stored frames as a Trajectory, or the BlowUpError that dropped it."""
+    trajs = [Trajectory() for _ in u0s]
+
+    def collect(i, t, samples):
+        trajs[i].times.append(t)
+        trajs[i].states.append(Field(u0s[i].grid, samples))
+
+    lost = evolve_stack(u0s, config, collect)
+    return [lost.get(i, traj) for i, traj in enumerate(trajs)]
 
 
 def fitted_tail_decay(profile):

@@ -123,6 +123,24 @@ def test_spectrum(tmp_path, capsys):
     assert doc["theta"] > 0
 
 
+def _solving(*args, **kwargs):
+    raise AssertionError("solved before checking where the output goes")
+
+
+@pytest.mark.parametrize("option", ["--out", "--eigpairs"])
+@pytest.mark.parametrize("where", ["missing", "file"])
+def test_spectrum_checks_its_outputs_before_solving(tmp_path, capsys, monkeypatch, option, where):
+    # the report was solved and printed before open() failed on the missing directory
+    monkeypatch.setattr(cli, "build_profile", _solving)
+    monkeypatch.setattr(cli, "assemble_L", _solving)
+    (tmp_path / "file").write_text("")
+    argv = ["spectrum", "--c", "3", "--kappa", "1", "--n", "256", option, str(tmp_path / where / "e.csv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: output directory {str(tmp_path / where)!r} is not a directory\n"
+
+
 def test_spectrum_eigpairs(tmp_path, capsys):
     out = tmp_path / "spectrum.json"
     pairs = tmp_path / "pairs.csv"
@@ -295,6 +313,15 @@ def test_decompose_rejects_a_malformed_state(tmp_path, capsys, doc, message):
     assert err.startswith(f"error: state {state}: {message}") and err.count("\n") == 1
 
 
+def test_decompose_checks_its_output_before_loading(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_state", _solving)
+    monkeypatch.setattr(cli, "decompose", _solving)
+    out = tmp_path / "missing" / "d.json"
+    assert main(["decompose", "--state", "state.json", "--n-waves", "2", "--kappa", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("n_waves", ["0", "-2"])
 def test_decompose_rejects_fewer_than_one_wave(capsys, monkeypatch, n_waves):
     def guessing(*args, **kwargs):
@@ -330,6 +357,15 @@ def test_check_invariants_near_two_kappa(capsys):
     assert main(["check-invariants", "--kappa", "1", "--n", "1024", "--speeds", ",".join(speeds)]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.split()[0] for row in rows] == speeds
+
+
+@pytest.mark.parametrize("argv", [["--n", "6"], ["--kappa", "-1"], ["--speeds", "3,1.5"]])
+def test_check_invariants_prints_nothing_on_bad_input(capsys, argv):
+    # the header, and with --speeds 3,1.5 the c = 3 row, were printed before the error
+    assert main(["check-invariants", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_stability(tmp_path, capsys):
@@ -402,6 +438,7 @@ def _rejected_on_load(tmp_path, capsys, monkeypatch, command, **edits) -> str:
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *sweep_args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
     return err
 
 
@@ -494,6 +531,36 @@ def test_evolve_rejects_inadmissible_data(tmp_path, capsys, monkeypatch):
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err == "configuration error: initial data cannot be made admissible: w0 min -5.000e-01 at alpha 0.000e+00\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("below", [[], ["run"], ["run", "deeper"]])
+@pytest.mark.parametrize("command", ["stability", "sweep", "evolve"])
+def test_out_naming_a_file_rejected_before_any_work(tmp_path, capsys, monkeypatch, command, below):
+    # stability ran to the end, printed nothing and then exited 2 on the file
+    monkeypatch.setattr(harness, "build_initial_state", _preparing)
+    monkeypatch.setattr(cli, "build_initial_state", _preparing)
+    cfg = write_scenario(tmp_path / "scenario.json")
+    out = tmp_path / "taken"
+    out.write_text("kept")
+    sweep_args = ["--alphas", "1e-4,1e-3", "--separations", "25,30"] if command == "sweep" else []
+    assert main([command, "--config", cfg, "--out", os.path.join(out, *below), *sweep_args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: output directory {str(out)!r} is not a directory\n"
+    assert out.read_text() == "kept"
+
+
+def test_stability_rejects_inadmissible_data(tmp_path, capsys, monkeypatch):
+    # as evolve does: exit 2 before evolving, and no output directory
+    monkeypatch.setattr(harness, "check_w_positivity", lambda u0, kappa: {"min_value": -0.5, "ok": False})
+    monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: pytest.fail("evolved inadmissible initial data"))
+    cfg = write_scenario(tmp_path / "scenario.json", alpha=0.0, t_end=0.5)
+    assert main(["stability", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("configuration error: initial data cannot be made admissible: "
+                            "w0 min -5.000e-01 at alpha 0.000e+00\n")
     assert not (tmp_path / "out").exists()
 
 

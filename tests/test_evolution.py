@@ -18,7 +18,7 @@ from dpwavelab.harness import Scenario, build_initial_state
 from dpwavelab.invariants import hamiltonian_H, momentum_S
 from dpwavelab.soliton import SolitonParams, build_profile, sample_dx_on_grid, sample_on_grid
 
-from conftest import evolve_frames, random_field
+from conftest import evolve_frames, random_field, stack_frames
 
 
 def oracle_rhs(u, grid, kappa, dealias):
@@ -203,14 +203,14 @@ class TestEvolve:
         assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
 
     def test_on_frame_gets_the_stored_frames(self):
-        # the frames handed over one by one are those evolve_stack collects, bitwise, and none is kept
+        # the frames evolve hands over one by one are those evolve_stack hands over, bitwise, and none is kept
         sc = Scenario.from_json(json.dumps(ACCEPT_STATE))
         u0, _ = build_initial_state(sc)
         config = EvolutionConfig(kappa=1.0, t_end=1.0, dt=0.01, observer_stride=30)
         handed = []
         kept = evolve(u0, config, on_frame=lambda t, samples: handed.append((t, samples.copy())))
         assert kept.times == [] and kept.states == []
-        (traj,) = evolve_stack([u0], config)
+        (traj,) = stack_frames([u0], config)
         assert [t for t, _ in handed] == traj.times
         assert all(np.array_equal(samples, f.samples) for (_, samples), f in zip(handed, traj.states))
 
@@ -282,7 +282,7 @@ class TestSpectralState:
         )
         # a stack of states costs the same FFT calls, each over all of its rows
         stack = [u, Field(u.grid, 2.0 * u.samples), u]
-        assert count(lambda: evolve_stack(stack, EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01))) == (
+        assert count(lambda: stack_frames(stack, EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01))) == (
             1 + 4 * 10,
             4 * 10,
         )
@@ -322,7 +322,7 @@ class TestStack:
         # the 10 cos state of test_guard_breach_names_step, wavelength 20, on the acceptance grid
         wave = Field(g, 10.0 * np.cos(2.0 * np.pi * 10 * g.nodes / g.period))
         config = EvolutionConfig(kappa=1.0, t_end=2.0, dt=0.05, observer_stride=5)
-        traj, err = evolve_stack([u0, wave], config)
+        traj, err = stack_frames([u0, wave], config)
 
         alone = evolve_frames(u0, config)
         assert traj.times == alone.times and config.steps == 40
@@ -337,8 +337,14 @@ class TestStack:
         a = Field(make_grid(64, 10.0), np.zeros(64))
         b = Field(make_grid(64, 20.0), np.zeros(64))
         with pytest.raises(ValueError):
-            evolve_stack([a, b], EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01))
-        assert evolve_stack([], EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01)) == []
+            stack_frames([a, b], EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01))
+        assert stack_frames([], EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01)) == []
+
+    def test_no_states(self):
+        def on_frame(*args):
+            raise AssertionError("handed a frame of no state")
+
+        assert evolve_stack([], EvolutionConfig(kappa=1.0, t_end=0.1, dt=0.01), on_frame) == {}
 
 
 def plain_rk4_frames(u0s, config):
@@ -390,7 +396,7 @@ class TestInPlaceStepper:
         config = EvolutionConfig(kappa=1.0, t_end=0.5, dt=0.01, observer_stride=7)
         assert config.steps == 50
         frames = evolve_frames(u0, config).states
-        (traj,) = evolve_stack([u0], config)
+        (traj,) = stack_frames([u0], config)
         want = plain_rk4_frames([u0], config)
         assert len(frames) == len(traj.states) == len(want) == 9
         assert all(np.array_equal(a.samples, w) for a, w in zip(frames, want))
@@ -401,7 +407,7 @@ class TestInPlaceStepper:
         stack = [u, Field(u.grid, 0.5 * u.samples), Field(u.grid, np.roll(u.samples, 40))]
         config = EvolutionConfig(kappa=1.0, t_end=0.5, dt=0.01, observer_stride=7)
         want = plain_rk4_frames(stack, config)
-        for i, traj in enumerate(evolve_stack(stack, config)):
+        for i, traj in enumerate(stack_frames(stack, config)):
             assert len(traj.states) == len(want) == 9
             assert all(np.array_equal(f.samples, w[i]) for f, w in zip(traj.states, want))
 
@@ -420,7 +426,7 @@ class TestInPlaceStepper:
 
         evolve(u0, config, lambda t, samples: keep(samples))
         assert len(kept) == 9
-        lost = evolution._march([u0, wave], config, lambda i, t, samples: keep(samples))
+        lost = evolve_stack([u0, wave], config, lambda i, t, samples: keep(samples))
         assert list(lost) == [1] and len(kept) == 9 + 9 + 2
         assert all(np.array_equal(a, b) for a, b in zip(kept, copies))
 

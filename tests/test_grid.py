@@ -67,7 +67,7 @@ def _old_wrap(x, period):
 
 
 def _midpoints(grid, positions):
-    """Circle midpoint of (x_j, x_{j+1}) for j = 1..N-1, as harness._observe computes it."""
+    """Circle midpoint of (x_j, x_{j+1}) for j = 1..N-1, as harness._Observer computes it for each frame."""
     return positions[:-1] + 0.5 * grid.gaps(positions)[:-1]
 
 

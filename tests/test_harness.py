@@ -11,6 +11,7 @@ import pytest
 import dpwavelab
 import dpwavelab.harness as harness
 import dpwavelab.modulation as modulation
+from dpwavelab.cli import main
 from dpwavelab.diagnostics import weight_psi
 from dpwavelab.evolution import BlowUpError
 from dpwavelab.grid import Field, make_grid
@@ -42,6 +43,13 @@ def quick_scenario(**overrides):
     )
     base.update(overrides)
     return Scenario(**base)
+
+
+def stability_files(scenario, out):
+    """Run dpwavelab stability on the scenario with --out out, from a config file written beside out."""
+    cfg = out.parent / f"{out.name}.json"
+    cfg.write_text(scenario.to_json())
+    assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 0
 
 
 class TestScenarioValidation:
@@ -213,7 +221,7 @@ class TestRunStability:
 
     def test_persistence(self, tmp_path):
         out = tmp_path / "run"
-        run_stability(quick_scenario(), outputs=str(out))
+        stability_files(quick_scenario(), out)
         assert (out / "scenario.json").exists()
         assert (out / "records.csv").exists()
         assert (out / "summary.json").exists()
@@ -306,8 +314,8 @@ class TestRunStability:
 
     def test_persistence_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        run_stability(quick_scenario(), outputs=str(out1))
-        run_stability(quick_scenario(), outputs=str(out2))
+        stability_files(quick_scenario(), out1)
+        stability_files(quick_scenario(), out2)
         for name in ("scenario.json", "records.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -420,9 +428,9 @@ class TestForkedRun:
 
         monkeypatch.setattr(harness, "_evolve_forked", spy)
         set_cpus(monkeypatch, 2)
-        run_stability(scenario, outputs=str(tmp_path / "forked"))
+        stability_files(scenario, tmp_path / "forked")
         set_cpus(monkeypatch, 1)
-        run_stability(scenario, outputs=str(tmp_path / "in_process"))
+        stability_files(scenario, tmp_path / "in_process")
         assert forked == [True]
         for name in ("records.csv", "summary.json"):
             assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "in_process" / name).read_bytes()
@@ -547,9 +555,9 @@ class TestRunSweep:
         stacks = []
         evolve_stack = harness.evolve_stack
 
-        def spy(u0s, config):
+        def spy(u0s, config, on_frame):
             stacks.append((len(u0s), u0s[0].grid.period))
-            return evolve_stack(u0s, config)
+            return evolve_stack(u0s, config, on_frame)
 
         monkeypatch.setattr(harness, "evolve_stack", spy)
         sw = run_sweep(base, [1e-4, 1e-3], [25.0, 30.0], parallelism=1)
@@ -599,10 +607,10 @@ class TestRunSweep:
                 raise ScenarioError("perturbation cannot be made admissible")
             return build(scenario, cache)
 
-        def blows_up(u0s, config):
-            out = evolve_stack(u0s, config)
-            return [BlowUpError("non-finite samples after RK4 step at step 7")
-                    if np.array_equal(u0.samples, target.samples) else traj for u0, traj in zip(u0s, out)]
+        def blows_up(u0s, config, on_frame):
+            lost = evolve_stack(u0s, config, on_frame)
+            return {**lost, **{k: BlowUpError("non-finite samples after RK4 step at step 7")
+                               for k, u0 in enumerate(u0s) if np.array_equal(u0.samples, target.samples)}}
 
         if phase == "initial_state":
             monkeypatch.setattr(harness, "build_initial_state", bad_state)
